@@ -23,27 +23,22 @@ from .exactnum import (
     vp,
 )
 from .family import (
-    SigmaTriple,
     TripleABC,
     curve_E,
     curve_Epp,
     curve_Estar,
-    map_u,
     map_w,
     map_w_constants,
     map_X,
-    plane_curve_value,
     point_Pstar,
     point_R,
     point_Tstar,
-    quartic_condition,
     require_param,
     sigma1_from_x,
     sigma2_from,
     sigma3,
     sigma_triple_from_x,
     three_torsion_condition,
-    three_torsion_value,
     triple_from_multiple,
 )
 from .paramfam import (
@@ -59,7 +54,6 @@ from .paramfam import (
     family_triple,
     rank_curve_membership,
     reconstruct_product34_triple,
-    sign_signature,
 )
 from .reduction_lab import (
     BadPrimesReport,
@@ -67,14 +61,12 @@ from .reduction_lab import (
     ValuationRow,
     bad_primes_epp,
     classify,
-    epp_invariants,
     mod3_sign_table,
     nonsingular_residues,
     p_minimal_model,
     valuation_table,
 )
 from .sextuple_engine import (
-    DiophTuple,
     PairWitness,
     SextupleRecord,
     VerificationReport,

@@ -96,20 +96,7 @@ def cmd_triple(args) -> int:
         triple = paramfam.family_triple(args.t)
     else:
         triple = fam.triple_from_multiple(args.t, args.m)
-    payload = {
-        "t": format_rat(args.t),
-        "m": args.m,
-        "route": args.route,
-        "a": format_rat(triple.a),
-        "b": format_rat(triple.b),
-        "c": format_rat(triple.c),
-        "rho_ab": format_rat(triple.rho_ab),
-        "rho_ac": format_rat(triple.rho_ac),
-        "rho_bc": format_rat(triple.rho_bc),
-        "sigma1": format_rat(triple.sigma1),
-        "sigma2": format_rat(triple.sigma2),
-        "sigma3": format_rat(triple.sigma3),
-    }
+    payload = {"t": format_rat(args.t), "m": args.m, "route": args.route, **triple.to_json_dict()}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -183,6 +170,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_lemmas(args) -> int:
     t, p, m_max = args.t, args.p, args.max_m
+    red._require_odd_prime(p)  # before t % p below, which fails at p = 0
     payload: dict = {"t": t, "p": p, "max_m": m_max}
     if p == 3:
         rows = red.mod3_sign_table(t, m_max)

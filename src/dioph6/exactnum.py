@@ -37,19 +37,8 @@ def isqrt(n: int) -> tuple[int, bool]:
 
 
 def is_square(q: Rat | int) -> bool:
-    """True iff ``q`` is the square of a rational.
-
-    Equivalently: ``q >= 0`` and both numerator and denominator of the
-    canonical form are perfect integer squares.
-    """
-    q = Fraction(q)
-    if q < 0:
-        return False
-    _, num_ok = isqrt(q.numerator)
-    if not num_ok:
-        return False
-    _, den_ok = isqrt(q.denominator)
-    return den_ok
+    """True iff ``q`` is the square of a rational."""
+    return sqrt_exact(q) is not None
 
 
 def sqrt_exact(q: Rat | int) -> Rat | None:
@@ -152,6 +141,41 @@ def mod_p(q: Rat | int, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
+def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Split a positive integer into its prime factors up to ``bound``.
+
+    Returns the factors found and the cofactor left over, which is 1 when
+    the factorization is complete.  A cofactor that is certifiably prime
+    (at most ``bound**2`` with no factor up to ``bound``, or passing
+    :func:`is_prime`) counts as a factor; what is left is composite.
+    """
+    if bound < 1:
+        raise ValueError(f"trial-division bound must be at least 1, got {bound}")
+    factors: dict[int, int] = {}
+    m = n
+    for p in (2, 3):
+        if m % p == 0:
+            factors[p] = e = _int_vp(m, p)
+            m //= p**e
+    d = 5
+    while d * d <= m and d <= bound:
+        for cand in (d, d + 2):
+            if m % cand == 0:
+                factors[cand] = e = _int_vp(m, cand)
+                m //= cand**e
+        d += 6
+    if m > 1 and (m <= bound * bound or is_prime(m)):
+        factors[m] = 1
+        m = 1
+    return factors, m
+
+
+def _unfactorable(n: int, cofactor: int, bound: int) -> UnfactorableError:
+    return UnfactorableError(
+        f"{n} has a cofactor {cofactor} unfactorable at desk scale (bound {bound})"
+    )
+
+
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
@@ -160,28 +184,9 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need a positive integer")
-    factors: dict[int, int] = {}
-    m = n
-    for p in (2, 3):
-        e = _int_vp(m, p) if m % p == 0 else 0
-        if e:
-            factors[p] = e
-            m //= p**e
-    d = 5
-    while d * d <= m and d <= bound:
-        for cand in (d, d + 2):
-            if m % cand == 0:
-                e = _int_vp(m, cand)
-                factors[cand] = e
-                m //= cand**e
-        d += 6
-    if m > 1:
-        if m <= bound * bound or is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            raise UnfactorableError(
-                f"{n} has a cofactor {m} unfactorable at desk scale (bound {bound})"
-            )
+    factors, cofactor = _trial_divide(n, bound)
+    if cofactor > 1:
+        raise _unfactorable(n, cofactor, bound)
     return factors
 
 
@@ -211,39 +216,20 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
 def is_squarefree(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
     """True iff no prime square divides the positive integer ``n``.
 
-    Trial-divides up to ``bound``; a surviving cofactor is handled when it
-    is certifiably prime or a perfect power, otherwise the test refuses
-    with :class:`UnfactorableError` rather than guess.
+    Trial-divides up to ``bound``; a surviving composite cofactor that is a
+    perfect power makes ``n`` non-squarefree, any other makes the test
+    refuse with :class:`UnfactorableError` rather than guess.
     """
     if n < 1:
         raise ValueError(f"squarefree test needs a positive integer, got {n}")
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-    d = 5
-    while d * d <= m and d <= bound:
-        for cand in (d, d + 2):
-            if m % cand == 0:
-                m //= cand
-                if m % cand == 0:
-                    return False
-        d += 6
-    if m == 1:
+    factors, cofactor = _trial_divide(n, bound)
+    if any(e > 1 for e in factors.values()):
+        return False
+    if cofactor == 1:
         return True
-    if m <= bound * bound:
-        return True  # prime: no factor <= bound and sqrt(m) <= bound
-    for k in range(2, m.bit_length() + 1):
-        _, exact = _iroot(m, k)
-        if exact:
-            return False
-    if is_prime(m):
-        return True
-    raise UnfactorableError(
-        f"{n} has a cofactor {m} unfactorable at desk scale (bound {bound})"
-    )
+    if any(_iroot(cofactor, k)[1] for k in range(2, cofactor.bit_length() + 1)):
+        return False
+    raise _unfactorable(n, cofactor, bound)
 
 
 def parse_rat(text: str) -> Rat:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, is_square, sqrt_exact
+from .exactnum import Rat, format_rat, is_square, sqrt_exact
 from .weierstrass import Curve, Point
 
 #: Multiples beyond this make coordinate digit counts (which grow
@@ -326,6 +326,10 @@ class TripleABC:
     @property
     def sigma3(self) -> Rat:
         return self.a * self.b * self.c
+
+    def to_json_dict(self) -> dict:
+        keys = ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc", "sigma1", "sigma2", "sigma3")
+        return {key: format_rat(getattr(self, key)) for key in keys}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, is_square, sqrt_exact
+from .exactnum import Rat, format_rat, is_square, sqrt_exact
 from .family import TripleABC, curve_E, point_R, require_param, triple_from_multiple
 from .sextuple_engine import VerificationReport, verify_tuple
 from .weierstrass import Curve, Point
@@ -114,11 +114,6 @@ def family_point(t) -> FamilyPoint:
     )
 
 
-def sign_signature(t) -> int:
-    """Number of negative elements among the six family values at t."""
-    return family_point(t).negatives
-
-
 # ---------------------------------------------------------------------------
 # catalog of named examples
 # ---------------------------------------------------------------------------
@@ -130,8 +125,6 @@ class CatalogEntry:
     source: str
 
     def to_json_dict(self) -> dict:
-        from .exactnum import format_rat
-
         return {
             "name": self.name,
             "elements": [format_rat(e) for e in self.elements],
@@ -139,61 +132,60 @@ class CatalogEntry:
         }
 
 
-def _F(num, den=1) -> Rat:
-    return Fraction(num, den)
-
-
 _CATALOG_DATA = (
     (
         "diophantus",
-        (_F(1, 16), _F(33, 16), _F(17, 4), _F(105, 16)),
+        (Fraction(1, 16), Fraction(33, 16), Fraction(17, 4), Fraction(105, 16)),
         "Diophantus; the first known rational quadruple",
     ),
     (
         "fermat",
-        (_F(1), _F(3), _F(8), _F(120)),
+        (Fraction(1), Fraction(3), Fraction(8), Fraction(120)),
         "Fermat's integer quadruple",
     ),
     (
         "euler",
-        (_F(1), _F(3), _F(8), _F(120), _F(777480, 8288641)),
+        (Fraction(1), Fraction(3), Fraction(8), Fraction(120), Fraction(777480, 8288641)),
         "Euler's rational extension of Fermat's quadruple",
     ),
     (
         "gibbs",
-        (_F(11, 192), _F(35, 192), _F(155, 27), _F(512, 27), _F(1235, 48), _F(180873, 16)),
+        (
+            Fraction(11, 192), Fraction(35, 192), Fraction(155, 27),
+            Fraction(512, 27), Fraction(1235, 48), Fraction(180873, 16),
+        ),
         "Gibbs (1999); the first known rational sextuple",
     ),
     (
         "family-t6",
         (
-            _F(3780, 73),
-            _F(26645, 252),
-            _F(7, 13140),
-            _F(791361752602550684660, 1827893092234556692801),
-            _F(95104852709815809228981184, 351041911654651335633266955),
-            _F(3210891270762333567521084544, 21712719223923581005355),
+            Fraction(3780, 73),
+            Fraction(26645, 252),
+            Fraction(7, 13140),
+            Fraction(791361752602550684660, 1827893092234556692801),
+            Fraction(95104852709815809228981184, 351041911654651335633266955),
+            Fraction(3210891270762333567521084544, 21712719223923581005355),
         ),
         "the parametric family at t = 6; all elements positive",
     ),
     (
         "product34-triple",
         (
-            _F(36534805866201747, 2323780774755404),
-            _F(1065197767305747, 13609226201091404),
-            _F(3802080647508196, 6238332600753747),
+            Fraction(36534805866201747, 2323780774755404),
+            Fraction(1065197767305747, 13609226201091404),
+            Fraction(3802080647508196, 6238332600753747),
         ),
         "smallest all-positive order-3 triple with product 3/4",
     ),
     (
         "product34-sextuple",
         (
-            _F(36534805866201747, 2323780774755404),
-            _F(1065197767305747, 13609226201091404),
-            _F(3802080647508196, 6238332600753747),
-            _F(143947705777192337861060209232361164451, 159554724645105598216911731751641945996),
-            _F(27566706033755538837165550223247346480484, 28811406145997336392588207503703089363),
-            _F(5959833363761715860447368794188813530156, 3132578990197106752312648160330628526617),
+            Fraction(36534805866201747, 2323780774755404),
+            Fraction(1065197767305747, 13609226201091404),
+            Fraction(3802080647508196, 6238332600753747),
+            Fraction(143947705777192337861060209232361164451, 159554724645105598216911731751641945996),
+            Fraction(27566706033755538837165550223247346480484, 28811406145997336392588207503703089363),
+            Fraction(5959833363761715860447368794188813530156, 3132578990197106752312648160330628526617),
         ),
         "a sextuple extension of the product-3/4 triple",
     ),

@@ -2,11 +2,12 @@
 models, good/multiplicative/additive classification at odd primes, and
 empirical tables for the p-adic valuation patterns of seed-point multiples.
 
-Classification uses the (v_p(delta), v_p(c4)) criterion on a p-minimal
-model reached by u-scaling.  For p >= 5 this is exact; for p = 3 the same
-criterion is applied and the mod-3 tables cross-check it, since u-scaling
-alone need not reach a fully minimal model there.  p = 2 is out of scope
-and rejected everywhere.
+Classification uses the (v_p(delta), v_p(c4)) criterion on the model
+reached by u-scaling alone.  That model is p-minimal only when no change of
+coordinates x -> x - r is needed before scaling, so a curve that must first
+be translated can be reported as additive at a prime of good or
+multiplicative reduction, for p >= 5 as well as p = 3.  p = 2 is out of
+scope and rejected everywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
     _int_vp,
+    format_rat,
     is_prime,
     odd_prime_divisors,
     vp,
@@ -38,10 +40,11 @@ ADDITIVE = "add"
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Reduction data of a curve at one odd prime, on a p-minimal model.
+    """Reduction data of a curve at one odd prime, on the model of
+    :func:`p_minimal_model`.
 
     ``v_c4`` is None when c4 = 0 (infinite valuation).  ``scaling_exponent``
-    is the k with u = p^k applied to reach the minimal p-integral model.
+    is the k with u = p^k applied to reach that model.
     """
 
     p: int
@@ -107,13 +110,13 @@ def epp_invariants(t, pt: Point) -> tuple[Rat, Rat]:
 
 
 def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
-    """Scale by u = p^k to the p-minimal p-integral model; return it and k.
+    """Scale by u = p^k as far as p-integrality allows; return the model and k.
 
     k is the largest exponent keeping all coefficients p-integral, i.e.
-    min over i in {2, 4, 6} of floor(v_p(a_i)/i).  Any further u-scaling
-    satisfying v_p(c4) >= 4 and v_p(delta) >= 12 would break integrality,
-    so this single step already reaches the fixpoint of the usual
-    unscale-while-reducible loop.
+    min over i in {2, 4, 6} of floor(v_p(a_i)/i).  Only u-scalings are
+    tried, so the result need not be p-minimal: y^2 = x^3 + 3x^2 + (3+5^4)x +
+    1+5^4+5^6 stays as it is at p = 5, yet x -> x - 1 followed by u = 5
+    turns it into y^2 = x^3 + x + 1, which has good reduction there.
     """
     _require_odd_prime(p)
     exponents = [
@@ -164,8 +167,6 @@ class BadPrimesReport:
     prop_holds: bool | None
 
     def to_json_dict(self) -> dict:
-        from .exactnum import format_rat
-
         return {
             "t": self.t,
             "x": format_rat(self.x),
@@ -262,6 +263,16 @@ def _check_table_args(t, m_max: int) -> Rat:
     return tq
 
 
+def _seed_multiples(t: Rat, k: int) -> tuple[Curve, list[Point]]:
+    """The base curve at t and the seed multiples [1]R, ..., [k]R on it."""
+    base = curve_E(t)
+    seed = point_R(t)
+    multiples = [seed]
+    while len(multiples) < k:
+        multiples.append(base.add(multiples[-1], seed))
+    return base, multiples
+
+
 def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[ValuationRow]:
     """Predicted vs observed p-adic valuations for seed-point multiples.
 
@@ -278,11 +289,7 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
     if e > 1:
         raise ValueError(f"{p}^2 divides t^2 + 1 = {t * t + 1}; need exact division")
 
-    base = curve_E(tq)
-    seed = point_R(tq)
-    r2 = base.mul(2, seed)
-    r3 = base.add(r2, seed)
-    r4 = base.add(r3, seed)
+    base, (seed, r2, r3, r4) = _seed_multiples(tq, 4)
     rows = [
         ValuationRow(2, 0, vp(r2.x, p), "v(x([2]R))"),
         ValuationRow(3, 4, vp(r3.x, p), "v(x([3]R))"),
@@ -313,11 +320,7 @@ def mod3_sign_table(t: int, m_max: int = DEFAULT_TABLE_MAX) -> list[ValuationRow
     Predictions: v_3(x([m][3]R)) < 0, v_3(x(R+[m][3]R)) > 0 and
     v_3(x([2]R+[m][3]R)) > 0; rows carry the signs (-1 / +1).
     """
-    tq = _check_table_args(t, m_max)
-    base = curve_E(tq)
-    seed = point_R(tq)
-    r2 = base.mul(2, seed)
-    r3 = base.add(r2, seed)
+    base, (seed, r2, r3) = _seed_multiples(_check_table_args(t, m_max), 3)
     rows = []
     q = INFINITY
     for m in range(1, m_max + 1):
@@ -343,11 +346,7 @@ def nonsingular_residues(t: int, q: int, m_max: int = DEFAULT_TABLE_MAX) -> bool
     _require_odd_prime(q)
     if t % q != 0:
         raise ValueError(f"{q} does not divide t = {t}")
-    base = curve_E(tq)
-    seed = point_R(tq)
-    acc = INFINITY
-    for _ in range(1, m_max + 1):
-        acc = base.add(acc, seed)
+    for acc in _seed_multiples(tq, m_max)[1]:
         x = acc.x
         if x == 0:
             continue

@@ -23,24 +23,6 @@ DEFAULT_MAX_ODD_INDEX = 6
 
 
 @dataclass(frozen=True)
-class DiophTuple:
-    """An ordered tuple of nonzero, pairwise distinct rationals."""
-
-    elements: tuple[Rat, ...]
-
-    def __post_init__(self) -> None:
-        els = tuple(Fraction(e) for e in self.elements)
-        object.__setattr__(self, "elements", els)
-        if any(e == 0 for e in els):
-            raise ValueError("tuple elements must be nonzero")
-        if len(set(els)) != len(els):
-            raise ValueError("tuple elements must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
 class PairWitness:
     """One pairwise check: elements i, j (1-based), their product + 1, and
     its square root when it exists."""
@@ -230,7 +212,6 @@ class SextupleRecord:
         return (*self.triple.elements, self.d, self.e, self.f)
 
     def to_json_dict(self, route: str | None = None) -> dict:
-        tri = self.triple
         out: dict = {
             "t": None if self.t is None else format_rat(self.t),
             "m": self.m,
@@ -239,17 +220,7 @@ class SextupleRecord:
         if route is not None:
             out["route"] = route
         out["elements"] = [format_rat(e) for e in self.elements]
-        out["triple"] = {
-            "a": format_rat(tri.a),
-            "b": format_rat(tri.b),
-            "c": format_rat(tri.c),
-            "rho_ab": format_rat(tri.rho_ab),
-            "rho_ac": format_rat(tri.rho_ac),
-            "rho_bc": format_rat(tri.rho_bc),
-            "sigma1": format_rat(tri.sigma1),
-            "sigma2": format_rat(tri.sigma2),
-            "sigma3": format_rat(tri.sigma3),
-        }
+        out["triple"] = self.triple.to_json_dict()
         out["d"] = format_rat(self.d)
         out["e"] = format_rat(self.e)
         out["f"] = format_rat(self.f)
@@ -275,12 +246,13 @@ def extend_to_sextuple(
     if n > max_odd_index:
         raise ValueError(f"n = {n} exceeds the desk-scale cap {max_odd_index}")
     a, b, c = triple.elements
-    if not order3_check(a, b, c):
-        raise ValueError("triple does not carry a point of order 3; cannot extend")
     curve = induced_curve(a, b, c)
     abc = a * b * c
     base = point_Pprime(a, b, c)
-    marked = point_Sprime(a, b, c)
+    # S' from the witnesses the triple already carries (see point_Sprime)
+    marked = Point(Fraction(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)
+    if not curve.mul(3, marked).is_infinity:
+        raise ValueError("triple does not carry a point of order 3; cannot extend")
     center = curve.mul(2 * n + 1, base)
     plus = curve.add(center, marked)
     minus = curve.add(center, curve.neg(marked))

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from dioph6.cli import main
 
@@ -50,6 +53,16 @@ def test_generate_rejects_bad_t(capsys):
     code, _, err = run_cli(capsys, "generate", "--t", "1", "--m", "2", "--n", "1")
     assert code == 2
     assert "excluded" in err
+
+
+def test_negative_fraction_arguments(capsys):
+    # argparse reads "-5/3" as an option, so the README forms are "--t=" and "--"
+    code, out, _ = run_cli(capsys, "generate", "--t=-5/3")
+    assert code == 0
+    assert json.loads(out)["t"] == "-5/3"
+    code, out, _ = run_cli(capsys, "verify", "--", "1/2", "-3/2")
+    assert code == 0
+    assert json.loads(out)["elements"] == ["1/2", "-3/2"]
 
 
 def test_generate_closed_form_requires_m2_n1(capsys):
@@ -226,6 +239,20 @@ def test_lemmas_bad_prime(capsys):
     assert code == 2  # 7 divides neither t nor t^2+1
 
 
+def test_lemmas_rejects_p_zero(capsys):
+    code, _, err = run_cli(capsys, "lemmas", "--t", "3", "--p", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_reduce_rejects_nonpositive_factor_bound(capsys):
+    code, _, err = run_cli(
+        capsys, "reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--factor-bound=-5"
+    )
+    assert code == 2
+    assert "bound" in err
+
+
 # ---------------------------------------------------------------------------
 # catalog and output determinism
 # ---------------------------------------------------------------------------
@@ -286,6 +313,47 @@ GOLDEN_VERIFY_123 = """\
 def test_golden_verify_json(capsys):
     _, out, _ = run_cli(capsys, "verify", "1", "2", "3")
     assert out == GOLDEN_VERIFY_123
+
+
+#: (argv, exit code, sha256 of stdout) for the README commands; pins every
+#: byte of the JSON so that refactors cannot drift the output format.
+GOLDEN_CLI_DIGESTS = [
+    (("generate", "--t", "6", "--m", "2", "--n", "1"), 0,
+     "597499615e644910cf717d9bd4e821196bfb4064269eb5528e0526271d94a28f"),
+    (("generate", "--t", "6", "--m", "2", "--n", "1", "--route", "closed-form"), 0,
+     "c13309c35cf8886963adcf9458fdf432eb9dcbe9d350ca71fd94f171b8eac576"),
+    (("generate", "--t=5/3", "--m", "4", "--n", "3"), 0,
+     "10e7ff9f3b2fd7d5ae92d560735f4ff8b4acf307bdca4123983e94d517ab5345"),
+    (("triple", "--t", "2", "--m", "2"), 0,
+     "374b4d05b4fa4df616211522ab8d2843025f90a59931974cb0d3e7d7089ea157"),
+    (("verify", "11/192", "35/192", "155/27", "512/27", "1235/48", "180873/16"), 0,
+     "9e3f379f175c4623f104674b9e91e41462acb883c167348957a8aa32c3c3bb7f"),
+    (("family", "--t", "6"), 0,
+     "30c1f39a79dc6d8054bcfd85c87432ed0209b648a65b146e07aacfd55c24c97d"),
+    (("scan", "--from", "11/8", "--to", "12/5", "--step", "1/8"), 0,
+     "427441424c6dbb57d645f21aaf660134420cb764e8671558a00d2ae3193be745"),
+    (("reduce", "--t", "31", "--x", "-150072", "--y", "682327360"), 0,
+     "49a26c63cf1a38c8cc26955100c3fe8a080041640897b9d95f267f5c66a42c49"),
+    (("reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--p", "13"), 0,
+     "0d93acf58b8b581257ff09dbd5d8612301c7b30a57827c030eb633fec6e658ab"),
+    (("lemmas", "--t", "3", "--p", "5", "--max-m", "4"), 0,
+     "0d139a349f416da8c2914fe67fe7a499c298073d6c2254ba9b9a1a2036ac1e23"),
+    (("lemmas", "--t", "2", "--p", "3", "--max-m", "3"), 0,
+     "a476453f9609cbc8eabcf3e9b0edc9890475e06bf4c8e5009dc9340be23c12dd"),
+    (("lemmas", "--t", "5", "--p", "5", "--max-m", "6"), 0,
+     "6199f22eff1e4a216559d9c670eb2c0414c58079345f7b7e7f7e898529df60d6"),
+    (("catalog",), 0,
+     "ef385a310e15b60d84d068aa26346878b9074fe3569dc1643e748f7f40126ef9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_CLI_DIGESTS, ids=[" ".join(c[0]) for c in GOLDEN_CLI_DIGESTS]
+)
+def test_golden_cli_bytes(capsys, argv, code, digest):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_console_entry_point():

@@ -187,6 +187,17 @@ def test_factorize():
         factorize(143, bound=10)
 
 
+@pytest.mark.parametrize("bound", [0, -5, -20])
+def test_factor_bound_must_be_positive(bound):
+    # a bound below 1 would make "cofactor <= bound^2" certify 25 or 385 as prime
+    for n in (25, 385):
+        with pytest.raises(ValueError, match="bound") as info:
+            factorize(n, bound=bound)
+        assert not isinstance(info.value, UnfactorableError)
+        with pytest.raises(ValueError, match="bound"):
+            is_squarefree(n, bound=bound)
+
+
 def test_is_prime():
     assert [n for n in range(2, 40) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,

@@ -16,7 +16,6 @@ from dioph6.paramfam import (
     family_triple,
     rank_curve_membership,
     reconstruct_product34_triple,
-    sign_signature,
 )
 from dioph6.sextuple_engine import extend_to_sextuple, verify_tuple
 
@@ -91,7 +90,7 @@ def test_family_soundness_random_sample():
     [(F(6), 0), (F(7), 1), (F(5, 4), 2), (F(2), 3)],
 )
 def test_sign_signature_fixtures(t, negatives):
-    assert sign_signature(t) == negatives
+    assert family_point(t).negatives == negatives
 
 
 def _interior_samples(lo, hi, count=8):
@@ -108,7 +107,7 @@ def test_sign_signature_constant_on_regions():
     ]
     for lo, hi, expected in regions:
         for t in _interior_samples(lo, hi):
-            assert sign_signature(t) == expected, (lo, hi, t)
+            assert family_point(t).negatives == expected, (lo, hi, t)
 
 
 # ---------------------------------------------------------------------------

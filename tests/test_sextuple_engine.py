@@ -7,7 +7,6 @@ from dioph6.errors import DegeneracyError
 from dioph6.exactnum import sqrt_exact
 from dioph6.family import three_torsion_condition, triple_from_multiple
 from dioph6.sextuple_engine import (
-    DiophTuple,
     extend_to_sextuple,
     half_point_check,
     induced_curve,
@@ -58,11 +57,12 @@ def test_verify_symmetry_properties():
 
 
 def test_dioph_tuple_validation():
-    DiophTuple(tuple(GIBBS))
-    with pytest.raises(ValueError):
-        DiophTuple((F(1), F(0)))
-    with pytest.raises(ValueError):
-        DiophTuple((F(1), F(1)))
+    gibbs = verify_tuple(GIBBS)
+    assert gibbs.nonzero and gibbs.distinct
+    with_zero = verify_tuple((F(1), F(0)))
+    assert not with_zero.nonzero and with_zero.distinct and not with_zero.all_pass
+    repeated = verify_tuple((F(1), F(1)))
+    assert repeated.nonzero and not repeated.distinct and not repeated.all_pass
 
 
 # ---------------------------------------------------------------------------
