@@ -356,8 +356,9 @@ def triple_from_multiple(t, m: int, max_multiple: int = DEFAULT_MAX_MULTIPLE) ->
     star = curve_Estar(t)
     kernel = point_Tstar(t)
     base = star.mul(m - 1, point_Pstar(t))
-    second = star.add(base, kernel)
-    third = star.add(second, kernel)
+    star.require_on_curve(kernel)
+    second = star.add_unchecked(base, kernel)
+    third = star.add_unchecked(second, kernel)
     products = []
     lam2 = ((t * t + 1) / t) ** 2
     for q in (base, second, third):

@@ -264,12 +264,17 @@ def _check_table_args(t, m_max: int) -> Rat:
 
 
 def _seed_multiples(t: Rat, k: int) -> tuple[Curve, list[Point]]:
-    """The base curve at t and the seed multiples [1]R, ..., [k]R on it."""
+    """The base curve at t and the seed multiples [1]R, ..., [k]R on it.
+
+    The seed is checked against the curve here, once: the tables add only
+    points derived from it, through the unchecked group law.
+    """
     base = curve_E(t)
     seed = point_R(t)
+    base.require_on_curve(seed)
     multiples = [seed]
     while len(multiples) < k:
-        multiples.append(base.add(multiples[-1], seed))
+        multiples.append(base.add_unchecked(multiples[-1], seed))
     return base, multiples
 
 
@@ -296,15 +301,16 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
         ValuationRow(4, -2, vp(r4.x, p), "v(x([4]R))"),
         ValuationRow(4, -3, vp(r4.y, p), "v(y([4]R))"),
     ]
+    sum_x = base.add_x_unchecked
     q = INFINITY
     for m in range(1, m_max + 1):
-        q = base.add(q, r4)
+        q = base.add_unchecked(q, r4)
         vm = _int_vp(m, p)
         rows.append(ValuationRow(m, -2 * vm - 2, vp(q.x, p), "v(x([4m]R))"))
-        rows.append(ValuationRow(m, 4 + vm, vp(base.add(seed, q).x, p), "v(x(R+[m][4]R))"))
-        rows.append(ValuationRow(m, 0, vp(base.add(r2, q).x, p), "v(x([2]R+[m][4]R))"))
+        rows.append(ValuationRow(m, 4 + vm, vp(sum_x(seed, q), p), "v(x(R+[m][4]R))"))
+        rows.append(ValuationRow(m, 0, vp(sum_x(r2, q), p), "v(x([2]R+[m][4]R))"))
         rows.append(
-            ValuationRow(m, 4 + _int_vp(m + 1, p), vp(base.add(r3, q).x, p), "v(x([3]R+[m][4]R))")
+            ValuationRow(m, 4 + _int_vp(m + 1, p), vp(sum_x(r3, q), p), "v(x([3]R+[m][4]R))")
         )
     return rows
 
@@ -321,16 +327,17 @@ def mod3_sign_table(t: int, m_max: int = DEFAULT_TABLE_MAX) -> list[ValuationRow
     v_3(x([2]R+[m][3]R)) > 0; rows carry the signs (-1 / +1).
     """
     base, (seed, r2, r3) = _seed_multiples(_check_table_args(t, m_max), 3)
+    sum_x = base.add_x_unchecked
     rows = []
     q = INFINITY
     for m in range(1, m_max + 1):
-        q = base.add(q, r3)
+        q = base.add_unchecked(q, r3)
         rows.append(ValuationRow(m, -1, _valuation_sign(q.x, 3), "sign v3(x([m][3]R))"))
         rows.append(
-            ValuationRow(m, 1, _valuation_sign(base.add(seed, q).x, 3), "sign v3(x(R+[m][3]R))")
+            ValuationRow(m, 1, _valuation_sign(sum_x(seed, q), 3), "sign v3(x(R+[m][3]R))")
         )
         rows.append(
-            ValuationRow(m, 1, _valuation_sign(base.add(r2, q).x, 3), "sign v3(x([2]R+[m][3]R))")
+            ValuationRow(m, 1, _valuation_sign(sum_x(r2, q), 3), "sign v3(x([2]R+[m][3]R))")
         )
     return rows
 

@@ -179,10 +179,10 @@ def square_product_check(curve: Curve, q: Point, r: Point) -> tuple[Rat, bool]:
             raise ValueError(f"{name} must be affine")
         if not curve.contains(pt):
             raise ValueError(f"{name} = {pt} is not on {curve}")
-    total = curve.add(q, r)
-    if total.is_infinity:
+    total_x = curve.add_x_unchecked(q, r)
+    if total_x is None:
         raise ValueError("q + r must be affine")
-    value = q.x * r.x * total.x + curve.a6
+    value = q.x * r.x * total_x + curve.a6
     return value, is_square(value)
 
 
@@ -253,15 +253,20 @@ def extend_to_sextuple(
     marked = Point(Fraction(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)
     if not curve.mul(3, marked).is_infinity:
         raise ValueError("triple does not carry a point of order 3; cannot extend")
+    # S' passed the check in mul(3, S') and [2n+1]P' comes out of the group
+    # law, so the sums with +-S' skip the membership checks and stop at x
     center = curve.mul(2 * n + 1, base)
-    plus = curve.add(center, marked)
-    minus = curve.add(center, curve.neg(marked))
-    for name, pt in ((f"[{2*n+1}]P'", center), (f"[{2*n+1}]P'+S'", plus), (f"[{2*n+1}]P'-S'", minus)):
-        if pt.is_infinity:
+    xs = (
+        center.x,
+        curve.add_x_unchecked(center, marked),
+        curve.add_x_unchecked(center, -marked),
+    )
+    for name, x in zip((f"[{2*n+1}]P'", f"[{2*n+1}]P'+S'", f"[{2*n+1}]P'-S'"), xs):
+        if x is None:
             raise DegeneracyError(f"{name} is the point at infinity")
-        if pt.x == 0:
+        if x == 0:
             raise DegeneracyError(f"{name} coincides with +-P' (x = 0)")
-    d, e, f = center.x / abc, plus.x / abc, minus.x / abc
+    d, e, f = (x / abc for x in xs)
     elements = (a, b, c, d, e, f)
     if len(set(elements)) != 6:
         raise DegeneracyError(

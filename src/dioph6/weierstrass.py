@@ -3,14 +3,22 @@ with the exact chord-and-tangent group law, standard invariants and u-scaling
 coordinate changes.
 
 Curves and points are immutable values.  Points carry no back-reference to a
-curve: every group operation takes the curve explicitly and validates
-membership, which keeps coordinate-change bugs from propagating silently.
+curve, so every group operation takes the curve explicitly.
+
+Membership is validated where a point enters the group law, once per point:
+``add``, ``mul``, ``neg`` and ``torsion_order_upto`` check their input points
+(``require_on_curve``), which keeps coordinate-change bugs from propagating
+silently.  Points the group law returns lie on the curve by construction, so
+code that keeps computing with them uses ``add_unchecked`` and, when only x
+is needed, ``add_x_unchecked``; these trust their inputs.  ``contains`` is
+an exact integer test without fraction reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import Rat, format_rat
 
@@ -40,6 +48,10 @@ class Point:
     @property
     def is_infinity(self) -> bool:
         return self.x is None
+
+    def __neg__(self) -> "Point":
+        """[x, -y], the inverse on every curve of this module's shape."""
+        return self if self.is_infinity else Point(self.x, -self.y)
 
     def __str__(self) -> str:
         if self.is_infinity:
@@ -78,11 +90,19 @@ class Curve:
     a2: Rat
     a4: Rat
     a6: Rat
+    #: (d, d a2, d a4, d a6) for the least common denominator d of the
+    #: coefficients; :meth:`contains` works with these integers.
+    _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a2", Fraction(self.a2))
         object.__setattr__(self, "a4", Fraction(self.a4))
         object.__setattr__(self, "a6", Fraction(self.a6))
+        coeffs = (self.a2, self.a4, self.a6)
+        d = lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(
+            self, "_cleared", (d, *(c.numerator * (d // c.denominator) for c in coeffs))
+        )
         if self.std_quantities().delta == 0:
             raise ValueError(f"singular curve: {self}")
 
@@ -105,71 +125,103 @@ class Curve:
         return x**3 + self.a2 * x * x + self.a4 * x + self.a6
 
     def contains(self, p: Point) -> bool:
+        """True iff p is O or y^2 equals the cubic at x.
+
+        Write x = X/D, y = Y/E in lowest terms and the coefficients over
+        their common denominator d.  The cubic is N/(d D^3) with the integer
+        N = d X^3 + A2 X^2 D + A4 X D^2 + A6 D^3, and since Y^2/E^2 is in
+        lowest terms, y^2 = N/(d D^3) exactly when d D^3 = k E^2 and
+        N = k Y^2 for an integer k.  No fraction is reduced on the way.
+        """
         if p.is_infinity:
             return True
-        return p.y * p.y == self.rhs(p.x)
+        d, c2, c4, c6 = self._cleared
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        xd2 = xd * xd
+        xd3 = xd2 * xd
+        k, rem = divmod(d * xd3, yd * yd)
+        if rem:
+            return False
+        return ((d * xn + c2 * xd) * xn + c4 * xd2) * xn + c6 * xd3 == k * yn * yn
 
-    def _require_on_curve(self, p: Point) -> None:
+    def require_on_curve(self, p: Point) -> None:
+        """Raise ValueError unless p lies on this curve."""
         if not self.contains(p):
             raise ValueError(f"point {p} is not on {self}")
 
     # -- group law -------------------------------------------------------
 
     def neg(self, p: Point) -> Point:
-        self._require_on_curve(p)
-        if p.is_infinity:
-            return INFINITY
-        return Point(p.x, -p.y)
+        self.require_on_curve(p)
+        return -p
 
-    def _add_unchecked(self, p: Point, q: Point) -> Point:
-        if p.is_infinity:
-            return q
-        if q.is_infinity:
-            return p
+    def _chord(self, p: Point, q: Point) -> tuple[Rat, Rat] | None:
+        """Slope and x of the third intersection of the chord through affine
+        p and q (the tangent when p = q); None when q = -p."""
         x1, y1, x2, y2 = p.x, p.y, q.x, q.y
         if x1 == x2:
             if y1 == -y2:
                 # inverse pair; covers doubling a 2-torsion point (y = 0)
-                return INFINITY
-            lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4) / (2 * y1)
+                return None
+            lam = (3 * x1**2 + 2 * self.a2 * x1 + self.a4) / (2 * y1)
         else:
             lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - self.a2 - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return Point(x3, y3)
+        return lam, lam**2 - (self.a2 + x1 + x2)
+
+    def add_unchecked(self, p: Point, q: Point) -> Point:
+        """Group sum of two points the caller knows to lie on this curve."""
+        if p.is_infinity:
+            return q
+        if q.is_infinity:
+            return p
+        chord = self._chord(p, q)
+        if chord is None:
+            return INFINITY
+        lam, x3 = chord
+        return Point(x3, lam * (p.x - x3) - p.y)
+
+    def add_x_unchecked(self, p: Point, q: Point) -> Rat | None:
+        """x(p + q) without its y, for points the caller knows to lie on this
+        curve; None when p + q = O."""
+        if p.is_infinity:
+            return q.x
+        if q.is_infinity:
+            return p.x
+        chord = self._chord(p, q)
+        return None if chord is None else chord[1]
 
     def add(self, p: Point, q: Point) -> Point:
         """Group sum of two points on this curve."""
-        self._require_on_curve(p)
-        self._require_on_curve(q)
-        return self._add_unchecked(p, q)
+        self.require_on_curve(p)
+        self.require_on_curve(q)
+        return self.add_unchecked(p, q)
 
     def mul(self, k: int, p: Point) -> Point:
         """The k-fold sum [k]p via double-and-add; [0]p = O, [-k]p = -[k]p."""
-        self._require_on_curve(p)
+        self.require_on_curve(p)
         if k < 0:
-            k = -k
-            p = Point(p.x, -p.y) if not p.is_infinity else INFINITY
+            k, p = -k, -p
         result = INFINITY
-        base = p
         while k:
             if k & 1:
-                result = self._add_unchecked(result, base)
-            base = self._add_unchecked(base, base)
+                result = self.add_unchecked(result, p)
             k >>= 1
+            if k:  # the doubling after the top bit would go unused
+                p = self.add_unchecked(p, p)
         return result
 
     def torsion_order_upto(self, p: Point, bound: int = 12) -> int | None:
         """Smallest 1 <= k <= bound with [k]p = O, else None."""
-        self._require_on_curve(p)
+        self.require_on_curve(p)
         if bound < 1:
             raise ValueError("bound must be >= 1")
         acc = p
-        for k in range(1, bound + 1):
+        for k in range(1, bound):
             if acc.is_infinity:
                 return k
-            acc = self._add_unchecked(acc, p)
-        return None
+            acc = self.add_unchecked(acc, p)
+        return bound if acc.is_infinity else None
 
     # -- coordinate changes ----------------------------------------------
 

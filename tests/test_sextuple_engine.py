@@ -221,6 +221,22 @@ def test_extend_t2_passes(t2_triple):
     assert record.n == 1 and record.m == 2 and record.t == 2
 
 
+@pytest.mark.parametrize("t", [F(6), F(-9, 8)])
+@pytest.mark.parametrize("m, n", [(2, 1), (5, 3), (8, 6)])
+def test_extend_matches_public_group_law(t, m, n):
+    # e and f come from x-only sums; the full checked group law must agree
+    triple = triple_from_multiple(t, m)
+    record = extend_to_sextuple(triple, n)
+    a, b, c = triple.elements
+    abc = a * b * c
+    curve = induced_curve(a, b, c)
+    center = curve.mul(2 * n + 1, point_Pprime(a, b, c))
+    marked = point_Sprime(a, b, c)
+    assert record.d == center.x / abc
+    assert record.e == curve.add(center, marked).x / abc
+    assert record.f == curve.add(center, curve.neg(marked)).x / abc
+
+
 def test_extend_rejects_degenerate_n(t2_triple):
     with pytest.raises(DegeneracyError):
         extend_to_sextuple(t2_triple, 0)  # x([1]P') = 0 would give d = 0

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar
+from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar, triple_from_multiple
 from dioph6.sextuple_engine import induced_curve, point_Pprime, point_Sprime
 from dioph6.weierstrass import Curve, INFINITY, Point, point
 
@@ -32,6 +32,47 @@ def test_contains_examples():
     assert e2.contains(INFINITY)
 
 
+_PARAMS = st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(
+    lambda t: t not in (-1, 0, 1)
+)
+_RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def _curve_and_point(draw):
+    """A curve with non-integral coefficients and a point [k]G on it: G is
+    P' on the induced curve of a family triple, or the image of the seed
+    under curve_E(t).scale(u)."""
+    t = draw(_PARAMS)
+    k = draw(st.integers(min_value=-6, max_value=6))
+    if draw(st.booleans()):
+        a, b, c = triple_from_multiple(t, draw(st.integers(min_value=2, max_value=3))).elements
+        curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)
+    else:
+        u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
+        curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
+    return curve, curve.mul(k, gen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curve_and_point(), _RATIONALS, _RATIONALS)
+def test_contains_matches_rhs_oracle(curve_and_point, dx, dy):
+    curve, on = curve_and_point
+    assert curve.contains(on)
+    candidates = [Point(dx, dy)]
+    if not on.is_infinity:
+        candidates += [
+            on,
+            -on,
+            Point(on.x, on.y + 1),  # same y denominator, other numerator
+            Point(on.x, on.y + dy),
+            Point(on.x + dx, on.y),
+            Point(on.x * 2, on.y * 2),
+        ]
+    for p in candidates:
+        assert curve.contains(p) == (p.y * p.y == curve.rhs(p.x)), (curve, p)
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         Point(F(1), None)
@@ -57,7 +98,8 @@ def test_identity_and_inverse():
     assert REMARK_CURVE.add(GEN, INFINITY) == GEN
     assert REMARK_CURVE.add(INFINITY, GEN) == GEN
     assert REMARK_CURVE.add(GEN, point(-11, -125)) == INFINITY
-    assert REMARK_CURVE.neg(GEN) == point(-11, -125)
+    assert REMARK_CURVE.neg(GEN) == point(-11, -125) == -GEN
+    assert -INFINITY == INFINITY
 
 
 def test_two_torsion_doubling_is_infinity():
@@ -73,6 +115,18 @@ def test_add_rejects_off_curve():
         REMARK_CURVE.add(GEN, point(1, 1))
     with pytest.raises(ValueError):
         REMARK_CURVE.mul(2, point(1, 1))
+    for check in (REMARK_CURVE.neg, REMARK_CURVE.torsion_order_upto, REMARK_CURVE.require_on_curve):
+        with pytest.raises(ValueError, match="is not on"):
+            check(point(1, 1))
+
+
+def test_unchecked_sums_match_add():
+    pts = [INFINITY] + [REMARK_CURVE.mul(k, GEN) for k in (-2, -1, 1, 2, 3)]
+    for p in pts:
+        for q in pts:
+            total = REMARK_CURVE.add(p, q)
+            assert REMARK_CURVE.add_unchecked(p, q) == total
+            assert REMARK_CURVE.add_x_unchecked(p, q) == total.x
 
 
 def _x2R_closed(t):
@@ -142,13 +196,48 @@ def test_group_axioms_sampled():
             assert curve.contains(curve.add(p, q))
 
 
-def test_mul_matches_iterated_add():
-    curve = REMARK_CURVE
-    acc = INFINITY
-    for k in range(9):
-        assert curve.mul(k, GEN) == acc
-        assert curve.mul(-k, GEN) == curve.neg(acc)
-        acc = curve.add(acc, GEN)
+def test_mul_matches_iterated_add(t6_triple):
+    # on the induced curve k runs to +-16: at k = 2, 4, 8, 16 the ladder
+    # ends on a doubling, the one after which mul used to double once more
+    a, b, c = t6_triple.elements
+    induced = induced_curve(a, b, c)
+    cases = [
+        (REMARK_CURVE, GEN, 8),
+        (induced, point_Pprime(a, b, c), 16),
+        (induced, point_Sprime(a, b, c), 16),
+    ]
+    for curve, base, top in cases:
+        acc = INFINITY
+        for k in range(top + 1):
+            assert curve.mul(k, base) == acc
+            assert curve.mul(-k, base) == curve.neg(acc)
+            acc = curve.add(acc, base)
+
+
+def _record_unchecked_adds(monkeypatch):
+    calls = []
+    add_unchecked = Curve.add_unchecked
+
+    def recording(self, p, q):
+        calls.append((p, q))
+        return add_unchecked(self, p, q)
+
+    monkeypatch.setattr(Curve, "add_unchecked", recording)
+    return calls
+
+
+def test_mul_doubles_only_what_it_adds(monkeypatch):
+    calls = _record_unchecked_adds(monkeypatch)
+    for k in range(1, 17):
+        calls.clear()
+        REMARK_CURVE.mul(k, GEN)
+        assert sum(p == q for p, q in calls) == k.bit_length() - 1, k
+
+
+def test_torsion_order_stops_at_bound(monkeypatch):
+    calls = _record_unchecked_adds(monkeypatch)
+    assert REMARK_CURVE.torsion_order_upto(GEN, bound=5) is None
+    assert len(calls) == 4  # [2]p .. [5]p, never [6]p
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +284,8 @@ def test_torsion_orders(t2_triple):
     a, b, c = t2_triple.elements
     curve = induced_curve(a, b, c)
     assert curve.torsion_order_upto(point_Sprime(a, b, c)) == 3
+    assert curve.torsion_order_upto(point_Sprime(a, b, c), bound=3) == 3
+    assert curve.torsion_order_upto(point_Sprime(a, b, c), bound=2) is None
     star = curve_Estar(2)
     assert star.torsion_order_upto(point_Tstar(2)) == 3
     assert curve_E(2).torsion_order_upto(point_R(2), bound=12) is None
