@@ -4,16 +4,20 @@ Subcommands: generate, verify, triple, family, scan, reduce, lemmas,
 catalog.  All output is JSON (JSONL for scans) with rationals rendered as
 canonical ``num/den`` strings, never floating point.  Exit codes: 0 for
 success / verified, 1 for a failed mathematical check, 2 for invalid input.
+
+The subcommands signal bad input by raising; :func:`main` alone maps an
+exception to an exit code and an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .errors import ConsistencyError, DegeneracyError, UnfactorableError
+from .errors import ConsistencyError
 from .exactnum import DEFAULT_FACTOR_BOUND, format_rat, parse_rat
 from . import family as fam
 from . import paramfam
@@ -33,13 +37,17 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write the command's output to ``--out`` if given, else to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def _closed_form_record(t: Fraction, n: int) -> engine.SextupleRecord:
@@ -56,11 +64,7 @@ def cmd_generate(args) -> int:
     t = args.t
     if args.route == "closed-form":
         if args.m != 2 or args.n != 1:
-            print(
-                "error: the closed-form route is only defined for m = 2, n = 1",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_INPUT
+            raise ValueError("the closed-form route is only defined for m = 2, n = 1")
         record = _closed_form_record(t, args.n)
     else:
         triple = fam.triple_from_multiple(t, args.m)
@@ -91,8 +95,7 @@ def cmd_verify(args) -> int:
 def cmd_triple(args) -> int:
     if args.route == "closed-form":
         if args.m != 2:
-            print("error: the closed-form route is only defined for m = 2", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("the closed-form route is only defined for m = 2")
         triple = paramfam.family_triple(args.t)
     else:
         triple = fam.triple_from_multiple(args.t, args.m)
@@ -118,16 +121,14 @@ def cmd_family(args) -> int:
 def cmd_scan(args) -> int:
     start, stop, step = args.start, args.stop, args.step
     if step <= 0:
-        print("error: --step must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--step must be positive")
     ts = []
     t = start
     while t <= stop:
         ts.append(t)
         t += step
     if not ts:
-        print("error: empty scan range", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("empty scan range")
     lines = []
     for t in ts:  # ascending by construction; rows stay sorted
         try:
@@ -135,57 +136,41 @@ def cmd_scan(args) -> int:
         except ValueError as exc:  # inadmissible parameter; log and move on
             row = {"t": format_rat(t), "skipped": str(exc)}
         lines.append(json.dumps(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    t_int = args.t
     point = Point(args.x, args.y)
-    if args.p is not None:
-        base = fam.curve_E(t_int)
-        if point.is_infinity or point.x == 0 or not base.contains(point):
-            print("error: point is not an admissible base-curve point", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        report = red.classify(fam.curve_Epp(Fraction(t_int), point.x), args.p)
-        _emit(
-            {
-                "t": t_int,
-                "x": format_rat(point.x),
-                "y": format_rat(point.y),
-                "report": report.to_json_dict(),
-            },
-            args.out,
-        )
-        return EXIT_OK
-    report = red.bad_primes_epp(t_int, point, bound=args.factor_bound)
-    _emit(report.to_json_dict(), args.out)
+    if args.p is None:
+        payload = red.bad_primes_epp(args.t, point, bound=args.factor_bound).to_json_dict()
+    else:
+        red.require_base_point(args.t, point)
+        report = red.classify(fam.curve_Epp(Fraction(args.t), point.x), args.p)
+        payload = {
+            "t": args.t,
+            "x": format_rat(point.x),
+            "y": format_rat(point.y),
+            "report": report.to_json_dict(),
+        }
+    _emit(payload, args.out)
     return EXIT_OK
 
 
 def cmd_lemmas(args) -> int:
     t, p, m_max = args.t, args.p, args.max_m
-    red._require_odd_prime(p)  # before t % p below, which fails at p = 0
+    red.require_odd_prime(p)  # before t % p below, which fails at p = 0
     payload: dict = {"t": t, "p": p, "max_m": m_max}
     if p == 3:
-        rows = red.mod3_sign_table(t, m_max)
-        payload["table"] = "mod3-signs"
+        payload["table"], rows = "mod3-signs", red.mod3_sign_table(t, m_max)
     elif t % p == 0:
-        ok = red.nonsingular_residues(t, p, m_max)
-        payload["table"] = "nonsingular-residues"
-        payload["all_pass"] = ok
-        _emit(payload, args.out)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+        payload["table"], rows = "nonsingular-residues", None
+        payload["all_pass"] = red.nonsingular_residues(t, p, m_max)
     else:
-        rows = red.valuation_table(t, p, m_max)
-        payload["table"] = "valuations"
-    payload["rows"] = [row.to_json_dict() for row in rows]
-    payload["all_pass"] = all(row.passed for row in rows)
+        payload["table"], rows = "valuations", red.valuation_table(t, p, m_max)
+    if rows is not None:
+        payload["rows"] = [row.to_json_dict() for row in rows]
+        payload["all_pass"] = all(row.passed for row in rows)
     _emit(payload, args.out)
     return EXIT_OK if payload["all_pass"] else EXIT_CHECK_FAILED
 
@@ -195,7 +180,10 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls,
+    which must not modify it."""
     parser = argparse.ArgumentParser(
         prog="dioph6",
         description="Exact construction, certification and reduction analysis "
@@ -203,40 +191,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="construct and certify a sextuple")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "construct and certify a sextuple")
     p.add_argument("--t", type=_rat, required=True, help="family parameter (not -1, 0, 1)")
     p.add_argument("--m", type=int, default=2, help="seed multiple index (>= 2)")
     p.add_argument("--n", type=int, default=1, help="odd extension index: uses [2n+1]P'")
     p.add_argument("--route", choices=("isogeny", "closed-form"), default="isogeny")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="verify the square certificate of a tuple")
+    p = command("verify", cmd_verify, "verify the square certificate of a tuple")
     p.add_argument("elements", nargs="*", help="rationals in num/den form")
     p.add_argument("--file", help="JSON file holding an array of rational strings")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("triple", help="extract the triple attached to a seed multiple")
+    p = command("triple", cmd_triple, "extract the triple attached to a seed multiple")
     p.add_argument("--t", type=_rat, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--route", choices=("isogeny", "closed-form"), default="isogeny")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_triple)
 
-    p = sub.add_parser("family", help="evaluate the closed-form family at one t")
+    p = command("family", cmd_family, "evaluate the closed-form family at one t")
     p.add_argument("--t", type=_rat, required=True)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("scan", help="evaluate the family over a range (JSONL)")
+    p = command("scan", cmd_scan, "evaluate the family over a range (JSONL)")
     p.add_argument("--from", dest="start", type=_rat, required=True)
     p.add_argument("--to", dest="stop", type=_rat, required=True)
     p.add_argument("--step", type=_rat, required=True)
-    p.add_argument("--out", help="write JSONL here instead of stdout")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("reduce", help="reduction analysis at a base-curve point")
+    p = command("reduce", cmd_reduce, "reduction analysis at a base-curve point")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--x", type=_rat, required=True)
     p.add_argument("--y", type=_rat, required=True)
@@ -247,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_FACTOR_BOUND,
         help="trial-division bound for the bad-prime scan",
     )
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("lemmas", help="predicted-vs-observed valuation tables")
+    p = command("lemmas", cmd_lemmas, "predicted-vs-observed valuation tables")
     p.add_argument("--t", type=int, required=True)
     p.add_argument(
         "--p",
@@ -260,22 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
         "residue check, a divisor of t^2+1 the valuation table",
     )
     p.add_argument("--max-m", dest="max_m", type=int, default=red.DEFAULT_TABLE_MAX)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_lemmas)
 
-    p = sub.add_parser("catalog", help="print the catalog of named examples")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_catalog)
+    command("catalog", cmd_catalog, "print the catalog of named examples")
 
+    for name, p in sub.choices.items():  # --out comes last in every subcommand
+        kind = "JSONL" if name == "scan" else "JSON"
+        p.add_argument("--out", help=f"write {kind} here instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DegeneracyError, UnfactorableError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ConsistencyError as exc:

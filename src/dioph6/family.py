@@ -336,7 +336,7 @@ class TripleABC:
 # triple extraction
 # ---------------------------------------------------------------------------
 
-def triple_from_multiple(t, m: int, max_multiple: int = DEFAULT_MAX_MULTIPLE) -> TripleABC:
+def triple_from_multiple(t, m: int) -> TripleABC:
     """Recover the triple attached to the multiple [m]R of the seed point.
 
     The three preimages of [m]R under the 3-isogeny are [m-1]P*, [m-1]P*+T*
@@ -349,10 +349,8 @@ def triple_from_multiple(t, m: int, max_multiple: int = DEFAULT_MAX_MULTIPLE) ->
     t = require_param(t)
     if m < 2:
         raise ValueError(f"multiple index must be at least 2, got {m}")
-    if m > max_multiple:
-        raise ValueError(
-            f"multiple index {m} exceeds the desk-scale cap {max_multiple}"
-        )
+    if m > DEFAULT_MAX_MULTIPLE:
+        raise ValueError(f"multiple index {m} exceeds the desk-scale cap {DEFAULT_MAX_MULTIPLE}")
     star = curve_Estar(t)
     kernel = point_Tstar(t)
     base = star.mul(m - 1, point_Pstar(t))

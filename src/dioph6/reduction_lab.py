@@ -20,8 +20,8 @@ from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
     _int_vp,
+    _require_prime,
     format_rat,
-    is_prime,
     odd_prime_divisors,
     vp,
 )
@@ -86,11 +86,18 @@ class ValuationRow:
         }
 
 
-def _require_odd_prime(p: int) -> None:
+def require_odd_prime(p: int) -> None:
+    """Reject p = 2, which is out of scope here, and every p that is not prime."""
     if p == 2:
         raise ValueError("p = 2 is out of scope for reduction analysis")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
+
+
+def require_base_point(t, pt: Point) -> None:
+    """Reject a point that is not admissible on the base curve at t: the
+    point at infinity, a point with x = 0, or a point off ``curve_E(t)``."""
+    if pt.is_infinity or pt.x == 0 or not curve_E(t).contains(pt):
+        raise ValueError("point is not an admissible base-curve point")
 
 
 def epp_invariants(t, pt: Point) -> tuple[Rat, Rat]:
@@ -98,10 +105,7 @@ def epp_invariants(t, pt: Point) -> tuple[Rat, Rat]:
     base-curve point: delta = t^6 y^2 / x^6 and
     c4 = ((t^2+1)^2 x^-1 + 1)(y^2 + 3 x^2 t^2) / x^3."""
     t = require_param(t)
-    if pt.is_infinity or pt.x == 0:
-        raise ValueError("need an affine base-curve point with x != 0")
-    if not curve_E(t).contains(pt):
-        raise ValueError(f"point {pt} is not on the base curve at t = {t}")
+    require_base_point(t, pt)
     x, y = pt.x, pt.y
     tt = t * t
     delta = tt**3 * y * y / x**6
@@ -118,7 +122,7 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     1+5^4+5^6 stays as it is at p = 5, yet x -> x - 1 followed by u = 5
     turns it into y^2 = x^3 + x + 1, which has good reduction there.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     exponents = [
         vp(coeff, p) // i
         for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
@@ -194,11 +198,7 @@ def bad_primes_epp(
     if not isinstance(t, int):
         raise ValueError("integer parameter required for the bad-prime scan")
     tq = require_param(t)
-    base = curve_E(tq)
-    if pt.is_infinity or pt.x == 0:
-        raise ValueError("need an affine base-curve point with x != 0")
-    if not base.contains(pt):
-        raise ValueError(f"point {pt} is not on the base curve at t = {t}")
+    require_base_point(tq, pt)
     x, y = pt.x, pt.y
     model = curve_Epp(tq, x)
 
@@ -287,7 +287,7 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
     v(x([2]R+[m][4]R)) = 0,  v(x([3]R+[m][4]R)) = 4 + v_p(m+1).
     """
     tq = _check_table_args(t, m_max)
-    _require_odd_prime(p)
+    require_odd_prime(p)
     e = _int_vp(t * t + 1, p)
     if e == 0:
         raise ValueError(f"{p} does not divide t^2 + 1 = {t * t + 1}")
@@ -350,7 +350,7 @@ def nonsingular_residues(t: int, q: int, m_max: int = DEFAULT_TABLE_MAX) -> bool
     automatically non-congruent.
     """
     tq = _check_table_args(t, m_max)
-    _require_odd_prime(q)
+    require_odd_prime(q)
     if t % q != 0:
         raise ValueError(f"{q} does not divide t = {t}")
     for acc in _seed_multiples(tq, m_max)[1]:

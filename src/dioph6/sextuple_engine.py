@@ -228,9 +228,7 @@ class SextupleRecord:
         return out
 
 
-def extend_to_sextuple(
-    triple: TripleABC, n: int, max_odd_index: int = DEFAULT_MAX_ODD_INDEX
-) -> SextupleRecord:
+def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     """Extend an order-3 triple to a sextuple via the odd multiple [2n+1]P'.
 
     d, e, f are x([2n+1]P')/abc, x([2n+1]P'+S')/abc, x([2n+1]P'-S')/abc.
@@ -243,8 +241,8 @@ def extend_to_sextuple(
         raise DegeneracyError(
             f"n = {n} is degenerate: [1]P' has x = 0, which would make d = 0"
         )
-    if n > max_odd_index:
-        raise ValueError(f"n = {n} exceeds the desk-scale cap {max_odd_index}")
+    if n > DEFAULT_MAX_ODD_INDEX:
+        raise ValueError(f"n = {n} exceeds the desk-scale cap {DEFAULT_MAX_ODD_INDEX}")
     a, b, c = triple.elements
     curve = induced_curve(a, b, c)
     abc = a * b * c

@@ -5,13 +5,19 @@ import sys
 
 import pytest
 
-from dioph6.cli import main
+from dioph6.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_bad_input(capsys, message, *argv):
+    """The command exits 2 and prints exactly ``error: <message>`` to stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +72,11 @@ def test_negative_fraction_arguments(capsys):
 
 
 def test_generate_closed_form_requires_m2_n1(capsys):
-    code, _, _ = run_cli(
-        capsys, "generate", "--t", "6", "--m", "3", "--n", "1", "--route", "closed-form"
-    )
-    assert code == 2
+    message = "the closed-form route is only defined for m = 2, n = 1"
+    for m, n in (("3", "1"), ("2", "2")):
+        assert_bad_input(
+            capsys, message, "generate", "--t", "6", "--m", m, "--n", n, "--route", "closed-form"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,14 @@ def test_triple_command_routes_agree(capsys):
     assert data1["sigma3"] == "35/12"
 
 
+def test_triple_closed_form_requires_m2(capsys):
+    assert_bad_input(
+        capsys,
+        "the closed-form route is only defined for m = 2",
+        "triple", "--t", "6", "--m", "3", "--route", "closed-form",
+    )
+
+
 # ---------------------------------------------------------------------------
 # family and scan
 # ---------------------------------------------------------------------------
@@ -166,8 +181,13 @@ def test_scan_rows_sorted_and_skip_logged(capsys):
 
 
 def test_scan_empty_range(capsys):
-    code, _, err = run_cli(capsys, "scan", "--from", "3", "--to", "2", "--step", "1")
-    assert code == 2
+    assert_bad_input(capsys, "empty scan range", "scan", "--from", "3", "--to", "2", "--step", "1")
+
+
+def test_scan_rejects_zero_step(capsys):
+    assert_bad_input(
+        capsys, "--step must be positive", "scan", "--from", "1", "--to", "2", "--step", "0"
+    )
 
 
 def test_scan_writes_file(capsys, tmp_path):
@@ -205,8 +225,13 @@ def test_reduce_single_prime(capsys):
 
 
 def test_reduce_rejects_off_curve_point(capsys):
-    code, _, err = run_cli(capsys, "reduce", "--t", "31", "--x", "-150072", "--y", "1")
-    assert code == 2
+    for x, y in (("-150072", "1"), ("0", "1")):  # off the curve; x = 0
+        for one_prime in ((), ("--p", "13")):
+            assert_bad_input(
+                capsys,
+                "point is not an admissible base-curve point",
+                "reduce", "--t", "31", "--x", x, "--y", y, *one_prime,
+            )
 
 
 def test_lemmas_valuation_table(capsys):
@@ -351,6 +376,22 @@ GOLDEN_CLI_DIGESTS = [
     "argv, code, digest", GOLDEN_CLI_DIGESTS, ids=[" ".join(c[0]) for c in GOLDEN_CLI_DIGESTS]
 )
 def test_golden_cli_bytes(capsys, argv, code, digest):
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_parser_reused_after_rejection(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--t", "abc"])
+    assert info.value.code == 2
+    assert "not a rational: 'abc'" in capsys.readouterr().err
+    argv, code, digest = GOLDEN_CLI_DIGESTS[0]
+    assert argv == ("generate", "--t", "6", "--m", "2", "--n", "1")
     got_code, out, _ = run_cli(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -275,7 +275,7 @@ def test_triple_rejects_bad_m():
         triple_from_multiple(2, 1)
     with pytest.raises(ValueError):
         triple_from_multiple(2, 9)
-    assert triple_from_multiple(2, 8, max_multiple=8) is not None
+    assert triple_from_multiple(2, 8) is not None
 
 
 def test_triple_invariants_random_sample():

@@ -12,9 +12,11 @@ from dioph6.reduction_lab import (
     mod3_sign_table,
     nonsingular_residues,
     p_minimal_model,
+    require_base_point,
+    require_odd_prime,
     valuation_table,
 )
-from dioph6.weierstrass import Curve, point
+from dioph6.weierstrass import INFINITY, Curve, point
 
 T31_POINT = point(-150072, 682327360)
 T17_POINT = point(35000, 40986000)
@@ -46,6 +48,25 @@ def test_epp_invariants_rejects():
         epp_invariants(3, point(0, 1000))
     with pytest.raises(ValueError):
         epp_invariants(3, point(1, 1))  # not on the curve
+
+
+def test_one_base_point_check():
+    # its callers reject the point at infinity, x = 0 and off-curve points alike
+    for pt in (INFINITY, point(0, 1000), point(1, 1)):
+        for check in (require_base_point, epp_invariants, bad_primes_epp):
+            with pytest.raises(ValueError, match="^point is not an admissible base-curve point$"):
+                check(3, pt)
+    assert require_base_point(3, curve_E(3).mul(2, point_R(3))) is None
+
+
+def test_require_odd_prime():
+    for p in (3, 5, 13):
+        assert require_odd_prime(p) is None
+    with pytest.raises(ValueError, match="^p = 2 is out of scope"):
+        require_odd_prime(2)
+    for p in (0, 1, -5, 9):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            require_odd_prime(p)
 
 
 # ---------------------------------------------------------------------------
