@@ -82,7 +82,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Primality test: trial division for small n, Miller-Rabin above.
 
-    Deterministic far beyond anything this package computes with.
+    The twelve Miller-Rabin bases make the answer exact for n < 3.3 * 10^24.
+    Above that the test is probabilistic: a composite is reported as prime
+    only if all twelve bases are strong liars for it.  Trial division asks
+    it about cofactors above ``bound**2``, and on ``reduce``'s coordinates
+    (t <= 60, [m]R for m <= 5) these reach 10^47.
     """
     if n < 2:
         return False
@@ -157,13 +161,23 @@ def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
         if m % p == 0:
             factors[p] = e = _int_vp(m, p)
             m //= p**e
+    # Candidates are d and d + 2 for d = 5 (mod 6), while d <= bound and
+    # d * d <= m.  The inner loop only tests; the limit is recomputed only
+    # after a factor has made m smaller.
     d = 5
-    while d * d <= m and d <= bound:
+    limit = min(bound, math.isqrt(m))
+    while d <= limit:
+        for d in range(d, limit + 1, 6):
+            if not (m % d and m % (d + 2)):
+                break
+        else:
+            break
         for cand in (d, d + 2):
             if m % cand == 0:
                 factors[cand] = e = _int_vp(m, cand)
                 m //= cand**e
         d += 6
+        limit = min(bound, math.isqrt(m))
     if m > 1 and (m <= bound * bound or is_prime(m)):
         factors[m] = 1
         m = 1

@@ -117,10 +117,11 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     """Scale by u = p^k as far as p-integrality allows; return the model and k.
 
     k is the largest exponent keeping all coefficients p-integral, i.e.
-    min over i in {2, 4, 6} of floor(v_p(a_i)/i).  Only u-scalings are
-    tried, so the result need not be p-minimal: y^2 = x^3 + 3x^2 + (3+5^4)x +
-    1+5^4+5^6 stays as it is at p = 5, yet x -> x - 1 followed by u = 5
-    turns it into y^2 = x^3 + x + 1, which has good reduction there.
+    min over i in {2, 4, 6} of floor(v_p(a_i)/i); when k = 0 the model is
+    ``curve`` itself.  Only u-scalings are tried, so the result need not be
+    p-minimal: y^2 = x^3 + 3x^2 + (3+5^4)x + 1+5^4+5^6 stays as it is at
+    p = 5, yet x -> x - 1 followed by u = 5 turns it into y^2 = x^3 + x + 1,
+    which has good reduction there.
     """
     require_odd_prime(p)
     exponents = [
@@ -129,7 +130,7 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
         if coeff != 0
     ]
     k = min(exponents)
-    return curve.scale(Fraction(p) ** k), k
+    return (curve.scale(Fraction(p) ** k) if k else curve), k
 
 
 def classify(curve: Curve, p: int) -> ReductionReport:

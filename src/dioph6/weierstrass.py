@@ -79,6 +79,16 @@ class StdQuantities:
     delta: Rat
 
 
+def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
+    b2 = 4 * a2
+    b4 = 2 * a4
+    b6 = 4 * a6
+    b8 = 4 * a2 * a6 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return StdQuantities(b2, b4, b6, b8, c4, delta)
+
+
 @dataclass(frozen=True)
 class Curve:
     """Nonsingular curve y^2 = x^3 + a2 x^2 + a4 x + a6 over the rationals.
@@ -93,6 +103,9 @@ class Curve:
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
     #: coefficients; :meth:`contains` works with these integers.
     _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    #: The b/c invariants and discriminant, computed once for the
+    #: singularity check and returned by :meth:`std_quantities`.
+    _std: StdQuantities = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a2", Fraction(self.a2))
@@ -103,20 +116,14 @@ class Curve:
         object.__setattr__(
             self, "_cleared", (d, *(c.numerator * (d // c.denominator) for c in coeffs))
         )
-        if self.std_quantities().delta == 0:
+        object.__setattr__(self, "_std", _std_quantities(*coeffs))
+        if self._std.delta == 0:
             raise ValueError(f"singular curve: {self}")
 
     # -- invariants ------------------------------------------------------
 
     def std_quantities(self) -> StdQuantities:
-        a2, a4, a6 = self.a2, self.a4, self.a6
-        b2 = 4 * a2
-        b4 = 2 * a4
-        b6 = 4 * a6
-        b8 = 4 * a2 * a6 - a4 * a4
-        c4 = b2 * b2 - 24 * b4
-        delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return StdQuantities(b2, b4, b6, b8, c4, delta)
+        return self._std
 
     # -- membership ------------------------------------------------------
 

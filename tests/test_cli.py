@@ -278,6 +278,23 @@ def test_reduce_rejects_nonpositive_factor_bound(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize(
+    "bound_args, cofactor, bound",
+    [((), 1164476740865017, 1000000), (("--factor-bound=1000",), 250947100379718378619493, 1000)],
+)
+def test_reduce_refuses_unfactorable_coordinate(capsys, bound_args, cofactor, bound):
+    # y's numerator is 43 * 1531 * 140759 * 5268539 * 221024603: the
+    # cofactor left by trial division is composite, with no prime factor
+    # up to the bound, so reduce refuses instead of guessing.
+    assert_bad_input(
+        capsys,
+        f"10790725316327890280638199 has a cofactor {cofactor} "
+        f"unfactorable at desk scale (bound {bound})",
+        "reduce", "--t", "21", "--x=47258069343691701/8210172100",
+        "--y=-10790725316327890280638199/743923693981000", *bound_args,
+    )
+
+
 # ---------------------------------------------------------------------------
 # catalog and output determinism
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dioph6 import exactnum
 from dioph6.errors import UnfactorableError
 from dioph6.exactnum import (
+    _int_vp,
+    _trial_divide,
     factorize,
     format_rat,
     is_prime,
@@ -196,6 +201,93 @@ def test_factor_bound_must_be_positive(bound):
         assert not isinstance(info.value, UnfactorableError)
         with pytest.raises(ValueError, match="bound"):
             is_squarefree(n, bound=bound)
+
+
+def _reference_trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """The earlier trial-division loop, kept verbatim as the reference."""
+    if bound < 1:
+        raise ValueError(f"trial-division bound must be at least 1, got {bound}")
+    factors: dict[int, int] = {}
+    m = n
+    for p in (2, 3):
+        if m % p == 0:
+            factors[p] = e = _int_vp(m, p)
+            m //= p**e
+    d = 5
+    while d * d <= m and d <= bound:
+        for cand in (d, d + 2):
+            if m % cand == 0:
+                factors[cand] = e = _int_vp(m, cand)
+                m //= cand**e
+        d += 6
+    if m > 1 and (m <= bound * bound or is_prime(m)):
+        factors[m] = 1
+        m = 1
+    return factors, m
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and text of the error it raised; dicts
+    become item lists so that key order counts."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+#: Primes on either side of the trial-division bounds below, so that
+#: factors sit just inside, on and just past the limit of the loop.
+EDGE_PRIMES = (2, 3, 5, 7, 11, 13, 991, 997, 1009, 999983, 1000003)
+edge_powers = st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 2)).map(lambda pe: pe[0] ** pe[1])
+edge_products = st.builds(
+    lambda powers, r: math.prod(powers) * r,
+    st.lists(edge_powers, max_size=4),
+    st.integers(1, 10**6) | st.integers(10**12, 10**14),
+)
+trial_bounds = st.integers(1, 12) | st.sampled_from([997, 999983, 999995, 10**6])
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_products, trial_bounds)
+@example(997 * 1009, 997)
+@example(999983 * 1000003, 999983)
+@example(999983 * 1000003, 999995)
+@example(999983**2 * 1000003**2, 10**6)
+@example(1000003**2, 999995)
+@example(1000003 * (10**12 + 39), 10**6)
+def test_trial_division_matches_reference(n, bound):
+    expected = _reference_trial_divide(n, bound)
+    factors, cofactor = _trial_divide(n, bound)
+    assert (list(factors.items()), cofactor) == (list(expected[0].items()), expected[1])
+    with mock.patch.object(exactnum, "_trial_divide", lambda *_: expected):
+        want = [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)]
+    assert [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)] == want
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_products)
+def test_factorize_matches_sympy(sympy, n):
+    bound = exactnum.DEFAULT_FACTOR_BOUND
+    truth = sympy.factorint(n)
+    try:
+        factors = factorize(n)
+    except UnfactorableError as exc:
+        cofactor = int(str(exc).split(" has a cofactor ")[1].split()[0])
+        assert str(exc) == (
+            f"{n} has a cofactor {cofactor} unfactorable at desk scale (bound {bound})"
+        )
+        # the refused cofactor is composite and free of primes up to the bound
+        assert n % cofactor == 0 and not sympy.isprime(cofactor)
+        assert min(sympy.factorint(cofactor)) > bound
+        return
+    assert factors == truth
+    assert list(factors) == sorted(factors)
 
 
 def test_is_prime():

@@ -93,6 +93,30 @@ def test_p_minimal_model_roundtrip():
     assert model == curve
 
 
+def test_p_minimal_model_copies_only_to_scale():
+    # k = 0 hands back the curve itself; k != 0 gives the same model and
+    # report as scaling by p^k and classifying from fresh invariants
+    seen = set()
+    for t, m in ((3, 2), (3, 3), (7, 3), (31, 2)):
+        model = curve_Epp(F(t), curve_E(t).mul(m, point_R(t)).x)
+        for curve in (model, model.scale(F(1, 5)), model.scale(F(1, 3))):
+            for p in (3, 5, 7, 13, 31, 37):
+                got, k = p_minimal_model(curve, p)
+                seen.add(k > 0 if k else 0)
+                if k == 0:
+                    assert got is curve
+                    continue
+                scaled = curve.scale(F(p) ** k)
+                assert got == scaled
+                fresh = Curve(scaled.a2, scaled.a4, scaled.a6).std_quantities()
+                v_c4 = vp(fresh.c4, p) if fresh.c4 else None
+                report = classify(curve, p)
+                assert (report.v_delta, report.v_c4, report.scaling_exponent) == (
+                    vp(fresh.delta, p), v_c4, k
+                )
+    assert seen == {0, True, False}
+
+
 def test_p_minimal_model_rejects_two():
     with pytest.raises(ValueError):
         p_minimal_model(Curve(0, 1512, 33588), 2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar, triple_from_multiple
+from dioph6.family import curve_Epp
 from dioph6.sextuple_engine import induced_curve, point_Pprime, point_Sprime
-from dioph6.weierstrass import Curve, INFINITY, Point, point
+from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, point
 
 REMARK_CURVE = Curve(0, 1512, 33588)
 GEN = point(-11, 125)
@@ -252,6 +253,26 @@ def test_std_quantities_formulas():
     assert sq.b8 == -(1512**2)
     assert sq.c4 == -24 * sq.b4
     assert sq.delta == -8 * sq.b4**3 - 27 * sq.b6**2
+
+
+def test_std_quantities_stored_at_construction(t6_triple):
+    def fresh(curve):
+        a2, a4, a6 = curve.a2, curve.a4, curve.a6
+        b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+        delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return StdQuantities(b2, b4, b6, b8, b2 * b2 - 24 * b4, delta)
+
+    t = F(6)
+    curves = [
+        curve_E(2).scale(F(3, 5)),
+        REMARK_CURVE.scale(7),
+        induced_curve(*t6_triple.elements),
+        curve_Epp(t, curve_E(t).mul(3, point_R(t)).x),
+    ]
+    for curve in curves:
+        assert curve.std_quantities() is curve.std_quantities()
+        assert curve.std_quantities() == fresh(curve)
+        assert "_std" not in repr(curve)
 
 
 def test_scale_identity_and_inverse():
