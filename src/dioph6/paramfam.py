@@ -2,9 +2,14 @@
 classification, the catalog of named examples, and the membership check for
 the five extra rational points on the extension curve.
 
-The big numerator/denominator polynomials below are transcribed once as
-explicit expressions and locked by the t = 6 golden test: a single
-transcription error breaks an exact multi-hundred-digit string comparison.
+Each polynomial factor of the closed forms is a tuple of integer
+coefficients, highest degree first.  With t = p/q in lowest terms, a factor
+f of degree k is evaluated homogeneously as the integer q^k f(p/q), and each
+element is assembled from these integers with a single reduction to lowest
+terms.  The tuples are transcribed once and locked by the t = 6 golden test
+(a single transcription error breaks an exact multi-hundred-digit string
+comparison), by a comparison with the plain rational-function form, and by
+a symbolic check of every tuple.
 """
 
 from __future__ import annotations
@@ -18,64 +23,103 @@ from .family import TripleABC, curve_E, point_R, require_param, triple_from_mult
 from .sextuple_engine import VerificationReport, verify_tuple
 from .weierstrass import Curve, Point
 
+# Factors of the closed forms, as coefficients of t, highest degree first.
+_DOWN = (1, -6, 1)  # t^2 - 6t + 1
+_UP = (1, 6, 1)  # t^2 + 6t + 1
+_D1_FACTORS = (
+    (8, 27, 24, -54, 24, 27, 8),
+    (8, -27, 24, 54, 24, -27, 8),
+    (1, 0, 22, 0, -174, 0, 22, 0, 1),
+)
+_D2_ROOT = (37, 0, -885, 0, 9735, 0, -13678, 0, 9735, 0, -885, 0, 37)
+#: The quadratics that divide both e1 and f1.
+_EF_QUADRATICS = ((1, 3, -2), (1, -3, -2), (2, 3, -1), (2, -3, -1), (1, 0, 7), (7, 0, 1))
+_E1_FACTORS = (
+    (4, 0, -111, 0, 18, 0, 25),
+    (3, 14, -42, 30, 51, 18, -12, 2),
+    (3, -14, -42, -30, 51, -18, -12, -2),
+)
+_E2_ROOT = (16, 0, 141, 0, -1500, 0, 7586, 0, -2724, 0, 165, 0, 424, 0, -12)
+_F1_FACTORS = (
+    (25, 0, 18, 0, -111, 0, 4),
+    (2, -12, 18, 51, 30, -42, 14, 3),
+    (2, 12, 18, -51, 30, 42, 14, -3),
+)
+_F2_ROOT = (12, 0, -424, 0, -165, 0, 2724, 0, -7586, 0, 1500, 0, -141, 0, -16)
+
+
+def _hom(coeffs: tuple[int, ...], p: int, q: int) -> int:
+    """q^k f(p/q) for the degree-k polynomial f with these coefficients."""
+    acc = coeffs[0]
+    qk = 1
+    for c in coeffs[1:]:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def _prod_hom(factors, p: int, q: int) -> int:
+    acc = 1
+    for coeffs in factors:
+        acc *= _hom(coeffs, p, q)
+    return acc
+
+
+def _vanishes(p: int, q: int) -> ValueError:
+    return ValueError(f"family denominator vanishes at t = {Fraction(p, q)}")
+
+
+def _abc(p: int, q: int) -> tuple[Rat, Rat, Rat]:
+    """a, b, c at t = p/q (lowest terms, q > 0, t not in {-1, 0, 1})."""
+    minus, plus = p - q, p + q
+    down, up = _hom(_DOWN, p, q), _hom(_UP, p, q)
+    if down == 0 or up == 0:
+        raise _vanishes(p, q)
+    pq = p * q
+    return (
+        Fraction(18 * pq * minus * plus, down * up),
+        Fraction(minus * up * up, 6 * pq * plus * down),
+        Fraction(plus * down * down, 6 * pq * minus * up),
+    )
+
+
+def _def(p: int, q: int) -> tuple[Rat, Rat, Rat]:
+    """d, e, f at t = p/q (lowest terms, q > 0, t not in {-1, 0, 1}).
+
+    d = d1/d2 with deg d1 = 26 and deg d2 = 25, so d is d1/(q d2) in the
+    homogenized integers; e = e1/e2 and f = f1/f2 have degrees 33 over 34,
+    so e is q e1/e2 and f is q f1/f2.
+    """
+    # (t - 1)(t + 1)(t^2 - 6t + 1)(t^2 + 6t + 1), shared by d1, e2 and f2
+    core = (p - q) * (p + q) * _hom(_DOWN, p, q) * _hom(_UP, p, q)
+    d1 = 6 * core * _prod_hom(_D1_FACTORS, p, q)
+    d2 = p * _hom(_D2_ROOT, p, q) ** 2
+    quadratics = _prod_hom(_EF_QUADRATICS, p, q)
+    e1 = -2 * p * _prod_hom(_E1_FACTORS, p, q) * quadratics
+    e2 = 3 * core * _hom(_E2_ROOT, p, q) ** 2
+    f1 = 2 * p * _prod_hom(_F1_FACTORS, p, q) * quadratics
+    f2 = 3 * core * _hom(_F2_ROOT, p, q) ** 2
+    if d2 == 0 or e2 == 0 or f2 == 0:
+        raise _vanishes(p, q)
+    return Fraction(d1, q * d2), Fraction(e1 * q, e2), Fraction(f1 * q, f2)
+
 
 def abc_closed_form(t) -> tuple[Rat, Rat, Rat]:
     """The triple attached to [2]R, as rational functions of t."""
     t = require_param(t)
-    tt = t * t
-    down = tt - 6 * t + 1
-    up = tt + 6 * t + 1
-    if down == 0 or up == 0:
-        raise ValueError(f"family denominator vanishes at t = {t}")
-    a = 18 * t * (t - 1) * (t + 1) / (down * up)
-    b = (t - 1) * up**2 / (6 * t * (t + 1) * down)
-    c = (t + 1) * down**2 / (6 * t * (t - 1) * up)
-    return a, b, c
+    return _abc(t.numerator, t.denominator)
 
 
 def def_closed_form(t) -> tuple[Rat, Rat, Rat]:
     """The extension elements attached to [3]P', [3]P'+S', [3]P'-S'."""
     t = require_param(t)
-    d1 = (
-        6 * (t + 1) * (t - 1) * (t**2 + 6 * t + 1) * (t**2 - 6 * t + 1)
-        * (8 * t**6 + 27 * t**5 + 24 * t**4 - 54 * t**3 + 24 * t**2 + 27 * t + 8)
-        * (8 * t**6 - 27 * t**5 + 24 * t**4 + 54 * t**3 + 24 * t**2 - 27 * t + 8)
-        * (t**8 + 22 * t**6 - 174 * t**4 + 22 * t**2 + 1)
-    )
-    d2 = t * (37 * t**12 - 885 * t**10 + 9735 * t**8 - 13678 * t**6 + 9735 * t**4 - 885 * t**2 + 37) ** 2
-    e1 = (
-        -2 * t * (4 * t**6 - 111 * t**4 + 18 * t**2 + 25)
-        * (3 * t**7 + 14 * t**6 - 42 * t**5 + 30 * t**4 + 51 * t**3 + 18 * t**2 - 12 * t + 2)
-        * (3 * t**7 - 14 * t**6 - 42 * t**5 - 30 * t**4 + 51 * t**3 - 18 * t**2 - 12 * t - 2)
-        * (t**2 + 3 * t - 2) * (t**2 - 3 * t - 2)
-        * (2 * t**2 + 3 * t - 1) * (2 * t**2 - 3 * t - 1)
-        * (t**2 + 7) * (7 * t**2 + 1)
-    )
-    e2 = (
-        3 * (t + 1) * (t**2 - 6 * t + 1) * (t - 1) * (t**2 + 6 * t + 1)
-        * (16 * t**14 + 141 * t**12 - 1500 * t**10 + 7586 * t**8 - 2724 * t**6 + 165 * t**4 + 424 * t**2 - 12) ** 2
-    )
-    f1 = (
-        2 * t * (25 * t**6 + 18 * t**4 - 111 * t**2 + 4)
-        * (2 * t**7 - 12 * t**6 + 18 * t**5 + 51 * t**4 + 30 * t**3 - 42 * t**2 + 14 * t + 3)
-        * (2 * t**7 + 12 * t**6 + 18 * t**5 - 51 * t**4 + 30 * t**3 + 42 * t**2 + 14 * t - 3)
-        * (2 * t**2 + 3 * t - 1) * (2 * t**2 - 3 * t - 1)
-        * (t**2 - 3 * t - 2) * (t**2 + 3 * t - 2)
-        * (t**2 + 7) * (7 * t**2 + 1)
-    )
-    f2 = (
-        3 * (t + 1) * (t**2 - 6 * t + 1) * (t - 1) * (t**2 + 6 * t + 1)
-        * (12 * t**14 - 424 * t**12 - 165 * t**10 + 2724 * t**8 - 7586 * t**6 + 1500 * t**4 - 141 * t**2 - 16) ** 2
-    )
-    if d2 == 0 or e2 == 0 or f2 == 0:
-        raise ValueError(f"family denominator vanishes at t = {t}")
-    return d1 / d2, e1 / e2, f1 / f2
+    return _def(t.numerator, t.denominator)
 
 
 def family_triple(t) -> TripleABC:
     """The closed-form triple as a validated :class:`TripleABC` (m = 2)."""
     t = require_param(t)
-    a, b, c = abc_closed_form(t)
+    a, b, c = _abc(t.numerator, t.denominator)
     roots = tuple(sqrt_exact(p + 1) for p in (a * b, a * c, b * c))
     if None in roots:
         raise ConsistencyError(f"closed-form triple at t = {t} is not Diophantine")
@@ -103,9 +147,9 @@ class FamilyPoint:
 
 def family_point(t) -> FamilyPoint:
     t = require_param(t)
-    a, b, c = abc_closed_form(t)
-    d, e, f = def_closed_form(t)
-    elements = (a, b, c, d, e, f)
+    p, q = t.numerator, t.denominator
+    elements = _abc(p, q) + _def(p, q)
+    a, b, c, d, e, f = elements
     report = verify_tuple(elements)
     if not report.all_pass:
         raise ConsistencyError(f"closed-form family values at t = {t} failed to verify")
@@ -254,8 +298,8 @@ def rank_curve_membership(t) -> list[tuple[Rat, bool]]:
     side is an exact rational square.
     """
     t = require_param(t)
-    a, b, c = abc_closed_form(t)
-    d, e, f = def_closed_form(t)
+    a, b, c = _abc(t.numerator, t.denominator)
+    d, e, f = _def(t.numerator, t.denominator)
     xs = (Fraction(0), 1 / (d * e * f), a, b, c)
     return [
         (x, is_square((d * x + 1) * (e * x + 1) * (f * x + 1)))

@@ -374,6 +374,11 @@ GOLDEN_CLI_DIGESTS = [
      "30c1f39a79dc6d8054bcfd85c87432ed0209b648a65b146e07aacfd55c24c97d"),
     (("scan", "--from", "11/8", "--to", "12/5", "--step", "1/8"), 0,
      "427441424c6dbb57d645f21aaf660134420cb764e8671558a00d2ae3193be745"),
+    # negative t with q > 1, and a scan across the excluded t = -1, 0, 1
+    (("family", "--t=-17/13"), 0,
+     "d084aa9c4818bb50d9304a9af47759f2b59db12529de1a48669444deefb62dfd"),
+    (("scan", "--from=-3/2", "--to=3/2", "--step=1/2"), 0,
+     "ddf929fc5bf285a82efbb64a18baca4dff1ee09db8f095477b22c2184c74ff3c"),
     (("reduce", "--t", "31", "--x", "-150072", "--y", "682327360"), 0,
      "49a26c63cf1a38c8cc26955100c3fe8a080041640897b9d95f267f5c66a42c49"),
     (("reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--p", "13"), 0,

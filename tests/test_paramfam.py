@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dioph6.exactnum import is_square
-from dioph6.family import sigma3, triple_from_multiple
+from dioph6 import paramfam
+from dioph6.exactnum import Rat, is_square
+from dioph6.family import require_param, sigma3, triple_from_multiple
 from dioph6.paramfam import (
     PRODUCT34_CURVE,
     PRODUCT34_GENERATOR,
@@ -51,6 +53,144 @@ def test_routes_agree():
         record = extend_to_sextuple(tri, 1)
         assert set(abc_closed_form(t)) == set(tri.elements)
         assert set(def_closed_form(t)) == {record.d, record.e, record.f}
+
+
+# The closed forms as plain rational functions of t, kept as the reference
+# for the integer evaluation in paramfam.
+
+def _reference_abc_closed_form(t) -> tuple[Rat, Rat, Rat]:
+    """The triple attached to [2]R, as rational functions of t."""
+    t = require_param(t)
+    tt = t * t
+    down = tt - 6 * t + 1
+    up = tt + 6 * t + 1
+    if down == 0 or up == 0:
+        raise ValueError(f"family denominator vanishes at t = {t}")
+    a = 18 * t * (t - 1) * (t + 1) / (down * up)
+    b = (t - 1) * up**2 / (6 * t * (t + 1) * down)
+    c = (t + 1) * down**2 / (6 * t * (t - 1) * up)
+    return a, b, c
+
+
+def _reference_def_closed_form(t) -> tuple[Rat, Rat, Rat]:
+    """The extension elements attached to [3]P', [3]P'+S', [3]P'-S'."""
+    t = require_param(t)
+    d1 = (
+        6 * (t + 1) * (t - 1) * (t**2 + 6 * t + 1) * (t**2 - 6 * t + 1)
+        * (8 * t**6 + 27 * t**5 + 24 * t**4 - 54 * t**3 + 24 * t**2 + 27 * t + 8)
+        * (8 * t**6 - 27 * t**5 + 24 * t**4 + 54 * t**3 + 24 * t**2 - 27 * t + 8)
+        * (t**8 + 22 * t**6 - 174 * t**4 + 22 * t**2 + 1)
+    )
+    d2 = t * (37 * t**12 - 885 * t**10 + 9735 * t**8 - 13678 * t**6 + 9735 * t**4 - 885 * t**2 + 37) ** 2
+    e1 = (
+        -2 * t * (4 * t**6 - 111 * t**4 + 18 * t**2 + 25)
+        * (3 * t**7 + 14 * t**6 - 42 * t**5 + 30 * t**4 + 51 * t**3 + 18 * t**2 - 12 * t + 2)
+        * (3 * t**7 - 14 * t**6 - 42 * t**5 - 30 * t**4 + 51 * t**3 - 18 * t**2 - 12 * t - 2)
+        * (t**2 + 3 * t - 2) * (t**2 - 3 * t - 2)
+        * (2 * t**2 + 3 * t - 1) * (2 * t**2 - 3 * t - 1)
+        * (t**2 + 7) * (7 * t**2 + 1)
+    )
+    e2 = (
+        3 * (t + 1) * (t**2 - 6 * t + 1) * (t - 1) * (t**2 + 6 * t + 1)
+        * (16 * t**14 + 141 * t**12 - 1500 * t**10 + 7586 * t**8 - 2724 * t**6 + 165 * t**4 + 424 * t**2 - 12) ** 2
+    )
+    f1 = (
+        2 * t * (25 * t**6 + 18 * t**4 - 111 * t**2 + 4)
+        * (2 * t**7 - 12 * t**6 + 18 * t**5 + 51 * t**4 + 30 * t**3 - 42 * t**2 + 14 * t + 3)
+        * (2 * t**7 + 12 * t**6 + 18 * t**5 - 51 * t**4 + 30 * t**3 + 42 * t**2 + 14 * t - 3)
+        * (2 * t**2 + 3 * t - 1) * (2 * t**2 - 3 * t - 1)
+        * (t**2 - 3 * t - 2) * (t**2 + 3 * t - 2)
+        * (t**2 + 7) * (7 * t**2 + 1)
+    )
+    f2 = (
+        3 * (t + 1) * (t**2 - 6 * t + 1) * (t - 1) * (t**2 + 6 * t + 1)
+        * (12 * t**14 - 424 * t**12 - 165 * t**10 + 2724 * t**8 - 7586 * t**6 + 1500 * t**4 - 141 * t**2 - 16) ** 2
+    )
+    if d2 == 0 or e2 == 0 or f2 == 0:
+        raise ValueError(f"family denominator vanishes at t = {t}")
+    return d1 / d2, e1 / e2, f1 / f2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+@example(-1, 1)
+@example(0, 1)
+@example(1, 1)
+@example(6, 1)
+@example(-17, 13)
+@example(-10**30, 10**30 - 1)
+def test_closed_forms_match_reference(p, q):
+    t = F(p, q)
+    for fast, reference in (
+        (abc_closed_form, _reference_abc_closed_form),
+        (def_closed_form, _reference_def_closed_form),
+    ):
+        try:
+            expected = reference(t)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                fast(t)
+            assert str(info.value) == str(exc)
+        else:
+            assert fast(t) == expected
+
+
+@pytest.mark.parametrize("t", [-1, 0, 1])
+def test_closed_forms_reject_excluded_t_like_reference(t):
+    with pytest.raises(ValueError) as want:
+        _reference_abc_closed_form(t)
+    for fn in (abc_closed_form, def_closed_form, family_point, family_triple):
+        with pytest.raises(ValueError) as got:
+            fn(t)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# Each coefficient tuple beside its factor as written in the reference above.
+_TRANSCRIBED_FACTORS = [
+    (paramfam._DOWN, "t**2 - 6 * t + 1"),
+    (paramfam._UP, "t**2 + 6 * t + 1"),
+    (paramfam._D1_FACTORS[0], "8 * t**6 + 27 * t**5 + 24 * t**4 - 54 * t**3 + 24 * t**2 + 27 * t + 8"),
+    (paramfam._D1_FACTORS[1], "8 * t**6 - 27 * t**5 + 24 * t**4 + 54 * t**3 + 24 * t**2 - 27 * t + 8"),
+    (paramfam._D1_FACTORS[2], "t**8 + 22 * t**6 - 174 * t**4 + 22 * t**2 + 1"),
+    (paramfam._D2_ROOT,
+     "37 * t**12 - 885 * t**10 + 9735 * t**8 - 13678 * t**6 + 9735 * t**4 - 885 * t**2 + 37"),
+    (paramfam._EF_QUADRATICS[0], "t**2 + 3 * t - 2"),
+    (paramfam._EF_QUADRATICS[1], "t**2 - 3 * t - 2"),
+    (paramfam._EF_QUADRATICS[2], "2 * t**2 + 3 * t - 1"),
+    (paramfam._EF_QUADRATICS[3], "2 * t**2 - 3 * t - 1"),
+    (paramfam._EF_QUADRATICS[4], "t**2 + 7"),
+    (paramfam._EF_QUADRATICS[5], "7 * t**2 + 1"),
+    (paramfam._E1_FACTORS[0], "4 * t**6 - 111 * t**4 + 18 * t**2 + 25"),
+    (paramfam._E1_FACTORS[1],
+     "3 * t**7 + 14 * t**6 - 42 * t**5 + 30 * t**4 + 51 * t**3 + 18 * t**2 - 12 * t + 2"),
+    (paramfam._E1_FACTORS[2],
+     "3 * t**7 - 14 * t**6 - 42 * t**5 - 30 * t**4 + 51 * t**3 - 18 * t**2 - 12 * t - 2"),
+    (paramfam._E2_ROOT,
+     "16 * t**14 + 141 * t**12 - 1500 * t**10 + 7586 * t**8 - 2724 * t**6 + 165 * t**4 + 424 * t**2 - 12"),
+    (paramfam._F1_FACTORS[0], "25 * t**6 + 18 * t**4 - 111 * t**2 + 4"),
+    (paramfam._F1_FACTORS[1],
+     "2 * t**7 - 12 * t**6 + 18 * t**5 + 51 * t**4 + 30 * t**3 - 42 * t**2 + 14 * t + 3"),
+    (paramfam._F1_FACTORS[2],
+     "2 * t**7 + 12 * t**6 + 18 * t**5 - 51 * t**4 + 30 * t**3 + 42 * t**2 + 14 * t - 3"),
+    (paramfam._F2_ROOT,
+     "12 * t**14 - 424 * t**12 - 165 * t**10 + 2724 * t**8 - 7586 * t**6 + 1500 * t**4 - 141 * t**2 - 16"),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, text", _TRANSCRIBED_FACTORS, ids=[text for _, text in _TRANSCRIBED_FACTORS]
+)
+def test_coefficient_tuple_matches_sympy(sympy, coeffs, text):
+    t, p, q = sympy.symbols("t p q")
+    poly = sympy.Poly(sympy.sympify(text, locals={"t": t}), t)
+    assert tuple(poly.all_coeffs()) == coeffs
+    homogenized = sympy.expand(q ** poly.degree() * poly.as_expr().subs(t, p / q))
+    assert sympy.expand(paramfam._hom(coeffs, p, q) - homogenized) == 0
 
 
 def test_family_point_verifies():
