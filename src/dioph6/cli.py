@@ -52,7 +52,11 @@ def _emit(payload, out_path: str | None) -> None:
 
 def _closed_form_record(t: Fraction, n: int) -> engine.SextupleRecord:
     point = paramfam.family_point(t)
-    triple = paramfam.family_triple(t)
+    # the triple's witnesses are the certificate's pairs (1,2), (1,3), (2,3)
+    roots = {(w.i, w.j): w.square_root for w in point.report.pair_results}
+    triple = fam.TripleABC(
+        point.a, point.b, point.c, roots[1, 2], roots[1, 3], roots[2, 3], t=t, m=2
+    )
     return engine.SextupleRecord(
         t=t, m=2, n=n, triple=triple,
         d=point.d, e=point.e, f=point.f,

@@ -48,15 +48,27 @@ def sqrt_exact(q: Rat | int) -> Rat | None:
     and None otherwise (negative inputs are never squares).
     """
     q = Fraction(q)
-    if q < 0:
+    num = q.numerator
+    if num < 0:
         return None
-    num_root, num_ok = isqrt(q.numerator)
-    if not num_ok:
+    num_root = math.isqrt(num)
+    if num_root * num_root != num:
         return None
-    den_root, den_ok = isqrt(q.denominator)
-    if not den_ok:
+    den = q.denominator
+    den_root = math.isqrt(den)
+    if den_root * den_root != den:
         return None
-    return Fraction(num_root, den_root)
+    # q is in lowest terms, so its roots are coprime as well
+    return _coprime(num_root, den_root)
+
+
+def _coprime(num: int, den: int) -> Rat:
+    """The Fraction num/den for coprime num and den > 0, built without the
+    gcd that the Fraction constructor would spend on normalizing it."""
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
 
 
 def _miller_rabin(n: int, base: int) -> bool:

@@ -101,26 +101,18 @@ def quartic_condition(s1, s3) -> tuple[Rat, bool]:
 
 def three_torsion_value(a, b, c) -> Rat:
     """The symmetric polynomial whose vanishing makes the induced order-3
-    point genuine (see :func:`three_torsion_condition`)."""
+    point genuine (see :func:`three_torsion_condition`).
+
+    In the symmetric functions s1, s2, s3 of a, b, c it is
+    s3^2 (12 + 4 s2 - s1^2) + 6 s1 s3 + 4 s2 + 3.
+    """
     a = Fraction(a)
     b = Fraction(b)
     c = Fraction(c)
-    return (
-        -(a**4) * b**2 * c**2
-        + 2 * a**3 * b**3 * c**2
-        + 2 * a**3 * b**2 * c**3
-        - a**2 * b**4 * c**2
-        + 2 * a**2 * b**3 * c**3
-        - a**2 * b**2 * c**4
-        + 12 * a**2 * b**2 * c**2
-        + 6 * a**2 * b * c
-        + 6 * a * b**2 * c
-        + 6 * a * b * c**2
-        + 4 * a * b
-        + 4 * a * c
-        + 4 * b * c
-        + 3
-    )
+    s1 = a + b + c
+    s2 = a * b + a * c + b * c
+    s3 = a * b * c
+    return s3 * s3 * (12 + 4 * s2 - s1 * s1) + 6 * s1 * s3 + 4 * s2 + 3
 
 
 def three_torsion_condition(a, b, c) -> bool:
@@ -177,14 +169,17 @@ def map_w(t, q: Point) -> Rat:
     The single genuine pole (v, s) is rejected.
     """
     t = require_param(t)
+    return _w_value(q, curve_Estar(t), *map_w_constants(t))
+
+
+def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
+    """:func:`map_w` on the companion curve ``star`` with its constants."""
     if q.is_infinity:
         raise DegeneracyError("w is undefined at the point at infinity")
-    v, r, s = map_w_constants(t)
     x, y = q.x, q.y
     if x != v:
         return (y + r * (x - v) + s) / (-6 * (x - v))
     if y == -s:
-        star = curve_Estar(t)
         slope = (3 * x * x + 2 * star.a2 * x + star.a4) / (2 * y)
         return (slope + r) / Fraction(-6)
     raise DegeneracyError(f"point {q} is the pole of the w map")
@@ -357,12 +352,16 @@ def triple_from_multiple(t, m: int) -> TripleABC:
     star.require_on_curve(kernel)
     second = star.add_unchecked(base, kernel)
     third = star.add_unchecked(second, kernel)
+    w_consts = map_w_constants(t)
+    # the pair product is -lam^2 X(w) - 1 with lam = (t^2+1)/t, and
+    # -lam^2 X(w) = w^2 lam^2 / (4(t^2+1)^2) = w^2 / (4t^2)
+    scale = 1 / (4 * t * t)
     products = []
-    lam2 = ((t * t + 1) / t) ** 2
     for q in (base, second, third):
         if q.is_infinity:
             raise DegeneracyError(f"isogeny preimage of [{m}]R is at infinity")
-        products.append(-lam2 * map_X(t, map_w(t, q)) - 1)
+        w = _w_value(q, star, *w_consts)
+        products.append(w * w * scale - 1)
     x_ab, x_ac, x_bc = products
     if 0 in products:
         raise DegeneracyError(f"degenerate pair product for (t, m) = ({t}, {m})")
@@ -399,8 +398,8 @@ def triple_from_multiple(t, m: int) -> TripleABC:
 
     # cross-check the sigma algebra against the base-curve side
     x_m = curve_E(t).mul(m, point_R(t)).x
-    sig = sigma_triple_from_x(t, x_m)
-    if (triple.sigma1, triple.sigma2, triple.sigma3) != (sig.s1, sig.s2, sig.s3):
+    s1 = sigma1_from_x(t, x_m)
+    if (triple.sigma1, triple.sigma2, triple.sigma3) != (s1, sigma2_from(s1, s3), s3):
         raise ConsistencyError(
             f"triple at (t, m) = ({t}, {m}) disagrees with its symmetric functions"
         )

@@ -4,7 +4,9 @@ multiples of the base point, and the universal square-certificate verifier.
 
 All curve work happens on the monic induced model y^2 = (x+ab)(x+ac)(x+bc);
 the non-monic model's coordinates are recovered by dividing x by abc at the
-boundary, which is where the sextuple elements d, e, f come from.
+boundary, which is where the sextuple elements d, e, f come from.  e and f
+are the x-coordinates of [2n+1]P' + S' and [2n+1]P' - S', taken together
+from one x-only sum-and-difference (``Curve.add_sub_x_unchecked``).
 """
 
 from __future__ import annotations
@@ -219,11 +221,12 @@ class SextupleRecord:
         }
         if route is not None:
             out["route"] = route
-        out["elements"] = [format_rat(e) for e in self.elements]
+        d, e, f = (format_rat(x) for x in (self.d, self.e, self.f))
+        out["elements"] = [*(format_rat(x) for x in self.triple.elements), d, e, f]
         out["triple"] = self.triple.to_json_dict()
-        out["d"] = format_rat(self.d)
-        out["e"] = format_rat(self.e)
-        out["f"] = format_rat(self.f)
+        out["d"] = d
+        out["e"] = e
+        out["f"] = f
         out["verification"] = self.report.to_json_dict()
         return out
 
@@ -254,11 +257,7 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     # S' passed the check in mul(3, S') and [2n+1]P' comes out of the group
     # law, so the sums with +-S' skip the membership checks and stop at x
     center = curve.mul(2 * n + 1, base)
-    xs = (
-        center.x,
-        curve.add_x_unchecked(center, marked),
-        curve.add_x_unchecked(center, -marked),
-    )
+    xs = (center.x, *curve.add_sub_x_unchecked(center, marked))
     for name, x in zip((f"[{2*n+1}]P'", f"[{2*n+1}]P'+S'", f"[{2*n+1}]P'-S'"), xs):
         if x is None:
             raise DegeneracyError(f"{name} is the point at infinity")

@@ -10,8 +10,10 @@ Membership is validated where a point enters the group law, once per point:
 (``require_on_curve``), which keeps coordinate-change bugs from propagating
 silently.  Points the group law returns lie on the curve by construction, so
 code that keeps computing with them uses ``add_unchecked`` and, when only x
-is needed, ``add_x_unchecked``; these trust their inputs.  ``contains`` is
-an exact integer test without fraction reduction.
+is needed, ``add_x_unchecked``; these trust their inputs.  When both x(p + q)
+and x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part
+once over the integers.  ``contains`` is an exact integer test without
+fraction reduction.
 """
 
 from __future__ import annotations
@@ -197,6 +199,35 @@ class Curve:
             return p.x
         chord = self._chord(p, q)
         return None if chord is None else chord[1]
+
+    def add_sub_x_unchecked(self, p: Point, q: Point) -> tuple[Rat | None, Rat | None]:
+        """(x(p + q), x(p - q)) for points the caller knows to lie on this
+        curve, each None when that sum is O.
+
+        For x1 != x2 both come from one expression,
+        x(p +- q) = ((x1 x2 + a4)(x1 + x2) + 2 a2 x1 x2 + 2 a6 -+ 2 y1 y2) / (x1 - x2)^2,
+        evaluated over the integers as in :meth:`contains`: with x_i = X_i/D_i,
+        y_i = Y_i/E_i in lowest terms and the coefficients over d, it is
+        (S -+ 2 j Y1 Y2) / (d (X1 D2 - X2 D1)^2), where
+        S = (d X1 X2 + A4 D1 D2)(X1 D2 + X2 D1) + 2 A2 X1 X2 D1 D2 + 2 A6 D1^2 D2^2
+        and j = d D1^2 D2^2 / (E1 E2).  On the curve E_i^2 divides d D_i^3, so
+        j^2 = D1 D2 (d D1^3 / E1^2)(d D2^3 / E2^2) is an integer, and hence so
+        is j.  The shared part is computed once and each result is normalized
+        once; when x1 = x2 (q = +-p) or a point is O, this falls back to
+        :meth:`add_x_unchecked`.
+        """
+        if p.is_infinity or q.is_infinity or p.x == q.x:
+            return self.add_x_unchecked(p, q), self.add_x_unchecked(p, -q)
+        d, c2, c4, c6 = self._cleared
+        xn1, xd1, xn2, xd2 = p.x.numerator, p.x.denominator, q.x.numerator, q.x.denominator
+        xx = xn1 * xn2
+        dd = xd1 * xd2
+        dd2 = dd * dd
+        shared = (d * xx + c4 * dd) * (xn1 * xd2 + xn2 * xd1) + 2 * (c2 * xx * dd + c6 * dd2)
+        cross = 2 * (d * dd2 // (p.y.denominator * q.y.denominator)) * p.y.numerator * q.y.numerator
+        gap = xn1 * xd2 - xn2 * xd1
+        den = d * gap * gap
+        return Fraction(shared - cross, den), Fraction(shared + cross, den)
 
     def add(self, p: Point, q: Point) -> Point:
         """Group sum of two points on this curve."""

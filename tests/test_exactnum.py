@@ -84,6 +84,28 @@ def test_square_roundtrip(q):
     assert root == abs(q)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        rationals,
+        st.integers(),
+        st.builds(F, st.integers(-(10**3000), 10**3000), st.integers(1, 10**3000)),
+    )
+)
+def test_sqrt_exact_root_is_canonical(r):
+    r = F(r)
+    root = sqrt_exact(r * r)
+    expected = F(abs(r.numerator), r.denominator)
+    assert root == expected
+    assert hash(root) == hash(expected)
+    assert str(root) == str(expected)
+    assert math.gcd(root.numerator, root.denominator) == 1
+    assert root.denominator > 0
+    if r != 0:
+        assert sqrt_exact(-r * r) is None
+        assert sqrt_exact(r * r * 2) is None
+
+
 @given(rationals)
 def test_is_square_iff_sqrt_exact(q):
     root = sqrt_exact(q)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import is_square
@@ -124,6 +125,33 @@ def test_three_torsion_polynomial():
     assert three_torsion_value(1, 3, 8) == 6479
     assert not three_torsion_condition(1, 3, 8)
     assert three_torsion_value(0, 0, 0) == 3
+
+
+def _three_torsion_expanded(a, b, c):
+    return (
+        -(a**4) * b**2 * c**2
+        + 2 * a**3 * b**3 * c**2
+        + 2 * a**3 * b**2 * c**3
+        - a**2 * b**4 * c**2
+        + 2 * a**2 * b**3 * c**3
+        - a**2 * b**2 * c**4
+        + 12 * a**2 * b**2 * c**2
+        + 6 * a**2 * b * c
+        + 6 * a * b**2 * c
+        + 6 * a * b * c**2
+        + 4 * a * b
+        + 4 * a * c
+        + 4 * b * c
+        + 3
+    )
+
+
+_FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_three_torsion_value_matches_expanded_polynomial(a, b, c):
+    assert three_torsion_value(a, b, c) == _three_torsion_expanded(a, b, c)
 
 
 # ---------------------------------------------------------------------------

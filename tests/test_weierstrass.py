@@ -130,6 +130,35 @@ def test_unchecked_sums_match_add():
             assert REMARK_CURVE.add_x_unchecked(p, q) == total.x
 
 
+@st.composite
+def _curve_and_two_points(draw):
+    """Two points [k1]G, [k2]G and, on induced curves, the order-3 point S'
+    beside them: G is P' on the induced curve of a family triple (m = 2..5)
+    or the image of the seed under curve_E(t).scale(u)."""
+    t = draw(_PARAMS)
+    if draw(st.booleans()):
+        a, b, c = triple_from_multiple(t, draw(st.integers(min_value=2, max_value=5))).elements
+        curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)
+        extra = [point_Sprime(a, b, c)]
+    else:
+        u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
+        curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
+        extra = []
+    k1, k2 = (draw(st.integers(min_value=-5, max_value=5)) for _ in range(2))
+    return curve, [curve.mul(k1, gen), curve.mul(k2, gen), *extra]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_curve_and_two_points())
+def test_add_sub_x_matches_add_x(curve_and_points):
+    curve, pts = curve_and_points
+    p = pts[0]
+    for q in (*pts, p, -p, INFINITY):
+        expected = (curve.add_x_unchecked(p, q), curve.add_x_unchecked(p, -q))
+        assert curve.add_sub_x_unchecked(p, q) == expected, (curve, p, q)
+        assert curve.add_sub_x_unchecked(q, p) == (expected[0], curve.add_x_unchecked(q, -p))
+
+
 def _x2R_closed(t):
     return -F(3, 4) * (t * t - 6 * t + 1) * (t * t + 6 * t + 1)
 
