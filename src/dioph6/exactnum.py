@@ -10,8 +10,11 @@ is pure integer arithmetic; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import threading
 from fractions import Fraction
+from itertools import compress
 
 from .errors import UnfactorableError
 
@@ -141,6 +144,11 @@ def vp(q: Rat | int, p: int) -> int:
     if q == 0:
         raise ValueError("valuation of 0 is undefined")
     _require_prime(p)
+    return _rat_vp(q, p)
+
+
+def _rat_vp(q: Rat, p: int) -> int:
+    """:func:`vp` of a nonzero Fraction at a prime the caller has checked."""
     return _int_vp(q.numerator, p) - _int_vp(q.denominator, p)
 
 
@@ -157,26 +165,116 @@ def mod_p(q: Rat | int, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
-def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Split a positive integer into its prime factors up to ``bound``.
+#: Candidate pairs (d, d + 2), d = 5 (mod 6), per block of the prime table:
+#: a block spans 6 * 2731 = 16,386 integers.  Larger blocks cost fewer gcd
+#: calls per number; smaller ones, less to build.
+_BLOCK_PAIRS = 2731
+#: The table holds the primes of the pairs with d <= DEFAULT_FACTOR_BOUND.
+#: Past it, trial division goes on one candidate at a time from d =
+#: _TABLE_END, so no pair is split between the two.
+_TABLE_PAIRS = (DEFAULT_FACTOR_BOUND + 1) // 6
+_TABLE_END = 6 * _TABLE_PAIRS + 5
+_TABLE_BLOCKS = -(-_TABLE_PAIRS // _BLOCK_PAIRS)
 
-    Returns the factors found and the cofactor left over, which is 1 when
-    the factorization is complete.  A cofactor that is certifiably prime
-    (at most ``bound**2`` with no factor up to ``bound``, or passing
-    :func:`is_prime`) counts as a factor; what is left is composite.
+
+def _product(xs: list[int]) -> int:
+    """The product of a nonempty list, by a balanced tree of multiplications."""
+    while len(xs) > 1:
+        xs = [*map(operator.mul, xs[::2], xs[1::2]), *xs[len(xs) & ~1:]]
+    return xs[0]
+
+
+class _PrimeTable:
+    """Products of the primes below _TABLE_END in blocks of _BLOCK_PAIRS
+    candidate pairs, built lazily and in order.
+
+    Building a block costs about as much as dividing 1.4 numbers through it
+    candidate by candidate (0.7 against 0.5 ms), and most numbers stop
+    inside the first block.  So block k is built only after two numbers
+    have been divided through all of it (:meth:`traversed`), and then only
+    for a number whose limit lies past it; until then :meth:`product`
+    returns None and the caller divides by the candidates.  The blocks come
+    from a sieve over the pairs, doubled in length as the blocks need and
+    dropped when the last block is built: what stays is the products, about
+    180 KB in all.
     """
-    if bound < 1:
-        raise ValueError(f"trial-division bound must be at least 1, got {bound}")
-    factors: dict[int, int] = {}
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            factors[p] = e = _int_vp(m, p)
-            m //= p**e
-    # Candidates are d and d + 2 for d = 5 (mod 6), while d <= bound and
-    # d * d <= m.  The inner loop only tests; the limit is recomputed only
-    # after a factor has made m smaller.
-    d = 5
+
+    def __init__(self) -> None:
+        self.products: list[int] = []
+        #: how many numbers have been divided through each block whole
+        self.passes = [0] * _TABLE_BLOCKS
+        self._sieve: tuple[bytearray, bytearray] = (bytearray(), bytearray())
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def pairs(k: int) -> tuple[int, int]:
+        """The first and the last d of the pairs (d, d + 2) in block k."""
+        return 6 * k * _BLOCK_PAIRS + 5, 6 * min((k + 1) * _BLOCK_PAIRS, _TABLE_PAIRS) - 1
+
+    def product(self, k: int, whole: bool) -> int | None:
+        """The product of the primes of block k, or None while it is not
+        built; ``whole`` says that the caller's limit, min(bound, isqrt(m)),
+        lies past the block."""
+        if k < len(self.products):
+            return self.products[k]
+        if not whole or self.passes[k] < 2:
+            return None
+        with self._lock:
+            while len(self.products) <= k:
+                self.products.append(self._build(len(self.products)))
+            if len(self.products) == _TABLE_BLOCKS:
+                self._sieve = (bytearray(), bytearray())
+        return self.products[k]
+
+    def traversed(self, k: int) -> None:
+        """Record that a number has been divided through block k whole.
+
+        It was divided through every block before it whole as well, so
+        :meth:`product` builds the blocks in order.
+        """
+        self.passes[k] += 1
+
+    def _build(self, k: int) -> int:
+        first, last = self.pairs(k)
+        rows = slice((first - 5) // 6, (last - 5) // 6 + 1)
+        size = len(self._sieve[0])
+        if size < rows.stop:  # doubled, so all the sieving costs about two full sieves
+            self._sieve = _pair_sieve(min(max(_BLOCK_PAIRS, 2 * size), _TABLE_PAIRS))
+        low, high = self._sieve
+        return _product(
+            [*compress(range(first, last + 1, 6), low[rows]),
+             *compress(range(first + 2, last + 3, 6), high[rows])]
+        )
+
+
+def _pair_sieve(pairs: int) -> tuple[bytearray, bytearray]:
+    """Sieve of Eratosthenes over the pairs: ``low[j]`` is 1 iff 6j + 5 is
+    prime, ``high[j]`` iff 6j + 7 is, for j < pairs."""
+    low = bytearray([1]) * pairs
+    high = bytearray([1]) * pairs
+    top = 6 * pairs + 5
+    for j in range((math.isqrt(top) - 5) // 6 + 1):
+        for p, is_p in ((6 * j + 5, low[j]), (6 * j + 7, high[j])):
+            if not is_p or p * p > top:
+                continue
+            # the multiples p c, c >= p, in each class: step 6p, so p pairs
+            c = p + 2 if p % 6 == 5 else p + 4  # p c = 5 (mod 6)
+            for row, start in ((low, (p * c - 5) // 6), (high, (p * p - 7) // 6)):
+                row[start::p] = bytes(len(range(start, pairs, p)))
+    return low, high
+
+
+_PRIMES = _PrimeTable()
+
+
+def _candidate_loop(m: int, d: int, bound: int, factors: dict[int, int]) -> int:
+    """Divide out of m the candidates d and d + 2 for d = 5 (mod 6) from the
+    given d on, while d <= bound and d * d <= m; record them in ``factors``
+    and return what is left of m.
+
+    The inner loop only tests; the limit is recomputed only after a factor
+    has made m smaller.
+    """
     limit = min(bound, math.isqrt(m))
     while d <= limit:
         for d in range(d, limit + 1, 6):
@@ -190,6 +288,67 @@ def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
                 m //= cand**e
         d += 6
         limit = min(bound, math.isqrt(m))
+    return m
+
+
+def _table_divide(m: int, bound: int, factors: dict[int, int]) -> int:
+    """:func:`_candidate_loop` from d = 5 up to _TABLE_END, by one gcd per
+    block of the prime table where the block is built.
+
+    The loop tests the pair (d, d + 2) while d <= bound and d * d <= m, m
+    having lost every prime below d.  So a prime p of m, reached as d = p
+    or d = p - 2, is divided out iff that test holds for its d, and the
+    first prime that fails it ends the division.  Here the test of p = d + 2
+    comes after d itself has been divided out; if that makes it fail, m is
+    p alone, a cofactor below bound^2 that counts as a factor all the same.
+    """
+    for k in range(_TABLE_BLOCKS):
+        first, last = _PrimeTable.pairs(k)
+        if first > bound or first * first > m:
+            break
+        product = _PRIMES.product(k, last <= bound and last * last <= m)
+        if product is None:
+            m = _candidate_loop(m, first, min(bound, last), factors)
+            if last <= bound and last * last <= m:
+                _PRIMES.traversed(k)
+            continue
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        # g is squarefree, usually one prime; the loop splits it otherwise
+        parts: dict[int, int] = {}
+        g = _candidate_loop(g, first, g, parts)
+        for p in (*parts, g) if g > 1 else parts:
+            d = p - 2 if p % 6 == 1 else p
+            if d > bound or d * d > m:
+                return m
+            factors[p] = e = _int_vp(m, p)
+            m //= p**e
+    return m
+
+
+def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Split a positive integer into its prime factors up to ``bound``.
+
+    Returns the factors found and the cofactor left over, which is 1 when
+    the factorization is complete.  A cofactor that is certifiably prime
+    (at most ``bound**2`` with no factor up to ``bound``, or passing
+    :func:`is_prime`) counts as a factor; what is left is composite.
+
+    Candidates are 2, 3, then d and d + 2 for d = 5 (mod 6) while
+    d <= bound and d * d <= m; up to DEFAULT_FACTOR_BOUND they are taken a
+    block of primes at a time (:func:`_table_divide`), past it one by one.
+    """
+    if bound < 1:
+        raise ValueError(f"trial-division bound must be at least 1, got {bound}")
+    factors: dict[int, int] = {}
+    m = n
+    for p in (2, 3):
+        if m % p == 0:
+            factors[p] = e = _int_vp(m, p)
+            m //= p**e
+    m = _table_divide(m, bound, factors)
+    m = _candidate_loop(m, _TABLE_END, bound, factors)
     if m > 1 and (m <= bound * bound or is_prime(m)):
         factors[m] = 1
         m = 1

@@ -20,6 +20,7 @@ from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
     _int_vp,
+    _rat_vp,
     _require_prime,
     format_rat,
     odd_prime_divisors,
@@ -124,21 +125,31 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     which has good reduction there.
     """
     require_odd_prime(p)
-    exponents = [
-        vp(coeff, p) // i
-        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
-        if coeff != 0
-    ]
-    k = min(exponents)
+    k = _scaling_exponent(curve, p)
     return (curve.scale(Fraction(p) ** k) if k else curve), k
 
 
+def _scaling_exponent(curve: Curve, p: int) -> int:
+    """The k of :func:`p_minimal_model`, for a prime the caller has checked."""
+    return min(
+        _rat_vp(coeff, p) // i
+        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
+        if coeff != 0
+    )
+
+
 def classify(curve: Curve, p: int) -> ReductionReport:
-    """Reduction type of a curve at an odd prime."""
-    model, k = p_minimal_model(curve, p)
-    sq = model.std_quantities()
-    v_delta = vp(sq.delta, p)
-    v_c4 = vp(sq.c4, p) if sq.c4 != 0 else None
+    """Reduction type of a curve at an odd prime, on the model of
+    :func:`p_minimal_model`.
+
+    Scaling by u = p^k divides the discriminant by u^12 and c4 by u^4, so
+    their valuations on that model are read off the curve's own invariants.
+    """
+    require_odd_prime(p)
+    k = _scaling_exponent(curve, p)
+    sq = curve.std_quantities()
+    v_delta = _rat_vp(sq.delta, p) - 12 * k
+    v_c4 = _rat_vp(sq.c4, p) - 4 * k if sq.c4 != 0 else None
     if v_delta == 0:
         kind = GOOD
     elif v_c4 == 0:

@@ -91,6 +91,16 @@ def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
     return StdQuantities(b2, b4, b6, b8, c4, delta)
 
 
+def _cleared_discriminant(d: int, c2: int, c4: int, c6: int) -> int:
+    """d^4 times the discriminant of the cubic x^3 + a2 x^2 + a4 x + a6 with
+    a_i = c_i / d; the curve's discriminant is 16 times that of the cubic,
+    so it vanishes exactly when this integer does."""
+    return (
+        c2 * c2 * c4 * c4 - 4 * d * c4**3 - 4 * c2**3 * c6
+        + 18 * d * c2 * c4 * c6 - 27 * d * d * c6 * c6
+    )
+
+
 @dataclass(frozen=True)
 class Curve:
     """Nonsingular curve y^2 = x^3 + a2 x^2 + a4 x + a6 over the rationals.
@@ -105,9 +115,9 @@ class Curve:
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
     #: coefficients; :meth:`contains` works with these integers.
     _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
-    #: The b/c invariants and discriminant, computed once for the
-    #: singularity check and returned by :meth:`std_quantities`.
-    _std: StdQuantities = field(init=False, repr=False, compare=False)
+    #: The b/c invariants and discriminant, computed on the first call of
+    #: :meth:`std_quantities`.
+    _std: StdQuantities | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a2", Fraction(self.a2))
@@ -118,13 +128,14 @@ class Curve:
         object.__setattr__(
             self, "_cleared", (d, *(c.numerator * (d // c.denominator) for c in coeffs))
         )
-        object.__setattr__(self, "_std", _std_quantities(*coeffs))
-        if self._std.delta == 0:
+        if _cleared_discriminant(*self._cleared) == 0:
             raise ValueError(f"singular curve: {self}")
 
     # -- invariants ------------------------------------------------------
 
     def std_quantities(self) -> StdQuantities:
+        if self._std is None:
+            object.__setattr__(self, "_std", _std_quantities(self.a2, self.a4, self.a6))
         return self._std
 
     # -- membership ------------------------------------------------------

@@ -383,6 +383,14 @@ GOLDEN_CLI_DIGESTS = [
      "49a26c63cf1a38c8cc26955100c3fe8a080041640897b9d95f267f5c66a42c49"),
     (("reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--p", "13"), 0,
      "0d93acf58b8b581257ff09dbd5d8612301c7b30a57827c030eb633fec6e658ab"),
+    # [4]R at t = 81: primes in six trial-division blocks and a prime
+    # cofactor above 10^12; [4]R at t = 30: a refusal, digested on stderr
+    (("reduce", "--t", "81", "--x=-151114833807437138470625976/4403749235540328025",
+      "--y=-198233143917514773432929819565756159232/9241317070754070234434739875"), 0,
+     "f5bf31f00414f920a1cafa5d9b2f26e80c6db8d9d455b5893296678b77697939"),
+    (("reduce", "--t", "30", "--x=4239306332146890561578385/3514891553257795216",
+      "--y=-18848686376718984243629381684965196399/6589734163630115018286931264"), 2,
+     "e8b7e17cb655220568862af6a3696ed3dc8309794374e3139e9bcf5876d5bfac"),
     (("lemmas", "--t", "3", "--p", "5", "--max-m", "4"), 0,
      "0d139a349f416da8c2914fe67fe7a499c298073d6c2254ba9b9a1a2036ac1e23"),
     (("lemmas", "--t", "2", "--p", "3", "--max-m", "3"), 0,
@@ -398,9 +406,10 @@ GOLDEN_CLI_DIGESTS = [
     "argv, code, digest", GOLDEN_CLI_DIGESTS, ids=[" ".join(c[0]) for c in GOLDEN_CLI_DIGESTS]
 )
 def test_golden_cli_bytes(capsys, argv, code, digest):
-    got_code, out, _ = run_cli(capsys, *argv)
+    got_code, out, err = run_cli(capsys, *argv)
     assert got_code == code
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # an answer writes only to stdout and a refusal only to stderr
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
 def test_parser_is_built_once():

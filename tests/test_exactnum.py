@@ -259,15 +259,21 @@ def _outcome(fn, *args):
 
 
 #: Primes on either side of the trial-division bounds below, so that
-#: factors sit just inside, on and just past the limit of the loop.
-EDGE_PRIMES = (2, 3, 5, 7, 11, 13, 991, 997, 1009, 999983, 1000003)
+#: factors sit just inside, on and just past the limit of the loop, and
+#: around the edges of the first blocks of the prime table: block 0 ends with
+#: the pair (16385, 16387), block 1 with (32771, 32773).
+EDGE_PRIMES = (
+    2, 3, 5, 7, 11, 13, 991, 997, 1009, 16381, 16411, 32749, 32771, 32779, 999983, 1000003,
+)
 edge_powers = st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 2)).map(lambda pe: pe[0] ** pe[1])
 edge_products = st.builds(
     lambda powers, r: math.prod(powers) * r,
     st.lists(edge_powers, max_size=4),
     st.integers(1, 10**6) | st.integers(10**12, 10**14),
 )
-trial_bounds = st.integers(1, 12) | st.sampled_from([997, 999983, 999995, 10**6])
+trial_bounds = st.integers(1, 12) | st.sampled_from(
+    [997, 16379, 16383, 16384, 16385, 16391, 32771, 999983, 999995, 10**6]
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -278,6 +284,15 @@ trial_bounds = st.integers(1, 12) | st.sampled_from([997, 999983, 999995, 10**6]
 @example(999983**2 * 1000003**2, 10**6)
 @example(1000003**2, 999995)
 @example(1000003 * (10**12 + 39), 10**6)
+# the loop tests d + 2 for the last d <= bound: bound 12 finds 13, and
+# bound 16379 finds 16381, the last prime of the table's first block
+@example(13 * 1000003**2, 12)
+@example(13**2 * 17 * 1000003**2, 11)
+@example(16381 * 1000003**2, 16379)
+@example(16381 * 16411 * (10**12 + 39), 16385)
+# a bound on the first d of a block still tests that pair
+@example(5 * 7 * 1000003**2, 5)
+@example(32779 * 1000003**2, 32777)
 def test_trial_division_matches_reference(n, bound):
     expected = _reference_trial_divide(n, bound)
     factors, cofactor = _trial_divide(n, bound)
@@ -285,6 +300,67 @@ def test_trial_division_matches_reference(n, bound):
     with mock.patch.object(exactnum, "_trial_divide", lambda *_: expected):
         want = [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)]
     assert [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)] == want
+
+
+#: Numbers divided through the whole table, or stopped in its first blocks.
+DEEP_CASES = [
+    (1000003 * (10**12 + 39), 10**6),
+    (3212661731160556373551965516441997, 10**6),
+    (16381 * 16411 * 32771 * 999983 * (10**12 + 39), 10**6),
+    (5 * 7 * 16381 * 1000003**2, 16385),
+    (13 * 1000003**2, 12),
+    (32771 * 32779 * 1000003**2, 32771),
+]
+
+
+@pytest.mark.parametrize("n, bound", DEEP_CASES)
+def test_trial_division_with_the_table_unbuilt_traversed_and_built(monkeypatch, n, bound):
+    table = exactnum._PrimeTable()
+    monkeypatch.setattr(exactnum, "_PRIMES", table)
+    expected = _reference_trial_divide(n, bound)
+    for _ in range(4):  # candidate by candidate twice, then building, then built
+        factors, cofactor = _trial_divide(n, bound)
+        assert (list(factors.items()), cofactor) == (list(expected[0].items()), expected[1])
+    if bound == 10**6:
+        assert len(table.products) == exactnum._TABLE_BLOCKS
+
+
+def _block_range(k: int) -> range:
+    """The integers of block k: its pairs and the multiples of 2 or 3 between."""
+    first, last = exactnum._PrimeTable.pairs(k)
+    return range(first - 1, last + 5)
+
+
+def test_prime_table_blocks():
+    table = exactnum._PrimeTable()
+    last_block = exactnum._TABLE_BLOCKS - 1
+    table.passes = [2] * exactnum._TABLE_BLOCKS
+    assert _block_range(0).start == 4  # 2 and 3 are divided out before the table
+    assert _block_range(1).start == _block_range(0).stop
+    assert _block_range(last_block)[-1] <= exactnum.DEFAULT_FACTOR_BOUND < exactnum._TABLE_END
+    for k in (0, 1, last_block):
+        assert table.product(k, True) == math.prod(n for n in _block_range(k) if is_prime(n)), k
+
+
+def test_prime_table_blocks_match_sympy(sympy):
+    table = exactnum._PrimeTable()
+    table.passes = [2] * exactnum._TABLE_BLOCKS
+    for k in range(exactnum._TABLE_BLOCKS):
+        span = _block_range(k)
+        assert table.product(k, True) == math.prod(sympy.sieve.primerange(span.start, span.stop)), k
+
+
+def test_large_bound_leaves_the_table_at_the_default_bound(monkeypatch):
+    table = exactnum._PrimeTable()
+    monkeypatch.setattr(exactnum, "_PRIMES", table)
+    n = 10000019 * 10000079  # no prime factor up to 10^7
+    for _ in range(3):  # the third call builds the table
+        with pytest.raises(UnfactorableError, match="bound 10000000"):
+            factorize(n, bound=10**7)
+    assert len(table.products) == exactnum._TABLE_BLOCKS
+    assert exactnum._PrimeTable.pairs(exactnum._TABLE_BLOCKS - 1)[1] <= exactnum.DEFAULT_FACTOR_BOUND
+    assert sum(p.bit_length() for p in table.products) < 200 * 8 * 1024
+    assert table._sieve == (bytearray(), bytearray())
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,17 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph6.errors import UnfactorableError
-from dioph6.exactnum import vp
+from dioph6.exactnum import is_prime, odd_prime_divisors, vp
 from dioph6.family import curve_E, curve_Epp, point_R
 from dioph6.reduction_lab import (
+    ADDITIVE,
+    GOOD,
+    MULTIPLICATIVE,
+    ReductionReport,
     bad_primes_epp,
     classify,
     epp_invariants,
@@ -166,6 +172,61 @@ def test_classification_invariant_under_coprime_scaling():
                 scaled_report.v_delta,
                 scaled_report.v_c4,
             )
+
+
+def _reference_p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
+    """The earlier p_minimal_model body, kept verbatim as the reference."""
+    require_odd_prime(p)
+    exponents = [
+        vp(coeff, p) // i
+        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
+        if coeff != 0
+    ]
+    k = min(exponents)
+    return (curve.scale(F(p) ** k) if k else curve), k
+
+
+def _reference_classify(curve: Curve, p: int) -> ReductionReport:
+    """The earlier classify body, kept verbatim as the reference: it builds
+    the scaled model and takes the valuations of its own invariants."""
+    model, k = _reference_p_minimal_model(curve, p)
+    sq = model.std_quantities()
+    v_delta = vp(sq.delta, p)
+    v_c4 = vp(sq.c4, p) if sq.c4 != 0 else None
+    if v_delta == 0:
+        kind = GOOD
+    elif v_c4 == 0:
+        kind = MULTIPLICATIVE
+    else:
+        kind = ADDITIVE
+    return ReductionReport(p, kind, v_delta, v_c4, k)
+
+
+@functools.cache
+def _epp_at_multiple(t: int, m: int) -> tuple[Curve, tuple[int, ...]]:
+    """The two-torsion model at x([m]R) and its bad primes: the odd primes
+    of t(t^2 + 1) and those below 1000 of the coordinates of [m]R."""
+    pt = curve_E(t).mul(m, point_R(t))
+    coords = abs(pt.x.numerator * pt.x.denominator * pt.y.numerator * pt.y.denominator)
+    primes = set(odd_prime_divisors(t * (t * t + 1)))
+    primes |= {p for p in range(3, 1000) if coords % p == 0 and is_prime(p)}
+    return curve_Epp(F(t), pt.x), tuple(sorted(primes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(2, 4),
+    st.data(),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(lambda u: u != 0),
+)
+def test_classify_matches_reference(t, m, data, u):
+    model, primes = _epp_at_multiple(t, m)
+    p = data.draw(st.sampled_from(primes))
+    j = data.draw(st.integers(-2, 2))
+    for curve in (model, model.scale(u), model.scale(u * F(p) ** j)):
+        assert classify(curve, p) == _reference_classify(curve, p)
+        assert p_minimal_model(curve, p) == _reference_p_minimal_model(curve, p)
 
 
 @pytest.mark.xfail(

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar, triple_from_multiple
 from dioph6.family import curve_Epp
 from dioph6.sextuple_engine import induced_curve, point_Pprime, point_Sprime
-from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, point
+from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, _std_quantities, point
 
 REMARK_CURVE = Curve(0, 1512, 33588)
 GEN = point(-11, 125)
@@ -284,7 +284,7 @@ def test_std_quantities_formulas():
     assert sq.delta == -8 * sq.b4**3 - 27 * sq.b6**2
 
 
-def test_std_quantities_stored_at_construction(t6_triple):
+def test_std_quantities_built_once_on_demand(t6_triple):
     def fresh(curve):
         a2, a4, a6 = curve.a2, curve.a4, curve.a6
         b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
@@ -299,9 +299,35 @@ def test_std_quantities_stored_at_construction(t6_triple):
         curve_Epp(t, curve_E(t).mul(3, point_R(t)).x),
     ]
     for curve in curves:
+        assert Curve(curve.a2, curve.a4, curve.a6)._std is None
         assert curve.std_quantities() is curve.std_quantities()
         assert curve.std_quantities() == fresh(curve)
         assert "_std" not in repr(curve)
+
+
+def _singular_coefficients(r: F, s: F) -> tuple[F, F, F]:
+    """The coefficients of (x - r)^2 (x - s), a cubic with a double root."""
+    return -(2 * r + s), r * r + 2 * r * s, -r * r * s
+
+
+coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(coefficients, coefficients, coefficients)
+    | st.builds(_singular_coefficients, coefficients, coefficients)
+)
+def test_singularity_test_on_cleared_coefficients(coeffs):
+    singular = _std_quantities(*coeffs).delta == 0
+    try:
+        curve = Curve(*coeffs)
+    except ValueError as exc:
+        assert singular
+        assert str(exc).startswith("singular curve: y^2 = x^3 + (")
+    else:
+        assert not singular
+        assert curve.std_quantities().delta != 0
 
 
 def test_scale_identity_and_inverse():
