@@ -51,17 +51,20 @@ def sqrt_exact(q: Rat | int) -> Rat | None:
     and None otherwise (negative inputs are never squares).
     """
     q = Fraction(q)
-    num = q.numerator
+    return _coprime_sqrt(q.numerator, q.denominator)
+
+
+def _coprime_sqrt(num: int, den: int) -> Rat | None:
+    """:func:`sqrt_exact` of num/den for coprime num and den > 0."""
     if num < 0:
         return None
     num_root = math.isqrt(num)
     if num_root * num_root != num:
         return None
-    den = q.denominator
     den_root = math.isqrt(den)
     if den_root * den_root != den:
         return None
-    # q is in lowest terms, so its roots are coprime as well
+    # num/den is in lowest terms, so its roots are coprime as well
     return _coprime(num_root, den_root)
 
 
@@ -437,4 +440,4 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(q: Rat | int) -> str:
     """Canonical text form of a rational: ``num/den`` in lowest terms, or ``num``."""
-    return str(Fraction(q))
+    return str(q) if type(q) is Fraction else str(Fraction(q))

@@ -215,7 +215,9 @@ def bad_primes_epp(
     model = curve_Epp(tq, x)
 
     candidates = tuple(odd_prime_divisors(t * (t * t + 1), bound))
-    extra_sources = (x.numerator, x.denominator, y.numerator, y.denominator)
+    # on the integral model x = X/e^2 and y = Y/e^3: y's denominator has the
+    # primes of x's, which is factored (or refused) first
+    extra_sources = (x.numerator, x.denominator, y.numerator)
     extras = sorted(
         {
             p

@@ -7,16 +7,22 @@ the non-monic model's coordinates are recovered by dividing x by abc at the
 boundary, which is where the sextuple elements d, e, f come from.  e and f
 are the x-coordinates of [2n+1]P' + S' and [2n+1]P' - S', taken together
 from one x-only sum-and-difference (``Curve.add_sub_x_unchecked``).
+
+The certificate works on the numerators and denominators of the elements:
+each product + 1 comes out in lowest terms without a gcd of its own, and
+its witness is the exact integer square root of its numerator and then of
+its denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, format_rat, is_square, sqrt_exact
+from .exactnum import Rat, _coprime, _coprime_sqrt, format_rat, is_square, sqrt_exact
 from .family import TripleABC
 from .weierstrass import Curve, Point
 
@@ -81,16 +87,22 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     Failures are reported as data, never raised: the report carries one
     witness row per pair plus nonzero/distinct flags.
     """
-    els = [Fraction(e) for e in elements]
+    # numerators and denominators of the elements in lowest terms; equal
+    # rationals have equal pairs, so the flags need no Fraction hashing
+    parts = [(q.numerator, q.denominator) for q in map(Fraction, elements)]
     pairs = []
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            value = els[i] * els[j] + 1
-            pairs.append(PairWitness(i + 1, j + 1, value, sqrt_exact(value)))
+    for i, (ni, di) in enumerate(parts, 1):
+        for j, (nj, dj) in enumerate(parts[i:], i + 1):
+            # cancelling g1 and g2 leaves the product in lowest terms, and
+            # num/den + 1 = (num + den)/den keeps them coprime
+            g1, g2 = gcd(ni, dj), gcd(nj, di)
+            den = (di // g2) * (dj // g1)
+            num = (ni // g1) * (nj // g2) + den
+            pairs.append(PairWitness(i, j, _coprime(num, den), _coprime_sqrt(num, den)))
     return VerificationReport(
         pair_results=tuple(pairs),
-        nonzero=all(e != 0 for e in els),
-        distinct=len(set(els)) == len(els),
+        nonzero=all(n != 0 for n, _ in parts),
+        distinct=len(set(parts)) == len(parts),
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +358,13 @@ def test_golden_verify_json(capsys):
     assert out == GOLDEN_VERIFY_123
 
 
+#: The sextuple of ``generate --t=-9/8 --m 5 --n 4``: its last three
+#: elements have numerators and denominators of 1,347 to 1,382 digits.
+LARGE_SEXTUPLE = tuple(
+    json.loads((Path(__file__).parent / "data" / "sextuple_t-9_8_m5_n4.json").read_text())
+)
+
+
 #: (argv, exit code, sha256 of stdout) for the README commands; pins every
 #: byte of the JSON so that refactors cannot drift the output format.
 GOLDEN_CLI_DIGESTS = [
@@ -399,11 +407,24 @@ GOLDEN_CLI_DIGESTS = [
      "6199f22eff1e4a216559d9c670eb2c0414c58079345f7b7e7f7e898529df60d6"),
     (("catalog",), 0,
      "ef385a310e15b60d84d068aa26346878b9074fe3569dc1643e748f7f40126ef9"),
+    # certificates: three failing pairs; a zero element, a repeated element
+    # and two products + 1 equal to 0; a passing sextuple of large elements
+    (("verify", "--", "1", "3", "8", "121"), 1,
+     "90769ad26229f9f145a2a89f172faed1d1fc2ca1668d0f24c80308db7e28b6c2"),
+    (("verify", "--", "2", "-1/2", "0", "2"), 1,
+     "a797f7f8db8e9bf9640f861a36efc197122e9a35ea9636a7bbd4ff9714f299fa"),
+    (("verify", "--", *LARGE_SEXTUPLE), 0,
+     "79d3364d7dcf2a76960514fe32ac7e71e1f89be469d9ba7e0048170367270cf5"),
 ]
 
 
+def _case_id(argv) -> str:
+    """The argv as one line, with arguments past 200 characters cut short."""
+    return " ".join(a if len(a) <= 200 else f"{a[:16]}...[{len(a)} chars]" for a in argv)
+
+
 @pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN_CLI_DIGESTS, ids=[" ".join(c[0]) for c in GOLDEN_CLI_DIGESTS]
+    "argv, code, digest", GOLDEN_CLI_DIGESTS, ids=[_case_id(c[0]) for c in GOLDEN_CLI_DIGESTS]
 )
 def test_golden_cli_bytes(capsys, argv, code, digest):
     got_code, out, err = run_cli(capsys, *argv)

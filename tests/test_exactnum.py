@@ -417,3 +417,10 @@ def test_parse_rejects(bad):
 @given(rationals)
 def test_parse_format_roundtrip(q):
     assert parse_rat(format_rat(q)) == q
+
+
+@given(st.one_of(rationals, st.integers(-(10**30), 10**30)))
+def test_format_rat_is_str_of_fraction(q):
+    assert format_rat(q) == str(F(q))
+    if isinstance(q, int):
+        assert format_rat(F(q)) == format_rat(q)

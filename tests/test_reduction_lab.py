@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6.errors import UnfactorableError
-from dioph6.exactnum import is_prime, odd_prime_divisors, vp
-from dioph6.family import curve_E, curve_Epp, point_R
+from dioph6.errors import ConsistencyError, UnfactorableError
+from dioph6.exactnum import DEFAULT_FACTOR_BOUND, is_prime, odd_prime_divisors, vp
+from dioph6.family import curve_E, curve_Epp, point_R, require_param
 from dioph6.reduction_lab import (
     ADDITIVE,
     GOOD,
     MULTIPLICATIVE,
+    BadPrimesReport,
     ReductionReport,
     bad_primes_epp,
     classify,
@@ -283,6 +284,82 @@ def test_bad_primes_factor_bound():
 def test_bad_primes_rejects_off_curve():
     with pytest.raises(ValueError):
         bad_primes_epp(31, point(-150072, 1))
+
+
+def _reference_bad_primes_epp(
+    t: int, pt, bound: int = DEFAULT_FACTOR_BOUND
+) -> BadPrimesReport:
+    """The earlier bad_primes_epp body, kept verbatim as the reference: it
+    also factors the denominator of y."""
+    if not isinstance(t, int):
+        raise ValueError("integer parameter required for the bad-prime scan")
+    tq = require_param(t)
+    require_base_point(tq, pt)
+    x, y = pt.x, pt.y
+    model = curve_Epp(tq, x)
+
+    candidates = tuple(odd_prime_divisors(t * (t * t + 1), bound))
+    extra_sources = (x.numerator, x.denominator, y.numerator, y.denominator)
+    extras = sorted(
+        {
+            p
+            for source in extra_sources
+            if source not in (1, -1)
+            for p in odd_prime_divisors(source, bound)
+        }
+        - set(candidates)
+    )
+
+    entries: list[tuple[int, ReductionReport]] = []
+    for p in candidates:
+        entries.append((p, classify(model, p)))
+    for p in extras:
+        report = classify(model, p)
+        if report.v_delta > 0:
+            entries.append((p, report))
+    entries.sort(key=lambda item: item[0])
+
+    additive = tuple(p for p, rep in entries if rep.type == ADDITIVE)
+    applicable = vp(y, 3) <= 0 if y != 0 else False
+    holds: bool | None = None
+    if applicable:
+        holds = set(additive) <= set(candidates)
+        if not holds:
+            raise ConsistencyError(
+                f"additive primes {additive} escape the candidate set "
+                f"{candidates} at t = {t} despite v_3(y) <= 0"
+            )
+    return BadPrimesReport(
+        t=t,
+        x=x,
+        y=y,
+        entries=tuple(entries),
+        candidates=candidates,
+        additive=additive,
+        prop_applicable=applicable,
+        prop_holds=holds,
+    )
+
+
+def _outcome(scan, *args):
+    """The report of a bad-prime scan, or the type and text of its refusal."""
+    try:
+        return scan(*args)
+    except (UnfactorableError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bad_primes_match_reference():
+    # on the integral base curve x = X/e^2 and y = Y/e^3, so y's denominator
+    # adds no prime, and a refusal on it would come from x's first
+    refused = 0
+    for t in range(2, 61):
+        for m in range(2, 5):
+            pt = curve_E(t).mul(m, point_R(t))
+            got = _outcome(bad_primes_epp, t, pt)
+            assert got == _outcome(_reference_bad_primes_epp, t, pt), (t, m)
+            refused += isinstance(got, tuple)
+    assert 0 < refused < 177  # both answers and refusals were compared
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
+import functools
+import json
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import sqrt_exact
 from dioph6.family import three_torsion_condition, triple_from_multiple
 from dioph6.sextuple_engine import (
+    PairWitness,
+    VerificationReport,
     extend_to_sextuple,
     half_point_check,
     induced_curve,
@@ -63,6 +70,107 @@ def test_dioph_tuple_validation():
     assert not with_zero.nonzero and with_zero.distinct and not with_zero.all_pass
     repeated = verify_tuple((F(1), F(1)))
     assert repeated.nonzero and not repeated.distinct and not repeated.all_pass
+
+
+def _reference_verify_tuple(elements):
+    """The earlier verify_tuple body, kept verbatim as the reference: it
+    multiplies Fractions and takes each root with sqrt_exact."""
+    els = [F(e) for e in elements]
+    pairs = []
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
+            value = els[i] * els[j] + 1
+            pairs.append(PairWitness(i + 1, j + 1, value, sqrt_exact(value)))
+    return VerificationReport(
+        pair_results=tuple(pairs),
+        nonzero=all(e != 0 for e in els),
+        distinct=len(set(els)) == len(els),
+    )
+
+
+@functools.cache
+def _real_tuples():
+    """Diophantine tuples from the catalog and from the construction; the
+    last has numerators and denominators of about 2,100 digits."""
+    data = Path(__file__).parent / "data" / "sextuple_t-9_8_m5_n4.json"
+    large = tuple(F(e) for e in json.loads(data.read_text()))
+    largest = extend_to_sextuple(triple_from_multiple(F(-9, 8), 6), 4).elements
+    return GIBBS, DIOPHANTUS, EULER, large, largest
+
+
+SMALL = st.fractions(min_value=-60, max_value=60, max_denominator=60)
+#: up to 2,000 more digits on each side: scaled elements of about 4,000 digits
+BIG = st.integers(1, 10**2000)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Real tuples, subsets, scaled or perturbed copies and small random
+    tuples, with zeros, repeats and partners -1/x mixed in, each element
+    passed as a Fraction, as text, or as an int when it is integral."""
+    if draw(st.booleans()):
+        els = list(draw(st.sampled_from(_real_tuples())))
+        els = draw(st.permutations(els))[: draw(st.integers(1, len(els)))]
+    else:
+        els = draw(st.lists(SMALL, max_size=6))
+    if draw(st.booleans()):
+        scale = F(draw(BIG), draw(BIG)) * draw(st.sampled_from((1, -1)))
+        els = [e * scale for e in els]
+    if els and draw(st.booleans()):
+        k = draw(st.integers(0, len(els) - 1))
+        els[k] += draw(SMALL)
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "partner")), max_size=3)):
+        if kind == "zero" or not els:
+            extra = F(0)
+        else:
+            x = draw(st.sampled_from(els))
+            extra = x if kind == "repeat" or x == 0 else -1 / x
+        els.insert(draw(st.integers(0, len(els))), extra)
+    out = []
+    for e in els:
+        form = draw(st.sampled_from(("fraction", "text", "int")))
+        if form == "text":
+            out.append(str(e))
+        elif form == "int" and e.denominator == 1:
+            out.append(int(e))
+        else:
+            out.append(e)
+    return out
+
+
+def _canonical_parts(q):
+    assert type(q) is F
+    assert q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+    return q.numerator, q.denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_inputs())
+def test_verify_tuple_matches_reference(elements):
+    got, want = verify_tuple(elements), _reference_verify_tuple(elements)
+    assert (got.all_pass, got.nonzero, got.distinct) == (
+        want.all_pass,
+        want.nonzero,
+        want.distinct,
+    )
+    assert len(got.pair_results) == len(want.pair_results)
+    for g, w in zip(got.pair_results, want.pair_results):
+        assert (g.i, g.j) == (w.i, w.j)
+        assert _canonical_parts(g.product_plus_one) == _canonical_parts(w.product_plus_one)
+        if w.square_root is None:
+            assert g.square_root is None
+        else:
+            assert _canonical_parts(g.square_root) == _canonical_parts(w.square_root)
+
+
+def test_verify_tuple_reference_cases():
+    # a zero, a repeat and the products + 1 that are 0 (x * y = -1)
+    report = verify_tuple([2, "-1/2", 0, F(2)])
+    assert (report.nonzero, report.distinct, report.all_pass) == (False, False, False)
+    values = [(w.product_plus_one, w.square_root) for w in report.pair_results]
+    assert values == [(0, 0), (1, 1), (5, None), (1, 1), (0, 0), (1, 1)]
+    for elements in ([F(-3, 7), F(7, 3)], [0, 0], _real_tuples()[4]):
+        assert verify_tuple(elements) == _reference_verify_tuple(elements)
 
 
 # ---------------------------------------------------------------------------
