@@ -27,9 +27,7 @@ from .family import (
     curve_E,
     curve_Epp,
     curve_Estar,
-    map_w,
     map_w_constants,
-    map_X,
     point_Pstar,
     point_R,
     point_Tstar,
@@ -37,23 +35,17 @@ from .family import (
     sigma1_from_x,
     sigma2_from,
     sigma3,
-    sigma_triple_from_x,
-    three_torsion_condition,
     triple_from_multiple,
 )
 from .paramfam import (
     CatalogEntry,
     FamilyPoint,
-    PRODUCT34_CURVE,
-    PRODUCT34_GENERATOR,
     abc_closed_form,
     catalog,
     catalog_entry,
     def_closed_form,
     family_point,
     family_triple,
-    rank_curve_membership,
-    reconstruct_product34_triple,
 )
 from .reduction_lab import (
     BadPrimesReport,
@@ -71,15 +63,10 @@ from .sextuple_engine import (
     SextupleRecord,
     VerificationReport,
     extend_to_sextuple,
-    half_point_check,
     induced_curve,
-    order3_check,
-    point_half,
     point_Pprime,
-    point_Sprime,
-    square_product_check,
     verify_tuple,
 )
-from .weierstrass import Curve, INFINITY, Point, StdQuantities, point
+from .weierstrass import Curve, INFINITY, Point, StdQuantities
 
 __version__ = "0.1.0"

@@ -50,26 +50,16 @@ def _emit(payload, out_path: str | None) -> None:
     _write(json.dumps(payload, indent=2) + "\n", out_path)
 
 
-def _closed_form_record(t: Fraction, n: int) -> engine.SextupleRecord:
-    point = paramfam.family_point(t)
-    # the triple's witnesses are the certificate's pairs (1,2), (1,3), (2,3)
-    roots = {(w.i, w.j): w.square_root for w in point.report.pair_results}
-    triple = fam.TripleABC(
-        point.a, point.b, point.c, roots[1, 2], roots[1, 3], roots[2, 3], t=t, m=2
-    )
-    return engine.SextupleRecord(
-        t=t, m=2, n=n, triple=triple,
-        d=point.d, e=point.e, f=point.f,
-        report=point.report,
-    )
-
-
 def cmd_generate(args) -> int:
     t = args.t
     if args.route == "closed-form":
         if args.m != 2 or args.n != 1:
             raise ValueError("the closed-form route is only defined for m = 2, n = 1")
-        record = _closed_form_record(t, args.n)
+        point = paramfam.family_point(t)
+        record = engine.SextupleRecord(
+            t=t, m=2, n=1, triple=paramfam.family_triple(t),
+            d=point.d, e=point.e, f=point.f, report=point.report,
+        )
     else:
         triple = fam.triple_from_multiple(t, args.m)
         record = engine.extend_to_sextuple(triple, args.n)
@@ -78,15 +68,19 @@ def cmd_generate(args) -> int:
 
 
 def _read_elements(args) -> list[Fraction]:
+    """The elements to verify, from the arguments or from ``--file``."""
+    items = args.elements
     if args.file:
+        if items:
+            raise ValueError("give the elements as arguments or via --file, not both")
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError("element file must hold a JSON array of rational strings")
-        return [parse_rat(str(item)) for item in data]
-    if not args.elements:
+        items = [str(item) for item in data]
+    if not items:
         raise ValueError("no elements given (pass them as arguments or via --file)")
-    return [parse_rat(item) for item in args.elements]
+    return [parse_rat(item) for item in items]
 
 
 def cmd_verify(args) -> int:

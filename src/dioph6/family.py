@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, format_rat, is_square, sqrt_exact
+from .exactnum import Rat, format_rat, sqrt_exact
 from .weierstrass import Curve, Point
 
 #: Multiples beyond this make coordinate digit counts (which grow
@@ -83,22 +83,6 @@ def sigma2_from(s1, s3) -> Rat:
     return (s1 * s1 * s3 * s3 - 12 * s3 * s3 - 6 * s1 * s3 - 3) / (4 + 4 * s3 * s3)
 
 
-def quartic_condition(s1, s3) -> tuple[Rat, bool]:
-    """Evaluate the discriminant quartic and test it for squareness.
-
-    The product must be a rational square for the monic cubic with
-    symmetric functions (sigma1, sigma2, sigma3) to have rational roots.
-    """
-    s1 = Fraction(s1)
-    s3 = Fraction(s3)
-    value = (
-        (s1**3 * s3 - 9 * s1 * s1 - 27 * s1 * s3 - 54 * s3 * s3 - 27)
-        * (1 + s3 * s3)
-        * (s1 * s3 + 2 * s3 * s3 - 1)
-    )
-    return value, is_square(value)
-
-
 def three_torsion_value(a, b, c) -> Rat:
     """The symmetric polynomial whose vanishing makes the induced order-3
     point genuine (see :func:`three_torsion_condition`).
@@ -121,7 +105,7 @@ def three_torsion_condition(a, b, c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the isogenous companion curve and the coordinate maps
+# the isogenous companion curve and the w map
 # ---------------------------------------------------------------------------
 
 def curve_Estar(t) -> Curve:
@@ -159,8 +143,8 @@ def map_w_constants(t) -> tuple[Rat, Rat, Rat]:
     return v, r, s
 
 
-def map_w(t, q: Point) -> Rat:
-    """The w coordinate of an affine companion-curve point.
+def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
+    """The w coordinate of an affine point of the companion curve ``star``.
 
     w = (y + r(x - v) + s) / (-6(x - v)) with (v, r, s) from
     :func:`map_w_constants`.  At x = v the expression is 0/0 when y = -s;
@@ -168,12 +152,6 @@ def map_w(t, q: Point) -> Rat:
     (y + s)(y - s) = f(x) - f(v), which yields the tangent-slope value.
     The single genuine pole (v, s) is rejected.
     """
-    t = require_param(t)
-    return _w_value(q, curve_Estar(t), *map_w_constants(t))
-
-
-def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
-    """:func:`map_w` on the companion curve ``star`` with its constants."""
     if q.is_infinity:
         raise DegeneracyError("w is undefined at the point at infinity")
     x, y = q.x, q.y
@@ -183,42 +161,6 @@ def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
         slope = (3 * x * x + 2 * star.a2 * x + star.a4) / (2 * y)
         return (slope + r) / Fraction(-6)
     raise DegeneracyError(f"point {q} is the pole of the w map")
-
-
-def map_X(t, w) -> Rat:
-    """First plane-curve coordinate: X(w) = -w^2 / (4(t^2+1)^2)."""
-    t = require_param(t)
-    w = Fraction(w)
-    return -w * w / (4 * (t * t + 1) ** 2)
-
-
-def map_u(t, w) -> Rat:
-    """Second plane-curve coordinate; u(w)^-1 is a base-curve x-coordinate.
-
-    Undefined at w = +-2t, where the denominator t^2 - w^2/4 vanishes.
-    """
-    t = require_param(t)
-    w = Fraction(w)
-    tt = t * t
-    quad = -w * w / 4 + tt
-    if quad == 0:
-        raise ValueError(f"u is undefined at w = {w} (w = +-2t)")
-    return (w - tt - 1) / ((tt + 1) * quad) * map_X(t, w)
-
-
-def plane_curve_value(t, X, u) -> Rat:
-    """Defining polynomial of the two-torsion plane curve, evaluated at (X, u)."""
-    t = require_param(t)
-    X = Fraction(X)
-    u = Fraction(u)
-    tt = t * t
-    aa = (tt + 1) ** 2
-    return (
-        X**3
-        + (aa * u + 1) ** 2 / 4 * X * X
-        + tt * (aa * u * u + u) / 2 * X
-        + tt * tt * u * u / 4
-    )
 
 
 def curve_Epp(t, x) -> Curve:
@@ -242,34 +184,8 @@ def curve_Epp(t, x) -> Curve:
 
 
 # ---------------------------------------------------------------------------
-# value types
+# the validated triple
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SigmaTriple:
-    """Symmetric functions (sigma1, sigma2, sigma3) of an order-3 triple."""
-
-    s1: Rat
-    s2: Rat
-    s3: Rat
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s1", Fraction(self.s1))
-        object.__setattr__(self, "s2", Fraction(self.s2))
-        object.__setattr__(self, "s3", Fraction(self.s3))
-        if sqrt_exact(1 + self.s3 * self.s3) is None:
-            raise ValueError(f"1 + sigma3^2 = 1 + ({self.s3})^2 is not a square")
-        if self.s2 != sigma2_from(self.s1, self.s3):
-            raise ValueError("sigma2 does not satisfy the order-3 relation")
-
-
-def sigma_triple_from_x(t, x) -> SigmaTriple:
-    """SigmaTriple attached to a nonzero base-curve x-coordinate."""
-    t = require_param(t)
-    s1 = sigma1_from_x(t, x)
-    s3 = sigma3(t)
-    return SigmaTriple(s1, sigma2_from(s1, s3), s3)
-
 
 @dataclass(frozen=True)
 class TripleABC:

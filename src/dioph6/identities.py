@@ -1,0 +1,232 @@
+"""The paper's intermediate identities, kept as checks of the construction.
+
+The pipeline goes seed multiple -> 3-isogeny -> triple -> odd multiples on
+the induced curve, and none of its steps needs the functions here: they
+restate what the paper proves along the way (the plane curve of the
+two-torsion points, the discriminant quartic, the marked point of order 3
+and its half, the closed-form invariants of the two-torsion model, the
+product-3/4 reconstruction, the five points of the extension curve) so
+that the tests can check the construction against them.  No module of the
+package imports this one.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .errors import ConsistencyError
+from .exactnum import Rat, is_square, sqrt_exact
+from .family import (
+    TripleABC,
+    _w_value,
+    curve_E,
+    curve_Estar,
+    map_w_constants,
+    point_R,
+    require_param,
+    triple_from_multiple,
+)
+from .paramfam import abc_closed_form, def_closed_form
+from .reduction_lab import require_base_point
+from .sextuple_engine import induced_curve
+from .weierstrass import Curve, Point
+
+
+# ---------------------------------------------------------------------------
+# the discriminant quartic and the plane-curve coordinates
+# ---------------------------------------------------------------------------
+
+def quartic_condition(s1, s3) -> tuple[Rat, bool]:
+    """Evaluate the discriminant quartic and test it for squareness.
+
+    The product must be a rational square for the monic cubic with
+    symmetric functions (sigma1, sigma2, sigma3) to have rational roots.
+    """
+    s1 = Fraction(s1)
+    s3 = Fraction(s3)
+    value = (
+        (s1**3 * s3 - 9 * s1 * s1 - 27 * s1 * s3 - 54 * s3 * s3 - 27)
+        * (1 + s3 * s3)
+        * (s1 * s3 + 2 * s3 * s3 - 1)
+    )
+    return value, is_square(value)
+
+
+def map_w(t, q: Point) -> Rat:
+    """The w coordinate of an affine point of the companion curve at t, as
+    the isogeny route computes it (see :func:`dioph6.family._w_value`)."""
+    t = require_param(t)
+    return _w_value(q, curve_Estar(t), *map_w_constants(t))
+
+
+def map_X(t, w) -> Rat:
+    """First plane-curve coordinate: X(w) = -w^2 / (4(t^2+1)^2)."""
+    t = require_param(t)
+    w = Fraction(w)
+    return -w * w / (4 * (t * t + 1) ** 2)
+
+
+def map_u(t, w) -> Rat:
+    """Second plane-curve coordinate; u(w)^-1 is a base-curve x-coordinate.
+
+    Undefined at w = +-2t, where the denominator t^2 - w^2/4 vanishes.
+    """
+    t = require_param(t)
+    w = Fraction(w)
+    tt = t * t
+    quad = -w * w / 4 + tt
+    if quad == 0:
+        raise ValueError(f"u is undefined at w = {w} (w = +-2t)")
+    return (w - tt - 1) / ((tt + 1) * quad) * map_X(t, w)
+
+
+def plane_curve_value(t, X, u) -> Rat:
+    """Defining polynomial of the two-torsion plane curve, evaluated at (X, u)."""
+    t = require_param(t)
+    X = Fraction(X)
+    u = Fraction(u)
+    tt = t * t
+    aa = (tt + 1) ** 2
+    return (
+        X**3
+        + (aa * u + 1) ** 2 / 4 * X * X
+        + tt * (aa * u * u + u) / 2 * X
+        + tt * tt * u * u / 4
+    )
+
+
+# ---------------------------------------------------------------------------
+# the marked point of the induced curve
+# ---------------------------------------------------------------------------
+
+def _rho_witnesses(a, b, c) -> tuple[Rat, Rat, Rat]:
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    roots = (sqrt_exact(a * b + 1), sqrt_exact(a * c + 1), sqrt_exact(b * c + 1))
+    if None in roots:
+        raise ValueError(
+            f"({a}, {b}, {c}) is not a Diophantine triple: a pairwise product + 1 is not square"
+        )
+    return roots  # type: ignore[return-value]
+
+
+def point_Sprime(a, b, c) -> Point:
+    """The marked point [1, rho_ab rho_ac rho_bc] with nonnegative roots.
+
+    Negating any root only swaps this point with its inverse; the sextuple
+    produced downstream is the same set either way.
+    """
+    r1, r2, r3 = _rho_witnesses(a, b, c)
+    return Point(Fraction(1), r1 * r2 * r3)
+
+
+def point_half(a, b, c) -> Point:
+    """The point whose double is the marked point (so S' is in 2E'(Q))."""
+    r1, r2, r3 = _rho_witnesses(a, b, c)
+    return Point(
+        r1 * r2 + r1 * r3 + r2 * r3 + 1,
+        (r1 + r2) * (r1 + r3) * (r2 + r3),
+    )
+
+
+def order3_check(a, b, c) -> bool:
+    """True iff the marked point has exact order 3 under the group law."""
+    curve = induced_curve(a, b, c)
+    s = point_Sprime(a, b, c)
+    return curve.mul(3, s).is_infinity and not s.is_infinity
+
+
+def half_point_check(a, b, c) -> bool:
+    """True iff doubling :func:`point_half` lands exactly on the marked point."""
+    return induced_curve(a, b, c).mul(2, point_half(a, b, c)) == point_Sprime(a, b, c)
+
+
+def square_product_check(curve: Curve, q: Point, r: Point) -> tuple[Rat, bool]:
+    """Evaluate x(Q) x(T) x(Q+T) + a6 on a curve whose a6 is a square.
+
+    For monic curves carrying a rational point [0, alpha] the value is
+    always a perfect square; the boolean reports the exact test.
+    """
+    if not is_square(curve.a6):
+        raise ValueError(
+            f"a6 = {curve.a6} is not a perfect square; the curve has no point [0, alpha]"
+        )
+    for name, pt in (("q", q), ("r", r)):
+        if pt.is_infinity:
+            raise ValueError(f"{name} must be affine")
+        if not curve.contains(pt):
+            raise ValueError(f"{name} = {pt} is not on {curve}")
+    total_x = curve.add_x_unchecked(q, r)
+    if total_x is None:
+        raise ValueError("q + r must be affine")
+    value = q.x * r.x * total_x + curve.a6
+    return value, is_square(value)
+
+
+# ---------------------------------------------------------------------------
+# the product-3/4 reconstruction
+# ---------------------------------------------------------------------------
+
+#: Depressed model of the t = 2 member of the family (x shifted by -11) and
+#: its rank-1 generator; the sixth multiple of the generator yields the
+#: smallest all-positive order-3 triple with product 3/4.
+PRODUCT34_CURVE = Curve(Fraction(0), Fraction(1512), Fraction(33588))
+PRODUCT34_GENERATOR = Point(Fraction(-11), Fraction(125))
+_PRODUCT34_SHIFT = Fraction(11)
+
+
+def reconstruct_product34_triple() -> TripleABC:
+    """Rebuild the product-3/4 triple from the depressed-curve generator.
+
+    Computes the sixth multiple of the generator, translates it to the
+    t = 2 member of the family, checks it agrees with [6]R there, and
+    extracts the triple through the isogeny route.
+    """
+    sixth = PRODUCT34_CURVE.mul(6, PRODUCT34_GENERATOR)
+    if sixth.is_infinity:
+        raise ConsistencyError("generator unexpectedly has order dividing 6")
+    base = curve_E(2)
+    lifted = Point(sixth.x + _PRODUCT34_SHIFT, sixth.y)
+    if not base.contains(lifted):
+        raise ConsistencyError("shifted generator multiple left the family curve")
+    if lifted != base.mul(6, point_R(2)):
+        raise ConsistencyError("generator multiple does not match the seed multiple")
+    triple = triple_from_multiple(2, 6)
+    if triple.sigma3 != Fraction(3, 4):
+        raise ConsistencyError("reconstructed triple has the wrong product")
+    return triple
+
+
+# ---------------------------------------------------------------------------
+# extension-curve membership
+# ---------------------------------------------------------------------------
+
+def rank_curve_membership(t) -> list[tuple[Rat, bool]]:
+    """Check the five designated x values on y^2 = (dx+1)(ex+1)(fx+1).
+
+    The values are 0, 1/(def), a, b, c; membership means the right-hand
+    side is an exact rational square.
+    """
+    a, b, c = abc_closed_form(t)
+    d, e, f = def_closed_form(t)
+    xs = (Fraction(0), 1 / (d * e * f), a, b, c)
+    return [
+        (x, is_square((d * x + 1) * (e * x + 1) * (f * x + 1)))
+        for x in xs
+    ]
+
+
+# ---------------------------------------------------------------------------
+# invariants of the two-torsion model
+# ---------------------------------------------------------------------------
+
+def epp_invariants(t, pt: Point) -> tuple[Rat, Rat]:
+    """Closed-form discriminant and c4 of the two-torsion model at a
+    base-curve point: delta = t^6 y^2 / x^6 and
+    c4 = ((t^2+1)^2 x^-1 + 1)(y^2 + 3 x^2 t^2) / x^3."""
+    t = require_param(t)
+    require_base_point(t, pt)
+    x, y = pt.x, pt.y
+    tt = t * t
+    delta = tt**3 * y * y / x**6
+    c4 = ((tt + 1) ** 2 / x + 1) * (y * y + 3 * x * x * tt) / x**3
+    return delta, c4

@@ -1,6 +1,5 @@
 """Closed-form evaluation of the one-parameter sextuple family, sign-region
-classification, the catalog of named examples, and the membership check for
-the five extra rational points on the extension curve.
+classification and the catalog of named examples.
 
 Each polynomial factor of the closed forms is a tuple of integer
 coefficients, highest degree first.  With t = p/q in lowest terms, a factor
@@ -18,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, format_rat, is_square, sqrt_exact
-from .family import TripleABC, curve_E, point_R, require_param, triple_from_multiple
+from .exactnum import Rat, format_rat, sqrt_exact
+from .family import TripleABC, require_param
 from .sextuple_engine import VerificationReport, verify_tuple
-from .weierstrass import Curve, Point
 
 # Factors of the closed forms, as coefficients of t, highest degree first.
 _DOWN = (1, -6, 1)  # t^2 - 6t + 1
@@ -251,57 +249,3 @@ def catalog_entry(name: str) -> CatalogEntry:
         if entry.name == name:
             return entry
     raise KeyError(name)
-
-
-# ---------------------------------------------------------------------------
-# the product-3/4 reconstruction
-# ---------------------------------------------------------------------------
-
-#: Depressed model of the t = 2 member of the family (x shifted by -11) and
-#: its rank-1 generator; the sixth multiple of the generator yields the
-#: smallest all-positive order-3 triple with product 3/4.
-PRODUCT34_CURVE = Curve(Fraction(0), Fraction(1512), Fraction(33588))
-PRODUCT34_GENERATOR = Point(Fraction(-11), Fraction(125))
-_PRODUCT34_SHIFT = Fraction(11)
-
-
-def reconstruct_product34_triple() -> TripleABC:
-    """Rebuild the product-3/4 triple from the depressed-curve generator.
-
-    Computes the sixth multiple of the generator, translates it to the
-    t = 2 member of the family, checks it agrees with [6]R there, and
-    extracts the triple through the isogeny route.
-    """
-    sixth = PRODUCT34_CURVE.mul(6, PRODUCT34_GENERATOR)
-    if sixth.is_infinity:
-        raise ConsistencyError("generator unexpectedly has order dividing 6")
-    base = curve_E(2)
-    lifted = Point(sixth.x + _PRODUCT34_SHIFT, sixth.y)
-    if not base.contains(lifted):
-        raise ConsistencyError("shifted generator multiple left the family curve")
-    if lifted != base.mul(6, point_R(2)):
-        raise ConsistencyError("generator multiple does not match the seed multiple")
-    triple = triple_from_multiple(2, 6)
-    if triple.sigma3 != Fraction(3, 4):
-        raise ConsistencyError("reconstructed triple has the wrong product")
-    return triple
-
-
-# ---------------------------------------------------------------------------
-# extension-curve membership
-# ---------------------------------------------------------------------------
-
-def rank_curve_membership(t) -> list[tuple[Rat, bool]]:
-    """Check the five designated x values on y^2 = (dx+1)(ex+1)(fx+1).
-
-    The values are 0, 1/(def), a, b, c; membership means the right-hand
-    side is an exact rational square.
-    """
-    t = require_param(t)
-    a, b, c = _abc(t.numerator, t.denominator)
-    d, e, f = _def(t.numerator, t.denominator)
-    xs = (Fraction(0), 1 / (d * e * f), a, b, c)
-    return [
-        (x, is_square((d * x + 1) * (e * x + 1) * (f * x + 1)))
-        for x in xs
-    ]

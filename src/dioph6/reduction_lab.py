@@ -101,19 +101,6 @@ def require_base_point(t, pt: Point) -> None:
         raise ValueError("point is not an admissible base-curve point")
 
 
-def epp_invariants(t, pt: Point) -> tuple[Rat, Rat]:
-    """Closed-form discriminant and c4 of the two-torsion model at a
-    base-curve point: delta = t^6 y^2 / x^6 and
-    c4 = ((t^2+1)^2 x^-1 + 1)(y^2 + 3 x^2 t^2) / x^3."""
-    t = require_param(t)
-    require_base_point(t, pt)
-    x, y = pt.x, pt.y
-    tt = t * t
-    delta = tt**3 * y * y / x**6
-    c4 = ((tt + 1) ** 2 / x + 1) * (y * y + 3 * x * x * tt) / x**3
-    return delta, c4
-
-
 def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     """Scale by u = p^k as far as p-integrality allows; return the model and k.
 

@@ -1,6 +1,6 @@
-"""Induced curves of a Diophantine triple, the order-3 point on them,
-extension of qualifying triples to rational Diophantine sextuples via odd
-multiples of the base point, and the universal square-certificate verifier.
+"""Induced curves of a Diophantine triple, extension of qualifying triples
+to rational Diophantine sextuples via odd multiples of the base point, and
+the universal square-certificate verifier.
 
 All curve work happens on the monic induced model y^2 = (x+ab)(x+ac)(x+bc);
 the non-monic model's coordinates are recovered by dividing x by abc at the
@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, _coprime, _coprime_sqrt, format_rat, is_square, sqrt_exact
+from .exactnum import Rat, _coprime, _coprime_sqrt, format_rat
 from .family import TripleABC
 from .weierstrass import Curve, Point
 
@@ -133,73 +133,6 @@ def point_Pprime(a, b, c) -> Point:
     return Point(Fraction(0), a * b * c)
 
 
-def _rho_witnesses(a, b, c) -> tuple[Rat, Rat, Rat]:
-    roots = (sqrt_exact(a * b + 1), sqrt_exact(a * c + 1), sqrt_exact(b * c + 1))
-    if None in roots:
-        raise ValueError(
-            f"({a}, {b}, {c}) is not a Diophantine triple: a pairwise product + 1 is not square"
-        )
-    return roots  # type: ignore[return-value]
-
-
-def point_Sprime(a, b, c) -> Point:
-    """The marked point [1, rho_ab rho_ac rho_bc] with nonnegative roots.
-
-    Negating any root only swaps this point with its inverse; the sextuple
-    produced downstream is the same set either way.
-    """
-    a, b, c = _coerced(a, b, c)
-    r1, r2, r3 = _rho_witnesses(a, b, c)
-    return Point(Fraction(1), r1 * r2 * r3)
-
-
-def point_half(a, b, c) -> Point:
-    """The point whose double is the marked point (so S' is in 2E'(Q))."""
-    a, b, c = _coerced(a, b, c)
-    r1, r2, r3 = _rho_witnesses(a, b, c)
-    return Point(
-        r1 * r2 + r1 * r3 + r2 * r3 + 1,
-        (r1 + r2) * (r1 + r3) * (r2 + r3),
-    )
-
-
-def order3_check(a, b, c) -> bool:
-    """True iff the marked point has exact order 3 under the group law."""
-    a, b, c = _coerced(a, b, c)
-    curve = induced_curve(a, b, c)
-    s = point_Sprime(a, b, c)
-    return curve.mul(3, s).is_infinity and not s.is_infinity
-
-
-def half_point_check(a, b, c) -> bool:
-    """True iff doubling :func:`point_half` lands exactly on the marked point."""
-    a, b, c = _coerced(a, b, c)
-    curve = induced_curve(a, b, c)
-    return curve.mul(2, point_half(a, b, c)) == point_Sprime(a, b, c)
-
-
-def square_product_check(curve: Curve, q: Point, r: Point) -> tuple[Rat, bool]:
-    """Evaluate x(Q) x(T) x(Q+T) + a6 on a curve whose a6 is a square.
-
-    For monic curves carrying a rational point [0, alpha] the value is
-    always a perfect square; the boolean reports the exact test.
-    """
-    if not is_square(curve.a6):
-        raise ValueError(
-            f"a6 = {curve.a6} is not a perfect square; the curve has no point [0, alpha]"
-        )
-    for name, pt in (("q", q), ("r", r)):
-        if pt.is_infinity:
-            raise ValueError(f"{name} must be affine")
-        if not curve.contains(pt):
-            raise ValueError(f"{name} = {pt} is not on {curve}")
-    total_x = curve.add_x_unchecked(q, r)
-    if total_x is None:
-        raise ValueError("q + r must be affine")
-    value = q.x * r.x * total_x + curve.a6
-    return value, is_square(value)
-
-
 # ---------------------------------------------------------------------------
 # sextuple extension
 # ---------------------------------------------------------------------------
@@ -262,7 +195,8 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     curve = induced_curve(a, b, c)
     abc = a * b * c
     base = point_Pprime(a, b, c)
-    # S' from the witnesses the triple already carries (see point_Sprime)
+    # the marked point S' = [1, rho_ab rho_ac rho_bc] from the witnesses the
+    # triple already carries; negating a root only swaps S' with -S'
     marked = Point(Fraction(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)
     if not curve.mul(3, marked).is_infinity:
         raise ValueError("triple does not carry a point of order 3; cannot extend")

@@ -29,7 +29,6 @@ __all__ = [
     "Point",
     "StdQuantities",
     "INFINITY",
-    "point",
 ]
 
 
@@ -62,11 +61,6 @@ class Point:
 
 
 INFINITY = Point()
-
-
-def point(x, y) -> Point:
-    """Affine point with coordinates coerced to exact rationals."""
-    return Point(Fraction(x), Fraction(y))
 
 
 @dataclass(frozen=True)

@@ -20,27 +20,22 @@ from dioph6.family import (
     three_torsion_condition,
     triple_from_multiple,
 )
-from dioph6.paramfam import (
-    catalog_entry,
-    family_point,
+from dioph6.identities import (
+    half_point_check,
+    order3_check,
+    point_Sprime,
     rank_curve_membership,
     reconstruct_product34_triple,
+    square_product_check,
 )
+from dioph6.paramfam import catalog_entry, family_point
 from dioph6.reduction_lab import (
     classify,
     mod3_sign_table,
     valuation_table,
 )
-from dioph6.sextuple_engine import (
-    half_point_check,
-    induced_curve,
-    order3_check,
-    point_Pprime,
-    point_Sprime,
-    square_product_check,
-    verify_tuple,
-)
-from dioph6.weierstrass import point
+from dioph6.sextuple_engine import induced_curve, point_Pprime, verify_tuple
+from dioph6.weierstrass import Point
 
 T6_PRINTED = [
     "3780/73",
@@ -154,7 +149,7 @@ def test_criterion_05_order3_and_half_point():
 
 def test_criterion_06_reduction_fixtures():
     with budget(6, "reduction fixtures at t = 31 and t = 17", 5.0):
-        t31_point = point(-150072, 682327360)
+        t31_point = Point(-150072, 682327360)
         assert curve_E(31).contains(t31_point)
         model = curve_Epp(F(31), t31_point.x)
         candidates = (13, 31, 37)  # odd primes of 31 * (31^2 + 1)
@@ -170,7 +165,7 @@ def test_criterion_06_reduction_fixtures():
         assert vp(t31_point.x, 37) == 1
         assert mod_p(t31_point.x, 31) == 31 - 1
         # t = 17 exception: additive at 3
-        t17_point = point(35000, 40986000)
+        t17_point = Point(35000, 40986000)
         assert curve_E(17).contains(t17_point)
         assert classify(curve_Epp(F(17), t17_point.x), 3).type == "add"
 

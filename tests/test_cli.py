@@ -113,6 +113,26 @@ def test_verify_from_file(capsys, tmp_path):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_verify_empty_file(capsys, tmp_path):
+    path = tmp_path / "tuple.json"
+    path.write_text("[]")
+    assert_bad_input(
+        capsys,
+        "no elements given (pass them as arguments or via --file)",
+        "verify", "--file", str(path),
+    )
+
+
+def test_verify_file_and_arguments(capsys, tmp_path):
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(["1", "3", "8", "120"]))
+    assert_bad_input(
+        capsys,
+        "give the elements as arguments or via --file, not both",
+        "verify", "--file", str(path), "1/2", "3",
+    )
+
+
 def test_verify_no_elements(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2

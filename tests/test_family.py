@@ -7,29 +7,23 @@ from hypothesis import given, strategies as st
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import is_square
 from dioph6.family import (
-    SigmaTriple,
     curve_E,
     curve_Epp,
     curve_Estar,
-    map_u,
-    map_w,
     map_w_constants,
-    map_X,
-    plane_curve_value,
     point_Pstar,
     point_R,
     point_Tstar,
-    quartic_condition,
     require_param,
     sigma1_from_x,
     sigma2_from,
     sigma3,
-    sigma_triple_from_x,
     three_torsion_condition,
     three_torsion_value,
     triple_from_multiple,
 )
-from dioph6.weierstrass import INFINITY, point
+from dioph6.identities import map_u, map_w, map_X, plane_curve_value, quartic_condition
+from dioph6.weierstrass import INFINITY, Point
 
 
 def _abc_closed(t):
@@ -58,8 +52,8 @@ def test_curve_E_fixture():
 
 
 def test_point_R_values():
-    assert point_R(2) == point(0, 125)  # 5^3
-    assert point_R(6) == point(0, 50653)  # 37^3
+    assert point_R(2) == Point(0, 125)  # 5^3
+    assert point_R(6) == Point(0, 50653)  # 37^3
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +96,12 @@ def test_sigma2_matches_product34_value():
 
 
 def test_sigma_triple_validation():
-    with pytest.raises(ValueError):
-        SigmaTriple(0, F(-3, 4), F(1, 3))  # 1 + (1/3)^2 is not a square
-    with pytest.raises(ValueError):
-        SigmaTriple(0, 0, F(3, 4))  # sigma2 relation violated
-    sig = sigma_triple_from_x(2, F(357, 4))
-    assert sig.s3 == F(3, 4)
+    s3 = sigma3(2)
+    assert s3 == F(3, 4)
+    assert is_square(1 + s3 * s3)
+    s1 = sigma1_from_x(2, F(357, 4))
+    assert s1 == triple_from_multiple(2, 2).sigma1
+    assert sigma2_from(s1, s3) == triple_from_multiple(2, 2).sigma2
 
 
 def test_quartic_condition():
@@ -169,9 +163,9 @@ def test_companion_points():
     star = curve_Estar(2)
     kernel = point_Tstar(2)
     seed = point_Pstar(2)
-    assert kernel == point(119, 486)
+    assert kernel == Point(119, 486)
     assert 486**2 == 236196  # equation check witness
-    assert seed == point(-205, 2430)
+    assert seed == Point(-205, 2430)
     assert 2430**2 == 5904900
     assert star.contains(kernel) and star.contains(seed)
     assert star.mul(3, kernel) == INFINITY
@@ -216,7 +210,7 @@ def test_map_w_removable_point():
 def test_map_w_pole_rejected():
     v, _, s = map_w_constants(2)
     star = curve_Estar(2)
-    pole = point(v, s)
+    pole = Point(v, s)
     assert star.contains(pole)
     with pytest.raises(DegeneracyError):
         map_w(2, pole)
@@ -315,8 +309,9 @@ def test_triple_invariants_random_sample():
         t = rng.choice(pool)
         m = rng.randint(2, 5)
         tri = triple_from_multiple(t, m)
-        sig = sigma_triple_from_x(t, curve_E(t).mul(m, point_R(t)).x)
-        assert (tri.sigma1, tri.sigma2, tri.sigma3) == (sig.s1, sig.s2, sig.s3)
+        s1 = sigma1_from_x(t, curve_E(t).mul(m, point_R(t)).x)
+        s3 = sigma3(t)
+        assert (tri.sigma1, tri.sigma2, tri.sigma3) == (s1, sigma2_from(s1, s3), s3)
         assert three_torsion_condition(*tri.elements)
         _, square = quartic_condition(tri.sigma1, tri.sigma3)
         assert square

@@ -7,17 +7,19 @@ from hypothesis import example, given, settings, strategies as st
 from dioph6 import paramfam
 from dioph6.exactnum import Rat, is_square
 from dioph6.family import require_param, sigma3, triple_from_multiple
-from dioph6.paramfam import (
+from dioph6.identities import (
     PRODUCT34_CURVE,
     PRODUCT34_GENERATOR,
+    rank_curve_membership,
+    reconstruct_product34_triple,
+)
+from dioph6.paramfam import (
     abc_closed_form,
     catalog,
     catalog_entry,
     def_closed_form,
     family_point,
     family_triple,
-    rank_curve_membership,
-    reconstruct_product34_triple,
 )
 from dioph6.sextuple_engine import extend_to_sextuple, verify_tuple
 

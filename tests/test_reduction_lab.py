@@ -15,7 +15,6 @@ from dioph6.reduction_lab import (
     ReductionReport,
     bad_primes_epp,
     classify,
-    epp_invariants,
     mod3_sign_table,
     nonsingular_residues,
     p_minimal_model,
@@ -23,10 +22,11 @@ from dioph6.reduction_lab import (
     require_odd_prime,
     valuation_table,
 )
-from dioph6.weierstrass import INFINITY, Curve, point
+from dioph6.identities import epp_invariants
+from dioph6.weierstrass import INFINITY, Curve, Point
 
-T31_POINT = point(-150072, 682327360)
-T17_POINT = point(35000, 40986000)
+T31_POINT = Point(-150072, 682327360)
+T17_POINT = Point(35000, 40986000)
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +52,14 @@ def test_epp_invariants_t3_values():
 
 def test_epp_invariants_rejects():
     with pytest.raises(ValueError):
-        epp_invariants(3, point(0, 1000))
+        epp_invariants(3, Point(0, 1000))
     with pytest.raises(ValueError):
-        epp_invariants(3, point(1, 1))  # not on the curve
+        epp_invariants(3, Point(1, 1))  # not on the curve
 
 
 def test_one_base_point_check():
     # its callers reject the point at infinity, x = 0 and off-curve points alike
-    for pt in (INFINITY, point(0, 1000), point(1, 1)):
+    for pt in (INFINITY, Point(0, 1000), Point(1, 1)):
         for check in (require_base_point, epp_invariants, bad_primes_epp):
             with pytest.raises(ValueError, match="^point is not an admissible base-curve point$"):
                 check(3, pt)
@@ -283,7 +283,7 @@ def test_bad_primes_factor_bound():
 
 def test_bad_primes_rejects_off_curve():
     with pytest.raises(ValueError):
-        bad_primes_epp(31, point(-150072, 1))
+        bad_primes_epp(31, Point(-150072, 1))
 
 
 def _reference_bad_primes_epp(

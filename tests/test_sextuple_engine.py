@@ -11,20 +11,22 @@ from hypothesis import given, settings, strategies as st
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import sqrt_exact
 from dioph6.family import three_torsion_condition, triple_from_multiple
+from dioph6.identities import (
+    half_point_check,
+    order3_check,
+    point_half,
+    point_Sprime,
+    square_product_check,
+)
 from dioph6.sextuple_engine import (
     PairWitness,
     VerificationReport,
     extend_to_sextuple,
-    half_point_check,
     induced_curve,
-    order3_check,
-    point_half,
     point_Pprime,
-    point_Sprime,
-    square_product_check,
     verify_tuple,
 )
-from dioph6.weierstrass import Curve, INFINITY, point
+from dioph6.weierstrass import Curve, INFINITY, Point
 
 GIBBS = (F(11, 192), F(35, 192), F(155, 27), F(512, 27), F(1235, 48), F(180873, 16))
 DIOPHANTUS = (F(1, 16), F(33, 16), F(17, 4), F(105, 16))
@@ -180,11 +182,11 @@ def test_verify_tuple_reference_cases():
 def test_induced_curve_t2(t2_triple):
     a, b, c = t2_triple.elements
     curve = induced_curve(a, b, c)
-    assert curve.contains(point(0, F(3, 4)))  # x = 0 gives y^2 = (abc)^2
+    assert curve.contains(Point(0, F(3, 4)))  # x = 0 gives y^2 = (abc)^2
     # oracle: (1 + 51/49)(1 - 189/289)(1 - 119/144) = (500/1428)^2
     lhs = (1 + F(51, 49)) * (1 - F(189, 289)) * (1 - F(119, 144))
     assert lhs == F(500, 1428) ** 2
-    assert curve.contains(point(1, F(125, 357)))
+    assert curve.contains(Point(1, F(125, 357)))
 
 
 def test_induced_curve_rejects_degenerate():
@@ -196,10 +198,10 @@ def test_induced_curve_rejects_degenerate():
 
 def test_marked_points_t2(t2_triple):
     a, b, c = t2_triple.elements
-    assert point_Pprime(a, b, c) == point(0, F(3, 4))  # abc = sigma3(2)
+    assert point_Pprime(a, b, c) == Point(0, F(3, 4))  # abc = sigma3(2)
     # oracle: (10/7)(10/17)(5/12) = 125/357
     assert F(10, 7) * F(10, 17) * F(5, 12) == F(125, 357)
-    assert point_Sprime(a, b, c) == point(1, F(125, 357))
+    assert point_Sprime(a, b, c) == Point(1, F(125, 357))
 
 
 def test_Sprime_rejects_non_diophantine():
@@ -271,7 +273,7 @@ def test_square_product_examples(t2_triple):
 
 def test_square_product_rejects_nonsquare_a6():
     remark = Curve(0, 1512, 33588)  # a6 = 33588 is not a square
-    gen = point(-11, 125)
+    gen = Point(-11, 125)
     with pytest.raises(ValueError):
         square_product_check(remark, gen, gen)
 

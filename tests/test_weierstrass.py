@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar, triple_from_multiple
 from dioph6.family import curve_Epp
-from dioph6.sextuple_engine import induced_curve, point_Pprime, point_Sprime
-from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, _std_quantities, point
+from dioph6.identities import point_Sprime
+from dioph6.sextuple_engine import induced_curve, point_Pprime
+from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, _std_quantities
 
 REMARK_CURVE = Curve(0, 1512, 33588)
-GEN = point(-11, 125)
+GEN = Point(-11, 125)
 
 
 # ---------------------------------------------------------------------------
@@ -28,8 +29,8 @@ def test_contains_examples():
     assert REMARK_CURVE.contains(GEN)
     e2 = curve_E(2)
     assert (e2.a2, e2.a4, e2.a6) == (-33, 1875, 15625)
-    assert e2.contains(point(0, 125))  # x = 0 gives y^2 = a6 = (t^2+1)^6
-    assert not e2.contains(point(0, 124))
+    assert e2.contains(Point(0, 125))  # x = 0 gives y^2 = a6 = (t^2+1)^6
+    assert not e2.contains(Point(0, 124))
     assert e2.contains(INFINITY)
 
 
@@ -78,7 +79,7 @@ def test_point_validation():
     with pytest.raises(ValueError):
         Point(F(1), None)
     assert str(INFINITY) == "O"
-    assert str(point(-11, 125)) == "[-11, 125]"
+    assert str(Point(-11, 125)) == "[-11, 125]"
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +93,20 @@ def test_double_generator_hand_oracle():
     x3 = lam * lam - 2 * F(-11)
     y3 = lam * (F(-11) - x3) - 125
     assert (x3, y3) == (F(313, 4), F(-6355, 8))
-    assert REMARK_CURVE.add(GEN, GEN) == point(F(313, 4), F(-6355, 8))
+    assert REMARK_CURVE.add(GEN, GEN) == Point(F(313, 4), F(-6355, 8))
 
 
 def test_identity_and_inverse():
     assert REMARK_CURVE.add(GEN, INFINITY) == GEN
     assert REMARK_CURVE.add(INFINITY, GEN) == GEN
-    assert REMARK_CURVE.add(GEN, point(-11, -125)) == INFINITY
-    assert REMARK_CURVE.neg(GEN) == point(-11, -125) == -GEN
+    assert REMARK_CURVE.add(GEN, Point(-11, -125)) == INFINITY
+    assert REMARK_CURVE.neg(GEN) == Point(-11, -125) == -GEN
     assert -INFINITY == INFINITY
 
 
 def test_two_torsion_doubling_is_infinity():
     curve = induced_curve(1, 3, 8)  # full rational 2-torsion
-    two_torsion = point(-3, 0)
+    two_torsion = Point(-3, 0)
     assert curve.contains(two_torsion)
     assert curve.add(two_torsion, two_torsion) == INFINITY
     assert curve.mul(2, two_torsion) == INFINITY
@@ -113,12 +114,12 @@ def test_two_torsion_doubling_is_infinity():
 
 def test_add_rejects_off_curve():
     with pytest.raises(ValueError):
-        REMARK_CURVE.add(GEN, point(1, 1))
+        REMARK_CURVE.add(GEN, Point(1, 1))
     with pytest.raises(ValueError):
-        REMARK_CURVE.mul(2, point(1, 1))
+        REMARK_CURVE.mul(2, Point(1, 1))
     for check in (REMARK_CURVE.neg, REMARK_CURVE.torsion_order_upto, REMARK_CURVE.require_on_curve):
         with pytest.raises(ValueError, match="is not on"):
-            check(point(1, 1))
+            check(Point(1, 1))
 
 
 def test_unchecked_sums_match_add():
@@ -216,7 +217,7 @@ def test_group_axioms_sampled():
     curves.append((e2, [point_R(2)]))
     curves.append((REMARK_CURVE, [GEN]))
     tri = induced_curve(1, 3, 8)
-    curves.append((tri, [point(0, 24), point(-3, 0)]))
+    curves.append((tri, [Point(0, 24), Point(-3, 0)]))
     for curve, gens in curves:
         pool = [p for p in _sample_points(curve, gens) if not p.is_infinity]
         for _ in range(12):
