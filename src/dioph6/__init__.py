@@ -14,10 +14,6 @@ from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
     format_rat,
-    is_square,
-    is_squarefree,
-    isqrt,
-    mod_p,
     parse_rat,
     sqrt_exact,
     vp,
@@ -40,10 +36,8 @@ from .family import (
 from .paramfam import (
     CatalogEntry,
     FamilyPoint,
-    abc_closed_form,
     catalog,
     catalog_entry,
-    def_closed_form,
     family_point,
     family_triple,
 )

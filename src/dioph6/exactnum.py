@@ -1,5 +1,5 @@
-"""Exact arithmetic over the rationals: square detection, p-adic valuations,
-modular residues and squarefree testing.
+"""Exact arithmetic over the rationals: exact square roots, p-adic valuations,
+primality, factorization by trial division and the canonical text form.
 
 Every scalar in this package is a :class:`fractions.Fraction` (aliased as
 ``Rat``), which is always kept in lowest terms with a positive denominator,
@@ -20,28 +20,12 @@ from .errors import UnfactorableError
 
 Rat = Fraction
 
-#: Default trial-division bound for factorization and squarefree tests.
+#: Default trial-division bound for factorization.
 #: Every prime this package meets in practice is tiny; the bound exists so
 #: that a pathological input fails loudly instead of spinning.
 DEFAULT_FACTOR_BOUND = 10**6
 
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
-
-def isqrt(n: int) -> tuple[int, bool]:
-    """Return ``(floor(sqrt(n)), exact)`` for a nonnegative integer ``n``.
-
-    ``exact`` is true iff ``n`` is a perfect square.
-    """
-    if n < 0:
-        raise ValueError(f"isqrt of negative integer {n}")
-    root = math.isqrt(n)
-    return root, root * root == n
-
-
-def is_square(q: Rat | int) -> bool:
-    """True iff ``q`` is the square of a rational."""
-    return sqrt_exact(q) is not None
 
 
 def sqrt_exact(q: Rat | int) -> Rat | None:
@@ -93,26 +77,31 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
-#: Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: The first thirteen primes: trial divisors of every n, and Miller-Rabin
+#: bases above 10^6.  As bases they make the test exact below
+#: psi_13 = 3317044064679887385961981; without 41 the composite
+#: psi_12 = 318665857834031151167461 passes (Sorenson and Webster, "Strong
+#: pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     """Primality test: trial division for small n, Miller-Rabin above.
 
-    The twelve Miller-Rabin bases make the answer exact for n < 3.3 * 10^24.
-    Above that the test is probabilistic: a composite is reported as prime
-    only if all twelve bases are strong liars for it.  Trial division asks
-    it about cofactors above ``bound**2``, and on ``reduce``'s coordinates
-    (t <= 60, [m]R for m <= 5) these reach 10^47.
+    The thirteen Miller-Rabin bases make the answer exact for
+    n < psi_13 = 3317044064679887385961981.  Above that it is probable: a
+    composite is reported as prime only if all thirteen bases are strong
+    liars for it.  Trial division asks it about cofactors above
+    ``bound**2``, and on ``reduce``'s coordinates (t <= 60, [m]R for
+    m <= 5) these reach 10^47.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 10**6:
-        d = 41
+        d = 43
         while d * d <= n:
             if n % d == 0:
                 return False
@@ -153,19 +142,6 @@ def vp(q: Rat | int, p: int) -> int:
 def _rat_vp(q: Rat, p: int) -> int:
     """:func:`vp` of a nonzero Fraction at a prime the caller has checked."""
     return _int_vp(q.numerator, p) - _int_vp(q.denominator, p)
-
-
-def mod_p(q: Rat | int, p: int) -> int:
-    """Residue of a p-integral rational in ``[0, p)``.
-
-    Computes ``num * den^(-1) mod p``; rejects inputs whose denominator is
-    divisible by p.
-    """
-    q = Fraction(q)
-    _require_prime(p)
-    if q.denominator % p == 0:
-        raise ValueError(f"{p} divides the denominator of {q}")
-    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 #: Candidate pairs (d, d + 2), d = 5 (mod 6), per block of the prime table:
@@ -383,41 +359,6 @@ def odd_prime_divisors(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
     if n == 0:
         raise ValueError("0 has every prime divisor")
     return sorted(p for p in factorize(abs(n), bound) if p != 2)
-
-
-def _iroot(n: int, k: int) -> tuple[int, bool]:
-    """Floor k-th root of n >= 0 with exactness flag (pure integer bisection)."""
-    if n < 0 or k < 1:
-        raise ValueError("iroot needs n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
-        return n, True
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, lo**k == n
-
-
-def is_squarefree(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
-    """True iff no prime square divides the positive integer ``n``.
-
-    Trial-divides up to ``bound``; a surviving composite cofactor that is a
-    perfect power makes ``n`` non-squarefree, any other makes the test
-    refuse with :class:`UnfactorableError` rather than guess.
-    """
-    if n < 1:
-        raise ValueError(f"squarefree test needs a positive integer, got {n}")
-    factors, cofactor = _trial_divide(n, bound)
-    if any(e > 1 for e in factors.values()):
-        return False
-    if cofactor == 1:
-        return True
-    if any(_iroot(cofactor, k)[1] for k in range(2, cofactor.bit_length() + 1)):
-        return False
-    raise _unfactorable(n, cofactor, bound)
 
 
 def parse_rat(text: str) -> Rat:

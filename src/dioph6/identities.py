@@ -6,8 +6,10 @@ restate what the paper proves along the way (the plane curve of the
 two-torsion points, the discriminant quartic, the marked point of order 3
 and its half, the closed-form invariants of the two-torsion model, the
 product-3/4 reconstruction, the five points of the extension curve) so
-that the tests can check the construction against them.  No module of the
-package imports this one.
+that the tests can check the construction against them.  With them are
+the helpers that only such checks use: residues mod p, squarefree testing,
+torsion orders up to a bound, and the closed forms a, b, c and d, e, f as
+functions of t.  No module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, is_square, sqrt_exact
+from .exactnum import (
+    DEFAULT_FACTOR_BOUND,
+    Rat,
+    _require_prime,
+    _trial_divide,
+    _unfactorable,
+    sqrt_exact,
+)
 from .family import (
     TripleABC,
     _w_value,
@@ -26,10 +35,79 @@ from .family import (
     require_param,
     triple_from_multiple,
 )
-from .paramfam import abc_closed_form, def_closed_form
+from .paramfam import _abc, _def
 from .reduction_lab import require_base_point
 from .sextuple_engine import induced_curve
 from .weierstrass import Curve, Point
+
+
+# ---------------------------------------------------------------------------
+# residues and squarefree testing
+# ---------------------------------------------------------------------------
+
+def mod_p(q: Rat | int, p: int) -> int:
+    """Residue of a p-integral rational in ``[0, p)``.
+
+    Computes ``num * den^(-1) mod p``; rejects inputs whose denominator is
+    divisible by p.
+    """
+    q = Fraction(q)
+    _require_prime(p)
+    if q.denominator % p == 0:
+        raise ValueError(f"{p} divides the denominator of {q}")
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _iroot(n: int, k: int) -> tuple[int, bool]:
+    """Floor k-th root of n >= 0 with exactness flag (pure integer bisection)."""
+    if n < 0 or k < 1:
+        raise ValueError("iroot needs n >= 0, k >= 1")
+    if n in (0, 1) or k == 1:
+        return n, True
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, lo**k == n
+
+
+def is_squarefree(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+    """True iff no prime square divides the positive integer ``n``.
+
+    Trial-divides up to ``bound``; a surviving composite cofactor that is a
+    perfect power makes ``n`` non-squarefree, any other makes the test
+    refuse with :class:`UnfactorableError` rather than guess.
+    """
+    if n < 1:
+        raise ValueError(f"squarefree test needs a positive integer, got {n}")
+    factors, cofactor = _trial_divide(n, bound)
+    if any(e > 1 for e in factors.values()):
+        return False
+    if cofactor == 1:
+        return True
+    if any(_iroot(cofactor, k)[1] for k in range(2, cofactor.bit_length() + 1)):
+        return False
+    raise _unfactorable(n, cofactor, bound)
+
+
+# ---------------------------------------------------------------------------
+# torsion orders
+# ---------------------------------------------------------------------------
+
+def torsion_order_upto(curve: Curve, p: Point, bound: int = 12) -> int | None:
+    """Smallest 1 <= k <= bound with [k]p = O on the curve, else None."""
+    curve.require_on_curve(p)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    acc = p
+    for k in range(1, bound):
+        if acc.is_infinity:
+            return k
+        acc = curve.add_unchecked(acc, p)
+    return bound if acc.is_infinity else None
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +127,7 @@ def quartic_condition(s1, s3) -> tuple[Rat, bool]:
         * (1 + s3 * s3)
         * (s1 * s3 + 2 * s3 * s3 - 1)
     )
-    return value, is_square(value)
+    return value, sqrt_exact(value) is not None
 
 
 def map_w(t, q: Point) -> Rat:
@@ -146,7 +224,7 @@ def square_product_check(curve: Curve, q: Point, r: Point) -> tuple[Rat, bool]:
     For monic curves carrying a rational point [0, alpha] the value is
     always a perfect square; the boolean reports the exact test.
     """
-    if not is_square(curve.a6):
+    if sqrt_exact(curve.a6) is None:
         raise ValueError(
             f"a6 = {curve.a6} is not a perfect square; the curve has no point [0, alpha]"
         )
@@ -159,7 +237,7 @@ def square_product_check(curve: Curve, q: Point, r: Point) -> tuple[Rat, bool]:
     if total_x is None:
         raise ValueError("q + r must be affine")
     value = q.x * r.x * total_x + curve.a6
-    return value, is_square(value)
+    return value, sqrt_exact(value) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +275,20 @@ def reconstruct_product34_triple() -> TripleABC:
 
 
 # ---------------------------------------------------------------------------
-# extension-curve membership
+# the closed forms and extension-curve membership
 # ---------------------------------------------------------------------------
+
+def abc_closed_form(t) -> tuple[Rat, Rat, Rat]:
+    """The triple attached to [2]R, as rational functions of t."""
+    t = require_param(t)
+    return _abc(t.numerator, t.denominator)
+
+
+def def_closed_form(t) -> tuple[Rat, Rat, Rat]:
+    """The extension elements attached to [3]P', [3]P'+S', [3]P'-S'."""
+    t = require_param(t)
+    return _def(t.numerator, t.denominator)
+
 
 def rank_curve_membership(t) -> list[tuple[Rat, bool]]:
     """Check the five designated x values on y^2 = (dx+1)(ex+1)(fx+1).
@@ -210,7 +300,7 @@ def rank_curve_membership(t) -> list[tuple[Rat, bool]]:
     d, e, f = def_closed_form(t)
     xs = (Fraction(0), 1 / (d * e * f), a, b, c)
     return [
-        (x, is_square((d * x + 1) * (e * x + 1) * (f * x + 1)))
+        (x, sqrt_exact((d * x + 1) * (e * x + 1) * (f * x + 1)) is not None)
         for x in xs
     ]
 

@@ -102,18 +102,6 @@ def _def(p: int, q: int) -> tuple[Rat, Rat, Rat]:
     return Fraction(d1, q * d2), Fraction(e1 * q, e2), Fraction(f1 * q, f2)
 
 
-def abc_closed_form(t) -> tuple[Rat, Rat, Rat]:
-    """The triple attached to [2]R, as rational functions of t."""
-    t = require_param(t)
-    return _abc(t.numerator, t.denominator)
-
-
-def def_closed_form(t) -> tuple[Rat, Rat, Rat]:
-    """The extension elements attached to [3]P', [3]P'+S', [3]P'-S'."""
-    t = require_param(t)
-    return _def(t.numerator, t.denominator)
-
-
 def family_triple(t) -> TripleABC:
     """The closed-form triple as a validated :class:`TripleABC` (m = 2)."""
     t = require_param(t)

@@ -6,14 +6,14 @@ Curves and points are immutable values.  Points carry no back-reference to a
 curve, so every group operation takes the curve explicitly.
 
 Membership is validated where a point enters the group law, once per point:
-``add``, ``mul``, ``neg`` and ``torsion_order_upto`` check their input points
-(``require_on_curve``), which keeps coordinate-change bugs from propagating
-silently.  Points the group law returns lie on the curve by construction, so
-code that keeps computing with them uses ``add_unchecked`` and, when only x
-is needed, ``add_x_unchecked``; these trust their inputs.  When both x(p + q)
-and x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part
-once over the integers.  ``contains`` is an exact integer test without
-fraction reduction.
+``add`` and ``mul`` check their input points (``require_on_curve``), which
+keeps coordinate-change bugs from propagating silently.  Points the group
+law returns lie on the curve by construction, so code that keeps computing
+with them uses ``add_unchecked`` and, when only x is needed,
+``add_x_unchecked``; these trust their inputs.  When both x(p + q) and
+x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part once
+over the integers.  ``contains`` is an exact integer test without fraction
+reduction.
 """
 
 from __future__ import annotations
@@ -134,10 +134,6 @@ class Curve:
 
     # -- membership ------------------------------------------------------
 
-    def rhs(self, x: Rat) -> Rat:
-        """The cubic x^3 + a2 x^2 + a4 x + a6."""
-        return x**3 + self.a2 * x * x + self.a4 * x + self.a6
-
     def contains(self, p: Point) -> bool:
         """True iff p is O or y^2 equals the cubic at x.
 
@@ -165,10 +161,6 @@ class Curve:
             raise ValueError(f"point {p} is not on {self}")
 
     # -- group law -------------------------------------------------------
-
-    def neg(self, p: Point) -> Point:
-        self.require_on_curve(p)
-        return -p
 
     def _chord(self, p: Point, q: Point) -> tuple[Rat, Rat] | None:
         """Slope and x of the third intersection of the chord through affine
@@ -253,18 +245,6 @@ class Curve:
             if k:  # the doubling after the top bit would go unused
                 p = self.add_unchecked(p, p)
         return result
-
-    def torsion_order_upto(self, p: Point, bound: int = 12) -> int | None:
-        """Smallest 1 <= k <= bound with [k]p = O, else None."""
-        self.require_on_curve(p)
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        acc = p
-        for k in range(1, bound):
-            if acc.is_infinity:
-                return k
-            acc = self.add_unchecked(acc, p)
-        return bound if acc.is_infinity else None
 
     # -- coordinate changes ----------------------------------------------
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 from dioph6.cli import main as cli_main
-from dioph6.exactnum import is_squarefree, mod_p, sqrt_exact, vp
+from dioph6.exactnum import sqrt_exact, vp
 from dioph6.family import (
     curve_E,
     curve_Epp,
@@ -22,6 +22,8 @@ from dioph6.family import (
 )
 from dioph6.identities import (
     half_point_check,
+    is_squarefree,
+    mod_p,
     order3_check,
     point_Sprime,
     rank_curve_membership,

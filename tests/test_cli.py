@@ -291,6 +291,17 @@ def test_lemmas_rejects_p_zero(capsys):
     assert err.startswith("error: ")
 
 
+def test_reduce_and_lemmas_reject_psi12(capsys):
+    # 399165290221 * 798330580441, the least strong pseudoprime to the twelve
+    # prime bases up to 37, which is_prime let through without base 41
+    psi12 = "318665857834031151167461"
+    for argv in (
+        ("reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--p", psi12),
+        ("lemmas", "--t", "31", "--p", psi12),
+    ):
+        assert_bad_input(capsys, f"{psi12} is not prime", *argv)
+
+
 def test_reduce_rejects_nonpositive_factor_bound(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--factor-bound=-5"

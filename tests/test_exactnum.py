@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dioph6 import exactnum
+from dioph6 import exactnum, identities
 from dioph6.errors import UnfactorableError
 from dioph6.exactnum import (
     _int_vp,
@@ -13,15 +14,12 @@ from dioph6.exactnum import (
     factorize,
     format_rat,
     is_prime,
-    is_square,
-    is_squarefree,
-    isqrt,
-    mod_p,
     odd_prime_divisors,
     parse_rat,
     sqrt_exact,
     vp,
 )
+from dioph6.identities import is_squarefree, mod_p
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -29,46 +27,47 @@ small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 37])
 
 
 # ---------------------------------------------------------------------------
-# isqrt
+# integer square roots: math.isqrt is the square test under sqrt_exact
 # ---------------------------------------------------------------------------
 
 def test_isqrt_examples():
-    assert isqrt(49) == (7, True)
-    assert isqrt(50) == (7, False)
+    assert math.isqrt(49) == 7 and sqrt_exact(49) == 7
+    assert math.isqrt(50) == 7 and sqrt_exact(50) is None
     # oracle: long multiplication
     assert 37 * 37 == 1369
-    assert isqrt(1369) == (37, True)
-    assert isqrt(0) == (0, True)
+    assert sqrt_exact(1369) == 37
+    assert sqrt_exact(0) == 0
 
 
 def test_isqrt_rejects_negative():
     with pytest.raises(ValueError):
-        isqrt(-1)
+        math.isqrt(-1)
+    assert sqrt_exact(-1) is None
 
 
 @given(st.integers(min_value=0, max_value=10**30))
 def test_isqrt_floor_property(n):
-    root, exact = isqrt(n)
+    root = math.isqrt(n)
     assert root * root <= n < (root + 1) * (root + 1)
-    assert exact == (root * root == n)
+    assert sqrt_exact(n) == (root if root * root == n else None)
 
 
 # ---------------------------------------------------------------------------
-# is_square / sqrt_exact
+# sqrt_exact
 # ---------------------------------------------------------------------------
 
 def test_is_square_examples():
     # oracle: (37/12)^2 expanded by hand
     assert F(37, 12) ** 2 == F(1369, 144)
-    assert is_square(F(1369, 144))
+    assert sqrt_exact(F(1369, 144)) is not None
     # oracle: ab + 1 for the closed-form triple at t = 2
     t = F(2)
     a = 18 * t * (t - 1) * (t + 1) / ((t * t - 6 * t + 1) * (t * t + 6 * t + 1))
     b = (t - 1) * (t * t + 6 * t + 1) ** 2 / (6 * t * (t + 1) * (t * t - 6 * t + 1))
     assert a * b + 1 == F(100, 49)
-    assert is_square(F(100, 49))
+    assert sqrt_exact(F(100, 49)) is not None
     # 1*2 + 1 for the non-Diophantine pair {1, 2}
-    assert not is_square(F(3))
+    assert sqrt_exact(F(3)) is None
 
 
 def test_sqrt_exact_examples():
@@ -108,8 +107,11 @@ def test_sqrt_exact_root_is_canonical(r):
 
 @given(rationals)
 def test_is_square_iff_sqrt_exact(q):
+    # oracle: q in lowest terms is a square iff q >= 0 and its numerator and
+    # denominator are perfect squares
     root = sqrt_exact(q)
-    assert is_square(q) == (root is not None)
+    square = q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+    assert square == (root is not None)
     if root is not None:
         assert root >= 0
         assert root * root == q
@@ -297,7 +299,8 @@ def test_trial_division_matches_reference(n, bound):
     expected = _reference_trial_divide(n, bound)
     factors, cofactor = _trial_divide(n, bound)
     assert (list(factors.items()), cofactor) == (list(expected[0].items()), expected[1])
-    with mock.patch.object(exactnum, "_trial_divide", lambda *_: expected):
+    with mock.patch.object(exactnum, "_trial_divide", lambda *_: expected), \
+            mock.patch.object(identities, "_trial_divide", lambda *_: expected):
         want = [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)]
     assert [_outcome(fn, n, bound) for fn in (factorize, is_squarefree)] == want
 
@@ -394,6 +397,31 @@ def test_is_prime():
     ]
     assert is_prime(10**9 + 7)
     assert not is_prime(10**12 + 1)
+
+
+#: The least strong pseudoprimes to the first twelve and the first thirteen
+#: prime bases (Sorenson and Webster, Math. Comp. 2017).
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi12():
+    assert PSI12 == 399165290221 * 798330580441
+    assert all(exactnum._miller_rabin(PSI12, base) for base in exactnum._MR_BASES[:-1])
+    assert not is_prime(PSI12)
+    with pytest.raises(UnfactorableError, match=f"cofactor {PSI12} "):
+        factorize(PSI12)
+    # above psi_13 the test is probable: psi_13 passes all thirteen bases
+    assert PSI13 == 1287836182261 * 2575672364521
+    assert all(exactnum._miller_rabin(PSI13, base) for base in exactnum._MR_BASES)
+
+
+def test_is_prime_matches_sympy(sympy):
+    rng = random.Random(1123)
+    odd = [rng.randrange(10**23, 10**30) | 1 for _ in range(2000)]
+    near_primes = [sympy.nextprime(n) for n in odd[:50]]
+    for n in (*odd, *near_primes, PSI12, PSI12 + 2):
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dioph6.errors import DegeneracyError
-from dioph6.exactnum import is_square
+from dioph6.exactnum import sqrt_exact
 from dioph6.family import (
     curve_E,
     curve_Epp,
@@ -98,7 +98,7 @@ def test_sigma2_matches_product34_value():
 def test_sigma_triple_validation():
     s3 = sigma3(2)
     assert s3 == F(3, 4)
-    assert is_square(1 + s3 * s3)
+    assert sqrt_exact(1 + s3 * s3) is not None
     s1 = sigma1_from_x(2, F(357, 4))
     assert s1 == triple_from_multiple(2, 2).sigma1
     assert sigma2_from(s1, s3) == triple_from_multiple(2, 2).sigma2
@@ -255,7 +255,7 @@ def test_curve_Epp_roots_are_shifted_products(t2_triple):
     a, b, c = t2_triple.elements
     for prod in (a * b, a * c, b * c):
         root = -(prod + 1) * scale2
-        assert model.rhs(root) == 0
+        assert root**3 + model.a2 * root**2 + model.a4 * root + model.a6 == 0
 
 
 def test_curve_Epp_rejects_zero():
@@ -316,5 +316,5 @@ def test_triple_invariants_random_sample():
         _, square = quartic_condition(tri.sigma1, tri.sigma3)
         assert square
         for prod in (tri.a * tri.b, tri.a * tri.c, tri.b * tri.c):
-            assert is_square(prod + 1)
+            assert sqrt_exact(prod + 1) is not None
         done += 1

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dioph6 import paramfam
-from dioph6.exactnum import Rat, is_square
+from dioph6.exactnum import Rat, sqrt_exact
 from dioph6.family import require_param, sigma3, triple_from_multiple
 from dioph6.identities import (
     PRODUCT34_CURVE,
     PRODUCT34_GENERATOR,
+    abc_closed_form,
+    def_closed_form,
     rank_curve_membership,
     reconstruct_product34_triple,
+    torsion_order_upto,
 )
-from dioph6.paramfam import (
-    abc_closed_form,
-    catalog,
-    catalog_entry,
-    def_closed_form,
-    family_point,
-    family_triple,
-)
+from dioph6.paramfam import catalog, catalog_entry, family_point, family_triple
 from dioph6.sextuple_engine import extend_to_sextuple, verify_tuple
 
 PRODUCT34_TRIPLE = (
@@ -288,7 +284,7 @@ def test_product34_reconstruction():
     assert set(tri.elements) == set(PRODUCT34_TRIPLE)
     assert tri.sigma3 == F(3, 4)
     for x, y in ((tri.a, tri.b), (tri.a, tri.c), (tri.b, tri.c)):
-        assert is_square(x * y + 1)
+        assert sqrt_exact(x * y + 1) is not None
     assert all(e > 0 for e in tri.elements)
 
 
@@ -296,7 +292,7 @@ def test_product34_generator_fixture():
     assert PRODUCT34_CURVE.contains(PRODUCT34_GENERATOR)
     assert str(PRODUCT34_CURVE) == "y^2 = x^3 + (0)x^2 + (1512)x + (33588)"
     # the generator is not torsion of small order
-    assert PRODUCT34_CURVE.torsion_order_upto(PRODUCT34_GENERATOR, bound=12) is None
+    assert torsion_order_upto(PRODUCT34_CURVE, PRODUCT34_GENERATOR, bound=12) is None
 
 
 def test_product34_sextuple_catalog_matches_triple():
