@@ -3,8 +3,10 @@ primality, factorization by trial division and the canonical text form.
 
 Every scalar in this package is a :class:`fractions.Fraction` (aliased as
 ``Rat``), which is always kept in lowest terms with a positive denominator,
-so canonical form never has to be re-established by hand.  Everything here
-is pure integer arithmetic; no floating point is used anywhere.
+so canonical form never has to be re-established by hand.  Hot paths
+compute on (numerator, denominator) pairs with the private ``_q_*``
+helpers and build their results with ``_coprime``.  Everything here is
+pure integer arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -61,6 +63,46 @@ def _coprime(num: int, den: int) -> Rat:
     return q
 
 
+# Arithmetic on (numerator, denominator) pairs in lowest terms with positive
+# denominators.  Each helper applies the rule that Fraction applies to the
+# same operation (Henrici's: a gcd of the denominators for a sum, two cross
+# gcds for a product; Knuth, TAOCP Vol. 2, 4.5.1), so the work on the
+# integers is the same and only the operator dispatch and the object
+# building around it are saved.  Results are again in lowest terms.
+
+def _q_add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd."""
+    g = math.gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
+
+
+def _q_mul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad * bn/bd."""
+    g1 = math.gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = math.gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
+
+
+def _q_div(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad / (bn/bd) for bn != 0."""
+    if bn < 0:
+        bn, bd = -bn, -bd
+    return _q_mul(an, ad, bd, bn)
+
+
 def _miller_rabin(n: int, base: int) -> bool:
     d = n - 1
     s = 0
@@ -79,19 +121,79 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 #: The first thirteen primes: trial divisors of every n, and Miller-Rabin
 #: bases above 10^6.  As bases they make the test exact below
-#: psi_13 = 3317044064679887385961981; without 41 the composite
-#: psi_12 = 318665857834031151167461 passes (Sorenson and Webster, "Strong
-#: pseudoprimes to twelve prime bases", Math. Comp. 2017).
+#: psi_13 = 3317044064679887385961981 = 1287836182261 * 2575672364521;
+#: without 41 the composite psi_12 = 318665857834031151167461 passes
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+#: Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 that is not a
+    square, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D)/4 (Baillie and Wagstaff, "Lucas
+    pseudoprimes", Math. Comp. 1980).
+
+    With n + 1 = k 2^s, k odd, n passes iff U_k = 0 or V_(k 2^r) = 0 (mod n)
+    for some 0 <= r < s.
+    """
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and abs(d) != n:
+            return False  # d shares a factor with n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k = (n + 1) >> 1
+    s = 1
+    while k % 2 == 0:
+        k >>= 1
+        s += 1
+    # U_j, V_j and Q^j (mod n) from j = 1, doubling and stepping along the
+    # bits of k: U_2j = U_j V_j, V_2j = V_j^2 - 2 Q^j,
+    # U_(j+1) = (U_j + V_j)/2, V_(j+1) = (D U_j + V_j)/2 for P = 1
+    u, v, qj = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qj = u * v % n, (v * v - 2 * qj) % n, qj * qj % n
+        if bit == "1":
+            u, v = (u + v) % n, (d * u + v) % n
+            u = (u + n if u % 2 else u) // 2
+            v = (v + n if v % 2 else v) // 2
+            qj = qj * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: trial division for small n, Miller-Rabin above.
+    """Primality test: trial division for small n, Miller-Rabin above, and
+    a strong Lucas test as well from psi_13 on (Baillie-PSW).
 
-    The thirteen Miller-Rabin bases make the answer exact for
-    n < psi_13 = 3317044064679887385961981.  Above that it is probable: a
-    composite is reported as prime only if all thirteen bases are strong
-    liars for it.  Trial division asks it about cofactors above
+    The thirteen Miller-Rabin bases make the answer a proof for
+    n < psi_13 = 3317044064679887385961981.  From psi_13 on it is
+    BPSW-probable: Miller-Rabin (base 2 among the thirteen) together with
+    the strong Lucas test of :func:`_strong_lucas`, which no composite is
+    known to pass.  Trial division asks it about cofactors above
     ``bound**2``, and on ``reduce``'s coordinates (t <= 60, [m]R for
     m <= 5) these reach 10^47.
     """
@@ -107,7 +209,11 @@ def is_prime(n: int) -> bool:
                 return False
             d += 2
         return True
-    return all(_miller_rabin(n, base) for base in _MR_BASES)
+    if not all(_miller_rabin(n, base) for base in _MR_BASES):
+        return False
+    if n < _PSI_13:
+        return True
+    return math.isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
 def _require_prime(p: int) -> None:

@@ -13,12 +13,13 @@ scale) the pair products ab, ac, bc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, format_rat, sqrt_exact
-from .weierstrass import Curve, Point
+from .exactnum import Rat, _coprime, _coprime_sqrt, _q_div, _q_mul, format_rat
+from .weierstrass import Curve, Point, _affine
 
 #: Multiples beyond this make coordinate digit counts (which grow
 #: quadratically in m) unpleasant at desk scale.
@@ -36,51 +37,115 @@ def require_param(t) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# the base curve and its seed point
+# the per-t values over the integers
 # ---------------------------------------------------------------------------
+#
+# With t = p/q in lowest terms (q > 0), a value of weight k in t is q^-k
+# times a form of degree k in (p, q), as for the closed forms of
+# :mod:`dioph6.paramfam`.  The helpers below take (p, q) of a parameter that
+# :func:`require_param` has accepted and build each value from those
+# integers with one reduction; the public functions validate t and call
+# them.  Throughout, s = p^2 + q^2 is the form of t^2 + 1.
+
+def _curve_E(p: int, q: int) -> Curve:
+    pp, qq = p * p, q * q
+    s = pp + qq
+    q4 = qq * qq
+    # (t^2 - 3t + 1)(t^2 + 3t + 1) = (t^2 + 1)^2 - 9t^2
+    return Curve(
+        Fraction(3 * (s * s - 9 * pp * qq), q4),
+        Fraction(3 * s**4, q4 * q4),
+        Fraction(s**6, q4**3),
+    )
+
+
+def _point_R(p: int, q: int) -> Point:
+    # s is prime to q, so s^3/q^6 is in lowest terms
+    return _affine(Fraction(0), _coprime((p * p + q * q) ** 3, q**6))
+
 
 def curve_E(t) -> Curve:
     """Base curve: y^2 = x^3 + 3(t^2-3t+1)(t^2+3t+1) x^2 + 3(t^2+1)^4 x + (t^2+1)^6."""
     t = require_param(t)
-    tt = t * t
-    return Curve(
-        3 * (tt - 3 * t + 1) * (tt + 3 * t + 1),
-        3 * (tt + 1) ** 4,
-        (tt + 1) ** 6,
-    )
+    return _curve_E(t.numerator, t.denominator)
 
 
 def point_R(t) -> Point:
     """The seed point [0, (t^2+1)^3] of infinite order on the base curve."""
     t = require_param(t)
-    return Point(Fraction(0), (t * t + 1) ** 3)
+    return _point_R(t.numerator, t.denominator)
 
 
 # ---------------------------------------------------------------------------
 # the sigma algebra
 # ---------------------------------------------------------------------------
 
+def _sigma3(p: int, q: int) -> tuple[int, int]:
+    """sigma3 as a pair (num, den), not reduced."""
+    return p * p - q * q, 2 * p * q
+
+
+def _sigma1(p: int, q: int, xn: int, xd: int) -> tuple[int, int]:
+    """sigma1 at x = xn/xd as a pair (num, den), not reduced; den = 0
+    exactly when x = 0."""
+    pp, qq = p * p, q * q
+    q4 = qq * qq
+    s = pp + qq
+    return (
+        (4 * pp * qq - pp * pp - q4) * q4 * xn - s**4 * xd,
+        q4 * q * p * (pp - qq) * xn,
+    )
+
+
+def _sigma2(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
+    """sigma2 from sigma1 = n1/d1 and sigma3 = n3/d3, as a pair (num, den)
+    with den > 0 (for nonzero d1, d3), not reduced."""
+    return (
+        n1 * n1 * n3 * n3 - 12 * n3 * n3 * d1 * d1 - 6 * n1 * n3 * d1 * d3 - 3 * d1 * d1 * d3 * d3,
+        4 * d1 * d1 * (d3 * d3 + n3 * n3),
+    )
+
+
 def sigma3(t) -> Rat:
     """sigma3 = (t^2 - 1)/(2t); then 1 + sigma3^2 = ((t^2+1)/(2t))^2."""
     t = require_param(t)
-    return (t * t - 1) / (2 * t)
+    return Fraction(*_sigma3(t.numerator, t.denominator))
 
 
 def sigma1_from_x(t, x) -> Rat:
-    """sigma1 attached to a base-curve x-coordinate (x must be nonzero)."""
+    """sigma1 attached to a base-curve x-coordinate (x must be nonzero):
+    (-t^4 + 4t^2 - 1 - (t^2+1)^4/x) / ((t^2-1) t)."""
     t = require_param(t)
     x = Fraction(x)
     if x == 0:
         raise ValueError("sigma1 is undefined at x = 0 (the seed point itself)")
-    tt = t * t
-    return (-tt * tt + 4 * tt - 1 - (tt + 1) ** 4 / x) / ((tt - 1) * t)
+    return Fraction(*_sigma1(t.numerator, t.denominator, x.numerator, x.denominator))
 
 
 def sigma2_from(s1, s3) -> Rat:
-    """sigma2 forced by the order-3 condition, as a function of sigma1, sigma3."""
+    """sigma2 forced by the order-3 condition, as a function of sigma1, sigma3:
+    (s1^2 s3^2 - 12 s3^2 - 6 s1 s3 - 3) / (4 + 4 s3^2)."""
     s1 = Fraction(s1)
     s3 = Fraction(s3)
-    return (s1 * s1 * s3 * s3 - 12 * s3 * s3 - 6 * s1 * s3 - 3) / (4 + 4 * s3 * s3)
+    return Fraction(*_sigma2(s1.numerator, s1.denominator, s3.numerator, s3.denominator))
+
+
+def _order3(den: int, na: int, nb: int, nc: int) -> int:
+    """den^8 times :func:`three_torsion_value` of a = na/den, b = nb/den,
+    c = nc/den."""
+    d2 = den * den
+    d4 = d2 * d2
+    s1 = na + nb + nc
+    s2 = na * nb + na * nc + nb * nc
+    s3 = na * nb * nc
+    return s3 * s3 * (12 * d2 + 4 * s2 - s1 * s1) + (6 * s1 * s3 + (4 * s2 + 3 * d2) * d2) * d4
+
+
+def _over_common_denominator(a: Rat, b: Rat, c: Rat) -> tuple[int, int, int, int]:
+    """(den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den and den the
+    least common denominator."""
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    return (den, *(x.numerator * (den // x.denominator) for x in (a, b, c)))
 
 
 def three_torsion_value(a, b, c) -> Rat:
@@ -90,13 +155,8 @@ def three_torsion_value(a, b, c) -> Rat:
     In the symmetric functions s1, s2, s3 of a, b, c it is
     s3^2 (12 + 4 s2 - s1^2) + 6 s1 s3 + 4 s2 + 3.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    c = Fraction(c)
-    s1 = a + b + c
-    s2 = a * b + a * c + b * c
-    s3 = a * b * c
-    return s3 * s3 * (12 + 4 * s2 - s1 * s1) + 6 * s1 * s3 + 4 * s2 + 3
+    cleared = _over_common_denominator(Fraction(a), Fraction(b), Fraction(c))
+    return Fraction(_order3(*cleared), cleared[0] ** 8)
 
 
 def three_torsion_condition(a, b, c) -> bool:
@@ -108,39 +168,76 @@ def three_torsion_condition(a, b, c) -> bool:
 # the isogenous companion curve and the w map
 # ---------------------------------------------------------------------------
 
-def curve_Estar(t) -> Curve:
-    """Companion curve, 3-isogenous to the base curve."""
-    t = require_param(t)
-    tt = t * t
+def _curve_Estar(p: int, q: int) -> Curve:
+    pp, qq = p * p, q * q
+    s = pp + qq
+    p4, q4 = pp * pp, qq * qq
     return Curve(
-        3 * (tt - 3 * t + 1) * (tt + 3 * t + 1),
-        3 * (tt + 1) ** 2 * (tt * tt - 178 * tt + 1),
-        (tt + 1) ** 2 * (tt * tt + 110 * tt + 1) ** 2,
+        Fraction(3 * (s * s - 9 * pp * qq), q4),
+        Fraction(3 * s * s * (p4 - 178 * pp * qq + q4), q4 * q4),
+        Fraction((s * (p4 + 110 * pp * qq + q4)) ** 2, q4**3),
     )
 
 
-def point_Tstar(t) -> Point:
-    """Order-3 point generating the isogeny kernel on the companion curve."""
+def _point_Tstar(p: int, q: int) -> Point:
+    pp, qq = p * p, q * q
+    s = pp + qq
+    # (t^2 - 6t + 1)(t^2 + 6t + 1) = (t^2 + 1)^2 - 36t^2, prime to q
+    return _affine(
+        _coprime(36 * pp * qq - s * s, qq * qq),
+        Fraction(27 * p * (pp - qq) ** 2, q**5),
+    )
+
+
+def _point_Pstar(p: int, q: int) -> Point:
+    pp, qq = p * p, q * q
+    s = pp + qq
+    # s (t^2 + 18t + 1) is prime to q
+    return _affine(
+        _coprime(-s * (pp + 18 * p * q + qq), qq * qq),
+        Fraction(27 * p * (p + q) ** 2 * s, q**5),
+    )
+
+
+def _w_constants(p: int, q: int) -> tuple[int, int, int]:
+    """(V, r2, s8) with v = V/(4q^4), r = r2/(2q^2), s = s8/(8q^6) for the
+    constants (v, r, s) of the w map."""
+    pp, qq = p * p, q * q
+    s = pp + qq
+    return 5 * pp * pp + 118 * pp * qq + 5 * qq * qq, -3 * s, -27 * (pp - qq) ** 2 * s
+
+
+def _map_w_constants(p: int, q: int) -> tuple[Rat, Rat, Rat]:
+    v, r2, s8 = _w_constants(p, q)
+    qq = q * q
+    return Fraction(v, 4 * qq * qq), Fraction(r2, 2 * qq), Fraction(s8, 8 * qq**3)
+
+
+def curve_Estar(t) -> Curve:
+    """Companion curve, 3-isogenous to the base curve."""
     t = require_param(t)
-    tt = t * t
-    return Point(-(tt - 6 * t + 1) * (tt + 6 * t + 1), 27 * t * (t - 1) ** 2 * (t + 1) ** 2)
+    return _curve_Estar(t.numerator, t.denominator)
+
+
+def point_Tstar(t) -> Point:
+    """Order-3 point generating the isogeny kernel on the companion curve:
+    [-(t^2-6t+1)(t^2+6t+1), 27t(t-1)^2(t+1)^2]."""
+    t = require_param(t)
+    return _point_Tstar(t.numerator, t.denominator)
 
 
 def point_Pstar(t) -> Point:
-    """Companion-curve point mapping to the seed point under the isogeny."""
+    """Companion-curve point mapping to the seed point under the isogeny:
+    [-(t^2+1)(t^2+18t+1), 27t(t+1)^2(t^2+1)]."""
     t = require_param(t)
-    tt = t * t
-    return Point(-(tt + 1) * (tt + 18 * t + 1), 27 * t * (t + 1) ** 2 * (tt + 1))
+    return _point_Pstar(t.numerator, t.denominator)
 
 
 def map_w_constants(t) -> tuple[Rat, Rat, Rat]:
-    """The constants (v, r, s) of the w coordinate map."""
+    """The constants (v, r, s) of the w coordinate map:
+    v = (5t^4 + 118t^2 + 5)/4, r = -3(t^2+1)/2, s = -27(t-1)^2(t+1)^2(t^2+1)/8."""
     t = require_param(t)
-    tt = t * t
-    v = Fraction(5, 4) * tt * tt + Fraction(59, 2) * tt + Fraction(5, 4)
-    r = -Fraction(3, 2) * (tt + 1)
-    s = -Fraction(27, 8) * (t - 1) ** 2 * (t + 1) ** 2 * (tt + 1)
-    return v, r, s
+    return _map_w_constants(t.numerator, t.denominator)
 
 
 def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
@@ -163,8 +260,54 @@ def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
     raise DegeneracyError(f"point {q} is the pole of the w map")
 
 
+def _w_pair(p: int, q: int, pt: Point, star: Curve) -> tuple[int, int]:
+    """:func:`_w_value` of a point of ``star`` = E*(t), t = p/q, as a pair
+    (num, den) in lowest terms with den > 0.
+
+    With x = X/D and y = Y/E in lowest terms, x - v = G/(4 q^4 D) for
+    G = 4 q^4 X - V D, and w = (D (8 q^6 Y + s8 E) + r2 G E) / (-12 q^2 E G)
+    in the notation of :func:`_w_constants`.  x = v (G = 0) is left to
+    :func:`_w_value`.
+    """
+    if pt.is_infinity:
+        raise DegeneracyError("w is undefined at the point at infinity")
+    v, r2, s8 = _w_constants(p, q)
+    qq = q * q
+    q4 = qq * qq
+    x, y = pt.x, pt.y
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    gap = 4 * q4 * xn - v * xd
+    if gap == 0:
+        w = _w_value(pt, star, *_map_w_constants(p, q))
+        return w.numerator, w.denominator
+    num = xd * (8 * q4 * qq * yn + s8 * yd) + r2 * gap * yd
+    den = 12 * qq * yd * gap
+    g = gcd(num, den)
+    # w = num / (-den)
+    return (num // g, -den // g) if den < 0 else (-num // g, den // g)
+
+
+def _curve_Epp(p: int, q: int, x: Rat) -> Curve:
+    """:func:`curve_Epp` at t = p/q for a nonzero x = X/D: with
+    k = s^2 D + q^4 X its coefficients are k^2/(4 q^8 X^2),
+    p^2 D k/(2 q^6 X^2) and p^4 D^2/(4 q^4 X^2)."""
+    xn, xd = x.numerator, x.denominator
+    pp, qq = p * p, q * q
+    q4 = qq * qq
+    s = pp + qq
+    k = s * s * xd + q4 * xn
+    xx = xn * xn
+    return Curve(
+        Fraction(k * k, 4 * q4 * q4 * xx),
+        Fraction(pp * xd * k, 2 * q4 * qq * xx),
+        Fraction(pp * pp * xd * xd, 4 * q4 * xx),
+    )
+
+
 def curve_Epp(t, x) -> Curve:
-    """Two-torsion model attached to a nonzero base-curve x-coordinate.
+    """Two-torsion model attached to a nonzero base-curve x-coordinate:
+    y^2 = x^3 + (aa/x + 1)^2/4 x^2 + t^2 (aa/x^2 + 1/x)/2 x + t^4/(4x^2)
+    with aa = (t^2+1)^2.
 
     Its cubic has roots -(P + 1) t^2/(t^2+1)^2 for P running over the pair
     products ab, ac, bc of the associated triple; whenever (x, y) lies on
@@ -174,13 +317,7 @@ def curve_Epp(t, x) -> Curve:
     x = Fraction(x)
     if x == 0:
         raise ValueError("the two-torsion model needs x != 0")
-    tt = t * t
-    aa = (tt + 1) ** 2
-    return Curve(
-        (aa / x + 1) ** 2 / 4,
-        tt * (aa / (x * x) + 1 / x) / 2,
-        tt * tt / (4 * x * x),
-    )
+    return _curve_Epp(t.numerator, t.denominator, x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +342,10 @@ class TripleABC:
     rho_bc: Rat
     t: Rat | None = None
     m: int | None = None
+    #: (den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den over the
+    #: least common denominator; the checks and the symmetric functions work
+    #: with these integers.
+    _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc"):
@@ -216,10 +357,15 @@ class TripleABC:
             raise ValueError("triple elements must be nonzero")
         if len({a, b, c}) != 3:
             raise ValueError("triple elements must be pairwise distinct")
-        for rho, prod in ((self.rho_ab, a * b), (self.rho_ac, a * c), (self.rho_bc, b * c)):
-            if rho < 0 or rho * rho != prod + 1:
-                raise ValueError(f"witness {rho} does not square to {prod} + 1")
-        if not three_torsion_condition(a, b, c):
+        cleared = _over_common_denominator(a, b, c)
+        object.__setattr__(self, "_cleared", cleared)
+        den, na, nb, nc = cleared
+        dd = den * den
+        for rho, prod in ((self.rho_ab, na * nb), (self.rho_ac, na * nc), (self.rho_bc, nb * nc)):
+            # rho^2 = prod/den^2 + 1
+            if rho < 0 or rho.numerator**2 * dd != rho.denominator**2 * (prod + dd):
+                raise ValueError(f"witness {rho} does not square to {Fraction(prod, dd)} + 1")
+        if _order3(*cleared) != 0:
             raise ValueError("triple does not satisfy the order-3 condition")
 
     @property
@@ -228,15 +374,18 @@ class TripleABC:
 
     @property
     def sigma1(self) -> Rat:
-        return self.a + self.b + self.c
+        den, na, nb, nc = self._cleared
+        return Fraction(na + nb + nc, den)
 
     @property
     def sigma2(self) -> Rat:
-        return self.a * self.b + self.a * self.c + self.b * self.c
+        den, na, nb, nc = self._cleared
+        return Fraction(na * nb + na * nc + nb * nc, den * den)
 
     @property
     def sigma3(self) -> Rat:
-        return self.a * self.b * self.c
+        den, na, nb, nc = self._cleared
+        return Fraction(na * nb * nc, den**3)
 
     def to_json_dict(self) -> dict:
         keys = ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc", "sigma1", "sigma2", "sigma3")
@@ -256,66 +405,86 @@ def triple_from_multiple(t, m: int) -> TripleABC:
     a = sqrt(X1 X2 / X3), b = sqrt(X1 X3 / X2), c = sqrt(X2 X3 / X1).
     Square-root signs are fixed by the products themselves, up to one
     global flip resolved by abc = sigma3(t).
+
+    t is validated once; everything after works on t = p/q, the rationals
+    as (num, den) pairs in lowest terms.
     """
     t = require_param(t)
     if m < 2:
         raise ValueError(f"multiple index must be at least 2, got {m}")
     if m > DEFAULT_MAX_MULTIPLE:
         raise ValueError(f"multiple index {m} exceeds the desk-scale cap {DEFAULT_MAX_MULTIPLE}")
-    star = curve_Estar(t)
-    kernel = point_Tstar(t)
-    base = star.mul(m - 1, point_Pstar(t))
+    p, q = t.numerator, t.denominator
+    star = _curve_Estar(p, q)
+    kernel = _point_Tstar(p, q)
+    base = star.mul(m - 1, _point_Pstar(p, q))
     star.require_on_curve(kernel)
     second = star.add_unchecked(base, kernel)
     third = star.add_unchecked(second, kernel)
-    w_consts = map_w_constants(t)
     # the pair product is -lam^2 X(w) - 1 with lam = (t^2+1)/t, and
     # -lam^2 X(w) = w^2 lam^2 / (4(t^2+1)^2) = w^2 / (4t^2)
-    scale = 1 / (4 * t * t)
+    g = gcd(q, 2)
+    scale = (q * q // (g * g), 4 * p * p // (g * g))
     products = []
-    for q in (base, second, third):
-        if q.is_infinity:
+    for pt in (base, second, third):
+        if pt.is_infinity:
             raise DegeneracyError(f"isogeny preimage of [{m}]R is at infinity")
-        w = _w_value(q, star, *w_consts)
-        products.append(w * w * scale - 1)
+        wn, wd = _w_pair(p, q, pt, star)
+        num, den = _q_mul(wn * wn, wd * wd, *scale)
+        products.append((num - den, den))
     x_ab, x_ac, x_bc = products
-    if 0 in products:
+    if any(num == 0 for num, _ in products):
         raise DegeneracyError(f"degenerate pair product for (t, m) = ({t}, {m})")
 
     mags = (
-        sqrt_exact(x_ab * x_ac / x_bc),
-        sqrt_exact(x_ab * x_bc / x_ac),
-        sqrt_exact(x_ac * x_bc / x_ab),
+        _coprime_sqrt(*_q_div(*_q_mul(*x_ab, *x_ac), *x_bc)),
+        _coprime_sqrt(*_q_div(*_q_mul(*x_ab, *x_bc), *x_ac)),
+        _coprime_sqrt(*_q_div(*_q_mul(*x_ac, *x_bc), *x_ab)),
     )
     if None in mags:
         raise ConsistencyError(
             f"non-square ratio extracting the triple at (t, m) = ({t}, {m}); "
             "the construction guarantees rational roots for multiples of the seed"
         )
-    a = mags[0]
-    b = mags[1] if x_ab > 0 else -mags[1]
-    c = mags[2] if x_ac > 0 else -mags[2]
-    s3 = sigma3(t)
-    if a * b * c != s3:
-        a, b, c = -a, -b, -c
-    if a * b * c != s3 or a * b != x_ab or a * c != x_ac or b * c != x_bc:
+    a, b, c = ((root.numerator, root.denominator) for root in mags)
+    if x_ab[0] < 0:
+        b = (-b[0], b[1])
+    if x_ac[0] < 0:
+        c = (-c[0], c[1])
+    s3 = Fraction(*_sigma3(p, q))
+    s3 = (s3.numerator, s3.denominator)
+    if _q_mul(*_q_mul(*a, *b), *c) != s3:
+        a, b, c = ((-n, d) for n, d in (a, b, c))
+    if (
+        _q_mul(*_q_mul(*a, *b), *c) != s3
+        or _q_mul(*a, *b) != x_ab or _q_mul(*a, *c) != x_ac or _q_mul(*b, *c) != x_bc
+    ):
         raise ConsistencyError(
             f"sign assignment failed at (t, m) = ({t}, {m}): products do not match"
         )
 
-    rhos = tuple(sqrt_exact(p + 1) for p in (x_ab, x_ac, x_bc))
+    # a pair product num/den + 1 is (num + den)/den, again in lowest terms
+    rhos = tuple(_coprime_sqrt(num + den, den) for num, den in products)
     if None in rhos:
         raise ConsistencyError(
             f"pair product + 1 is not a square at (t, m) = ({t}, {m})"
         )
     if len({a, b, c}) != 3:
         raise DegeneracyError(f"triple elements collide at (t, m) = ({t}, {m})")
-    triple = TripleABC(a, b, c, *rhos, t=t, m=m)
+    triple = TripleABC(*(_coprime(*x) for x in (a, b, c)), *rhos, t=t, m=m)
 
-    # cross-check the sigma algebra against the base-curve side
-    x_m = curve_E(t).mul(m, point_R(t)).x
-    s1 = sigma1_from_x(t, x_m)
-    if (triple.sigma1, triple.sigma2, triple.sigma3) != (s1, sigma2_from(s1, s3), s3):
+    # cross-check the sigma algebra against the base-curve side: with the
+    # triple over its common denominator, compare by cross-multiplication
+    x_m = _curve_E(p, q).mul(m, _point_R(p, q)).x
+    n1, d1 = _sigma1(p, q, x_m.numerator, x_m.denominator)
+    n3, d3 = _sigma3(p, q)
+    n2, d2 = _sigma2(n1, d1, n3, d3)
+    den, na, nb, nc = triple._cleared
+    if (
+        (na + nb + nc) * d1 != n1 * den
+        or (na * nb + na * nc + nb * nc) * d2 != n2 * den * den
+        or na * nb * nc * d3 != n3 * den**3
+    ):
         raise ConsistencyError(
             f"triple at (t, m) = ({t}, {m}) disagrees with its symmetric functions"
         )

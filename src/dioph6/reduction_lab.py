@@ -26,7 +26,7 @@ from .exactnum import (
     odd_prime_divisors,
     vp,
 )
-from .family import curve_E, curve_Epp, point_R, require_param
+from .family import _curve_E, _curve_Epp, _point_R, require_param
 from .weierstrass import Curve, INFINITY, Point
 
 #: Coordinate digit counts grow quadratically in the multiple index; tables
@@ -95,9 +95,11 @@ def require_odd_prime(p: int) -> None:
 
 
 def require_base_point(t, pt: Point) -> None:
-    """Reject a point that is not admissible on the base curve at t: the
-    point at infinity, a point with x = 0, or a point off ``curve_E(t)``."""
-    if pt.is_infinity or pt.x == 0 or not curve_E(t).contains(pt):
+    """Reject an excluded t, and a point that is not admissible on the base
+    curve at t: the point at infinity, a point with x = 0, or a point off
+    ``curve_E(t)``."""
+    t = require_param(t)
+    if pt.is_infinity or pt.x == 0 or not _curve_E(t.numerator, t.denominator).contains(pt):
         raise ValueError("point is not an admissible base-curve point")
 
 
@@ -196,10 +198,9 @@ def bad_primes_epp(
     """
     if not isinstance(t, int):
         raise ValueError("integer parameter required for the bad-prime scan")
-    tq = require_param(t)
-    require_base_point(tq, pt)
+    require_base_point(t, pt)
     x, y = pt.x, pt.y
-    model = curve_Epp(tq, x)
+    model = _curve_Epp(t, 1, x)
 
     candidates = tuple(odd_prime_divisors(t * (t * t + 1), bound))
     # on the integral model x = X/e^2 and y = Y/e^3: y's denominator has the
@@ -265,13 +266,14 @@ def _check_table_args(t, m_max: int) -> Rat:
 
 
 def _seed_multiples(t: Rat, k: int) -> tuple[Curve, list[Point]]:
-    """The base curve at t and the seed multiples [1]R, ..., [k]R on it.
+    """The base curve at a checked t and the seed multiples [1]R, ..., [k]R
+    on it.
 
     The seed is checked against the curve here, once: the tables add only
     points derived from it, through the unchecked group law.
     """
-    base = curve_E(t)
-    seed = point_R(t)
+    base = _curve_E(t.numerator, t.denominator)
+    seed = _point_R(t.numerator, t.denominator)
     base.require_on_curve(seed)
     multiples = [seed]
     while len(multiples) < k:

@@ -14,6 +14,11 @@ with them uses ``add_unchecked`` and, when only x is needed,
 x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part once
 over the integers.  ``contains`` is an exact integer test without fraction
 reduction.
+
+The chord-and-tangent rule runs on the numerators and denominators of the
+coordinates, with the cancelling gcds of Fraction's own operators
+(``exactnum._q_add`` and kin); lowest terms are unique, so every coordinate
+is the Fraction that operator arithmetic would give.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Rat, format_rat
+from .exactnum import Rat, _coprime, _q_add, _q_div, _q_mul, format_rat
 
 __all__ = [
     "Curve",
@@ -52,7 +57,9 @@ class Point:
 
     def __neg__(self) -> "Point":
         """[x, -y], the inverse on every curve of this module's shape."""
-        return self if self.is_infinity else Point(self.x, -self.y)
+        if self.is_infinity:
+            return self
+        return _affine(self.x, -self.y)
 
     def __str__(self) -> str:
         if self.is_infinity:
@@ -61,6 +68,15 @@ class Point:
 
 
 INFINITY = Point()
+
+
+def _affine(x: Rat, y: Rat) -> Point:
+    """The affine point [x, y] of two Fractions, without the coercion of
+    Point's constructor."""
+    pt = object.__new__(Point)
+    object.__setattr__(pt, "x", x)
+    object.__setattr__(pt, "y", y)
+    return pt
 
 
 @dataclass(frozen=True)
@@ -109,6 +125,8 @@ class Curve:
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
     #: coefficients; :meth:`contains` works with these integers.
     _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    #: (num a2, den a2, num a4, den a4) for the group law.
+    _coeffs: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
     #: The b/c invariants and discriminant, computed on the first call of
     #: :meth:`std_quantities`.
     _std: StdQuantities | None = field(default=None, init=False, repr=False, compare=False)
@@ -118,6 +136,8 @@ class Curve:
         object.__setattr__(self, "a4", Fraction(self.a4))
         object.__setattr__(self, "a6", Fraction(self.a6))
         coeffs = (self.a2, self.a4, self.a6)
+        a2, a4 = self.a2, self.a4
+        object.__setattr__(self, "_coeffs", (a2.numerator, a2.denominator, a4.numerator, a4.denominator))
         d = lcm(*(c.denominator for c in coeffs))
         object.__setattr__(
             self, "_cleared", (d, *(c.numerator * (d // c.denominator) for c in coeffs))
@@ -162,18 +182,30 @@ class Curve:
 
     # -- group law -------------------------------------------------------
 
-    def _chord(self, p: Point, q: Point) -> tuple[Rat, Rat] | None:
+    def _chord(self, p: Point, q: Point) -> tuple[int, int, int, int] | None:
         """Slope and x of the third intersection of the chord through affine
-        p and q (the tangent when p = q); None when q = -p."""
+        p and q (the tangent when p = q), as (num, den, num, den) in lowest
+        terms; None when q = -p.
+
+        The slope is (y2 - y1)/(x2 - x1), or (3 x1^2 + 2 a2 x1 + a4)/(2 y1)
+        for the tangent, and x = slope^2 - (a2 + x1 + x2).
+        """
         x1, y1, x2, y2 = p.x, p.y, q.x, q.y
-        if x1 == x2:
-            if y1 == -y2:
+        xn1, xd1, yn1, yd1 = x1._numerator, x1._denominator, y1._numerator, y1._denominator
+        xn2, xd2, yn2, yd2 = x2._numerator, x2._denominator, y2._numerator, y2._denominator
+        a2n, a2d, a4n, a4d = self._coeffs
+        if xn1 == xn2 and xd1 == xd2:
+            if yn1 == -yn2 and yd1 == yd2:
                 # inverse pair; covers doubling a 2-torsion point (y = 0)
                 return None
-            lam = (3 * x1**2 + 2 * self.a2 * x1 + self.a4) / (2 * y1)
+            # (3 x1 + 2 a2) x1 + a4
+            tn, td = _q_add(*_q_mul(3, 1, xn1, xd1), *_q_mul(2, 1, a2n, a2d))
+            tn, td = _q_add(*_q_mul(tn, td, xn1, xd1), a4n, a4d)
+            ln, ld = _q_div(tn, td, *_q_mul(2, 1, yn1, yd1))
         else:
-            lam = (y2 - y1) / (x2 - x1)
-        return lam, lam**2 - (self.a2 + x1 + x2)
+            ln, ld = _q_div(*_q_add(yn2, yd2, -yn1, yd1), *_q_add(xn2, xd2, -xn1, xd1))
+        sn, sd = _q_add(*_q_add(a2n, a2d, xn1, xd1), xn2, xd2)
+        return (ln, ld, *_q_add(ln * ln, ld * ld, -sn, sd))
 
     def add_unchecked(self, p: Point, q: Point) -> Point:
         """Group sum of two points the caller knows to lie on this curve."""
@@ -184,8 +216,13 @@ class Curve:
         chord = self._chord(p, q)
         if chord is None:
             return INFINITY
-        lam, x3 = chord
-        return Point(x3, lam * (p.x - x3) - p.y)
+        ln, ld, xn, xd = chord
+        x1, y1 = p.x, p.y
+        yn, yd = _q_add(
+            *_q_mul(ln, ld, *_q_add(x1._numerator, x1._denominator, -xn, xd)),
+            -y1._numerator, y1._denominator,
+        )
+        return _affine(_coprime(xn, xd), _coprime(yn, yd))
 
     def add_x_unchecked(self, p: Point, q: Point) -> Rat | None:
         """x(p + q) without its y, for points the caller knows to lie on this
@@ -195,7 +232,7 @@ class Curve:
         if q.is_infinity:
             return p.x
         chord = self._chord(p, q)
-        return None if chord is None else chord[1]
+        return None if chord is None else _coprime(chord[2], chord[3])
 
     def add_sub_x_unchecked(self, p: Point, q: Point) -> tuple[Rat | None, Rat | None]:
         """(x(p + q), x(p - q)) for points the caller knows to lie on this

@@ -302,6 +302,17 @@ def test_reduce_and_lemmas_reject_psi12(capsys):
         assert_bad_input(capsys, f"{psi12} is not prime", *argv)
 
 
+def test_reduce_and_lemmas_reject_psi13(capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin to the thirteen prime
+    # bases up to 41; the strong Lucas test rejects it
+    psi13 = "3317044064679887385961981"
+    for argv in (
+        ("reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--p", psi13),
+        ("lemmas", "--t", "31", "--p", psi13),
+    ):
+        assert_bad_input(capsys, f"{psi13} is not prime", *argv)
+
+
 def test_reduce_rejects_nonpositive_factor_bound(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "--t", "31", "--x", "-150072", "--y", "682327360", "--factor-bound=-5"

@@ -420,8 +420,34 @@ def test_is_prime_matches_sympy(sympy):
     rng = random.Random(1123)
     odd = [rng.randrange(10**23, 10**30) | 1 for _ in range(2000)]
     near_primes = [sympy.nextprime(n) for n in odd[:50]]
-    for n in (*odd, *near_primes, PSI12, PSI12 + 2):
+    # above psi_13 the strong Lucas test decides: squares of primes, products
+    # of two primes of 13 and 14 digits, psi_13 itself
+    squares = [p * p for p in near_primes[:5]]
+    semiprimes = [sympy.nextprime(n % 10**13) * sympy.nextprime(n % 10**14) for n in odd[:20]]
+    for n in (*odd, *near_primes, *squares, *semiprimes, PSI12, PSI12 + 2, PSI13):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_psi13():
+    # psi_13 passes all thirteen Miller-Rabin bases; the strong Lucas test
+    # of Baillie-PSW rejects it
+    assert not exactnum._strong_lucas(PSI13)
+    assert not is_prime(PSI13)
+    with pytest.raises(UnfactorableError, match=f"cofactor {PSI13} "):
+        factorize(PSI13)
+    # the least prime above psi_13 is psi_13 + 142 (sympy.nextprime)
+    assert [k for k in range(0, 143, 2) if is_prime(PSI13 + k)] == [142]
+
+
+def test_strong_lucas_pseudoprimes_below_30000():
+    # the strong Lucas pseudoprimes with Selfridge's parameters, OEIS A217255
+    # (the test takes odd n > 41 that are not squares)
+    composite = [
+        n for n in range(43, 30000, 2)
+        if math.isqrt(n) ** 2 != n and not is_prime(n) and exactnum._strong_lucas(n)
+    ]
+    assert composite == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(exactnum._strong_lucas(n) for n in range(43, 30000, 2) if is_prime(n))
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +478,66 @@ def test_format_rat_is_str_of_fraction(q):
     assert format_rat(q) == str(F(q))
     if isinstance(q, int):
         assert format_rat(F(q)) == format_rat(q)
+
+
+# ---------------------------------------------------------------------------
+# Fraction internals the integer fast paths rely on
+# ---------------------------------------------------------------------------
+# _coprime builds a Fraction by setting its two slots, and the group law
+# reads them back; these tests fail if a Python release changes either.
+
+def _same_fraction(q, num, den):
+    ref = F(num, den)
+    return (
+        type(q) is F and q == ref and hash(q) == hash(ref) and str(q) == str(ref)
+        and (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
+        and q + F(1, 3) == ref + F(1, 3) and q * 7 == ref * 7
+    )
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**30))
+@example(0, 1)
+@example(-5, 1)
+@example(-3, 4)
+@example(7, 1)
+def test_coprime_is_the_reduced_fraction(num, den):
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    q = exactnum._coprime(num, den)
+    assert _same_fraction(q, num, den)
+    assert (q._numerator, q._denominator) == (num, den)
+
+
+def test_group_law_coordinates_are_plain_fractions():
+    from dioph6.weierstrass import Curve, Point
+
+    curve = Curve(0, 1512, 33588)
+    gen = Point(-11, 125)
+    pts = [curve.mul(k, gen) for k in range(-6, 7) if k]
+    pts += [curve.add_unchecked(pts[0], pts[-2]), -pts[3]]  # [-6]G + [5]G, -[-3]G
+    coords = [c for pt in pts for c in (pt.x, pt.y)]
+    coords += [curve.add_x_unchecked(pts[1], pts[2]), *curve.add_sub_x_unchecked(pts[4], pts[8])]
+    assert any(c < 0 for c in coords) and any(c.denominator == 1 for c in coords)
+    for c in coords:
+        assert _same_fraction(c, c.numerator, c.denominator), c
+
+
+_pairs = st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**20)).map(
+    lambda nd: (nd[0] // math.gcd(*nd), nd[1] // math.gcd(*nd))
+)
+
+
+@given(_pairs, _pairs)
+@example((0, 1), (5, 6))
+@example((1, 6), (-1, 6))
+@example((-2, 3), (3, 4))
+def test_pair_arithmetic_matches_fraction(a, b):
+    fa, fb = F(*a), F(*b)
+    for got, want in (
+        (exactnum._q_add(*a, *b), fa + fb),
+        (exactnum._q_mul(*a, *b), fa * fb),
+    ):
+        assert got == (want.numerator, want.denominator)
+    if b[0]:
+        want = fa / fb
+        assert exactnum._q_div(*a, *b) == (want.numerator, want.denominator)

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dioph6.errors import DegeneracyError
+from dioph6 import family
+from dioph6.errors import ConsistencyError, DegeneracyError
 from dioph6.exactnum import sqrt_exact
 from dioph6.family import (
+    TripleABC,
+    _w_pair,
+    _w_value,
     curve_E,
     curve_Epp,
     curve_Estar,
@@ -23,7 +27,7 @@ from dioph6.family import (
     triple_from_multiple,
 )
 from dioph6.identities import map_u, map_w, map_X, plane_curve_value, quartic_condition
-from dioph6.weierstrass import INFINITY, Point
+from dioph6.weierstrass import INFINITY, Curve, Point
 
 
 def _abc_closed(t):
@@ -318,3 +322,136 @@ def test_triple_invariants_random_sample():
         for prod in (tri.a * tri.b, tri.a * tri.c, tri.b * tri.c):
             assert sqrt_exact(prod + 1) is not None
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the integer forms against the rational-function bodies
+# ---------------------------------------------------------------------------
+# The functions below evaluate each per-t value as a rational function of t
+# in Fraction arithmetic; the package evaluates them on t = p/q over the
+# integers, and the two must agree everywhere.
+
+def _rational_curve_E(t):
+    tt = t * t
+    return Curve(3 * (tt - 3 * t + 1) * (tt + 3 * t + 1), 3 * (tt + 1) ** 4, (tt + 1) ** 6)
+
+
+def _rational_curve_Estar(t):
+    tt = t * t
+    return Curve(
+        3 * (tt - 3 * t + 1) * (tt + 3 * t + 1),
+        3 * (tt + 1) ** 2 * (tt * tt - 178 * tt + 1),
+        (tt + 1) ** 2 * (tt * tt + 110 * tt + 1) ** 2,
+    )
+
+
+def _rational_points(t):
+    """R, T* and P*."""
+    tt = t * t
+    return (
+        Point(F(0), (tt + 1) ** 3),
+        Point(-(tt - 6 * t + 1) * (tt + 6 * t + 1), 27 * t * (t - 1) ** 2 * (t + 1) ** 2),
+        Point(-(tt + 1) * (tt + 18 * t + 1), 27 * t * (t + 1) ** 2 * (tt + 1)),
+    )
+
+
+def _rational_w_constants(t):
+    tt = t * t
+    return (
+        F(5, 4) * tt * tt + F(59, 2) * tt + F(5, 4),
+        -F(3, 2) * (tt + 1),
+        -F(27, 8) * (t - 1) ** 2 * (t + 1) ** 2 * (tt + 1),
+    )
+
+
+def _rational_sigma1(t, x):
+    tt = t * t
+    return (-tt * tt + 4 * tt - 1 - (tt + 1) ** 4 / x) / ((tt - 1) * t)
+
+
+def _rational_sigma2(s1, s3):
+    return (s1 * s1 * s3 * s3 - 12 * s3 * s3 - 6 * s1 * s3 - 3) / (4 + 4 * s3 * s3)
+
+
+def _rational_three_torsion(a, b, c):
+    s1, s2, s3 = a + b + c, a * b + a * c + b * c, a * b * c
+    return s3 * s3 * (12 + 4 * s2 - s1 * s1) + 6 * s1 * s3 + 4 * s2 + 3
+
+
+def _rational_curve_Epp(t, x):
+    tt = t * t
+    aa = (tt + 1) ** 2
+    return Curve((aa / x + 1) ** 2 / 4, tt * (aa / (x * x) + 1 / x) / 2, tt * tt / (4 * x * x))
+
+
+_WIDE_PARAMS = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3).filter(
+    lambda t: t not in (-1, 0, 1)
+)
+_NONZERO = _FRACTIONS.filter(bool)
+
+
+@given(_WIDE_PARAMS, _NONZERO)
+def test_per_t_values_match_rational_bodies(t, x):
+    for integer, rational in ((curve_E(t), _rational_curve_E(t)), (curve_Estar(t), _rational_curve_Estar(t))):
+        assert (integer.a2, integer.a4, integer.a6) == (rational.a2, rational.a4, rational.a6)
+    assert (point_R(t), point_Tstar(t), point_Pstar(t)) == _rational_points(t)
+    assert map_w_constants(t) == _rational_w_constants(t)
+    assert sigma3(t) == (t * t - 1) / (2 * t)
+    assert sigma1_from_x(t, x) == _rational_sigma1(t, x)
+    model, rational = curve_Epp(t, x), _rational_curve_Epp(t, x)
+    assert (model.a2, model.a4, model.a6) == (rational.a2, rational.a4, rational.a6)
+
+
+@given(_FRACTIONS, _FRACTIONS, _FRACTIONS)
+def test_sigma2_and_order3_match_rational_bodies(a, b, c):
+    assert sigma2_from(a, b) == _rational_sigma2(a, b)
+    assert three_torsion_value(a, b, c) == _rational_three_torsion(a, b, c)
+    assert three_torsion_condition(a, b, c) == (_rational_three_torsion(a, b, c) == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_WIDE_PARAMS, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2))
+def test_w_pair_matches_rational_w(t, k, j):
+    star = curve_Estar(t)
+    pt = star.add(star.mul(k, point_Pstar(t)), star.mul(j, point_Tstar(t)))
+    consts = _rational_w_constants(t)
+    p, q = t.numerator, t.denominator
+    try:
+        want = _w_value(pt, star, *consts)
+    except DegeneracyError:
+        with pytest.raises(DegeneracyError):
+            _w_pair(p, q, pt, star)
+        return
+    assert _w_pair(p, q, pt, star) == (want.numerator, want.denominator)
+
+
+def test_w_pair_at_the_removable_point_and_the_pole():
+    star = curve_Estar(2)
+    q = star.add(star.mul(2, point_Pstar(2)), point_Tstar(2))  # x = v, y = -s
+    assert _w_pair(2, 1, q, star) == (119, 40)
+    v, _, s = map_w_constants(2)
+    with pytest.raises(DegeneracyError):
+        _w_pair(2, 1, Point(v, s), star)
+    with pytest.raises(DegeneracyError):
+        _w_pair(2, 1, INFINITY, star)
+
+
+def test_triple_checks_on_integers_still_reject():
+    tri = triple_from_multiple(F(9, 8), 3)
+    a, b, c = tri.elements
+    rhos = (tri.rho_ab, tri.rho_ac, tri.rho_bc)
+    with pytest.raises(ValueError, match=f"^witness {rhos[1] + 1} does not square to {a * c} \\+ 1$"):
+        TripleABC(a, b, c, rhos[0], rhos[1] + 1, rhos[2])
+    with pytest.raises(ValueError, match="does not square"):
+        TripleABC(a, b, c, -rhos[0], *rhos[1:])
+    # (1, 3, 8) has square pair products + 1 but fails the order-3 condition
+    with pytest.raises(ValueError, match="order-3 condition"):
+        TripleABC(1, 3, 8, 2, 3, 5)
+    assert (tri.sigma1, tri.sigma2, tri.sigma3) == (a + b + c, a * b + a * c + b * c, a * b * c)
+
+
+def test_triple_sigma_cross_check_still_fires(monkeypatch):
+    sigma1 = family._sigma1
+    monkeypatch.setattr(family, "_sigma1", lambda p, q, xn, xd: sigma1(p, q, xn + xd, xd))
+    with pytest.raises(ConsistencyError, match="disagrees with its symmetric functions"):
+        triple_from_multiple(F(9, 8), 3)

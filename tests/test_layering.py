@@ -47,6 +47,16 @@ KEPT = {
     "weierstrass.Curve.scale_point": "the point map of Curve.scale, for model-independence checks",
     "paramfam.catalog_entry": "public lookup of a named catalog example",
     "reduction_lab.p_minimal_model": "public model API: the p-minimal u-scaling of a curve",
+    **{
+        f"family.{name}": "a per-t value of the paper; the pipeline checks t once and "
+        "evaluates it on t = p/q through the integer helper this function wraps"
+        for name in (
+            "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar",
+            "map_w_constants", "sigma3", "sigma1_from_x", "sigma2_from",
+        )
+    },
+    "family.three_torsion_condition": "the order-3 condition of any triple; TripleABC "
+    "checks it on the triple's integers over their common denominator (family._order3)",
 }
 
 _PROBE = """

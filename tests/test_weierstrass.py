@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6.family import curve_E, curve_Estar, point_R, point_Tstar, triple_from_multiple
-from dioph6.family import curve_Epp
+from dioph6.family import curve_E, curve_Estar, point_Pstar, point_R, point_Tstar
+from dioph6.family import curve_Epp, triple_from_multiple
 from dioph6.identities import point_Sprime, torsion_order_upto
 from dioph6.sextuple_engine import induced_curve, point_Pprime
 from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, _std_quantities
@@ -104,6 +104,8 @@ def test_identity_and_inverse():
     assert -GEN == Point(-11, -125)
     assert REMARK_CURVE.contains(-GEN)
     assert REMARK_CURVE.add_unchecked(GEN, -GEN) == INFINITY
+    assert REMARK_CURVE.add_x_unchecked(GEN, -GEN) is None
+    assert REMARK_CURVE.add_x_unchecked(INFINITY, GEN) == GEN.x
     assert -INFINITY == INFINITY
 
 
@@ -112,6 +114,7 @@ def test_two_torsion_doubling_is_infinity():
     two_torsion = Point(-3, 0)
     assert curve.contains(two_torsion)
     assert curve.add(two_torsion, two_torsion) == INFINITY
+    assert curve.add_x_unchecked(two_torsion, two_torsion) is None
     assert curve.mul(2, two_torsion) == INFINITY
 
 
@@ -273,6 +276,80 @@ def test_torsion_order_stops_at_bound(monkeypatch):
     calls = _record_unchecked_adds(monkeypatch)
     assert torsion_order_upto(REMARK_CURVE, GEN, bound=5) is None
     assert len(calls) == 4  # [2]p .. [5]p, never [6]p
+
+
+# ---------------------------------------------------------------------------
+# the group law on integer pairs against the Fraction chord-and-tangent rule
+# ---------------------------------------------------------------------------
+
+def _fraction_add(curve, p, q):
+    """The chord-and-tangent sum in Fraction operators, the reference for
+    the group law, which works on (numerator, denominator) pairs."""
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+    if x1 == x2:
+        if y1 == -y2:
+            return INFINITY
+        lam = (3 * x1**2 + 2 * curve.a2 * x1 + curve.a4) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam**2 - (curve.a2 + x1 + x2)
+    return Point(x3, lam * (x1 - x3) - y1)
+
+
+def _fraction_mul(curve, k, p):
+    """[k]p by k - 1 reference sums, no ladder."""
+    if k < 0:
+        k, p = -k, (p if p.is_infinity else Point(p.x, -p.y))
+    acc = INFINITY
+    for _ in range(k):
+        acc = _fraction_add(curve, acc, p)
+    return acc
+
+
+@st.composite
+def _family_curve_and_generators(draw):
+    """A curve of the construction and points on it: E(t) with R, E*(t)
+    with P* and T*, the induced curve of a constructed triple with P' and
+    S', or the two-torsion model E''(t, x([m]R)), whose coefficients are
+    not integral, with its three points of order 2."""
+    t = draw(_PARAMS)
+    kind = draw(st.sampled_from(("E", "E*", "induced", "E''")))
+    if kind == "E":
+        return curve_E(t), [point_R(t)]
+    if kind == "E*":
+        return curve_Estar(t), [point_Pstar(t), point_Tstar(t)]
+    m = draw(st.integers(min_value=2, max_value=3))
+    tri = triple_from_multiple(t, m)
+    a, b, c = tri.elements
+    if kind == "induced":
+        return induced_curve(a, b, c), [point_Pprime(a, b, c), point_Sprime(a, b, c)]
+    curve = curve_Epp(t, curve_E(t).mul(m, point_R(t)).x)
+    shift = t * t / (t * t + 1) ** 2
+    return curve, [Point(-(prod + 1) * shift, 0) for prod in (a * b, a * c, b * c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_curve_and_generators(), st.data())
+def test_group_law_matches_fraction_reference(curve_and_gens, data):
+    curve, gens = curve_and_gens
+    ks = st.integers(min_value=-4, max_value=4)
+    pts = [_fraction_mul(curve, data.draw(ks), g) for g in gens]
+    pts.append(_fraction_add(curve, pts[0], pts[-1]))
+    for p in pts:
+        assert curve.contains(p)
+        # sums with O, with -p (the inverse pair) and with p (doubling,
+        # which is O at a point with y = 0)
+        for q in (*pts, INFINITY, -p, p):
+            want = _fraction_add(curve, p, q)
+            assert curve.add_unchecked(p, q) == want, (curve, p, q)
+            assert curve.add_x_unchecked(p, q) == want.x, (curve, p, q)
+    for g in gens:
+        for k in range(-3, 7):
+            assert curve.mul(k, g) == _fraction_mul(curve, k, g), (curve, g, k)
 
 
 # ---------------------------------------------------------------------------
