@@ -57,7 +57,7 @@ def cmd_generate(args) -> int:
             raise ValueError("the closed-form route is only defined for m = 2, n = 1")
         point = paramfam.family_point(t)
         record = engine.SextupleRecord(
-            t=t, m=2, n=1, triple=paramfam.family_triple(t),
+            t=t, m=2, n=1, triple=point.triple(),
             d=point.d, e=point.e, f=point.f, report=point.report,
         )
     else:

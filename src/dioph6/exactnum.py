@@ -1,5 +1,6 @@
 """Exact arithmetic over the rationals: exact square roots, p-adic valuations,
-primality, factorization by trial division and the canonical text form.
+primality, factorization by trial division and the canonical text form, and
+the base of the package's immutable value types.
 
 Every scalar in this package is a :class:`fractions.Fraction` (aliased as
 ``Rat``), which is always kept in lowest terms with a positive denominator,
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-import threading
+from _thread import allocate_lock
 from fractions import Fraction
 from itertools import compress
 
@@ -28,6 +29,44 @@ Rat = Fraction
 DEFAULT_FACTOR_BOUND = 10**6
 
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``_fields``, declares them (and any cache
+    it keeps) in ``__slots__``, and sets them in its own ``__init__`` with
+    ``object.__setattr__``.  Equality (same class only), hash, repr and
+    copying or pickling (through the constructor) are over ``_fields``;
+    every other assignment and every deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def sqrt_exact(q: Rat | int) -> Rat | None:
@@ -289,7 +328,7 @@ class _PrimeTable:
         #: how many numbers have been divided through each block whole
         self.passes = [0] * _TABLE_BLOCKS
         self._sieve: tuple[bytearray, bytearray] = (bytearray(), bytearray())
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     @staticmethod
     def pairs(k: int) -> tuple[int, int]:

@@ -13,12 +13,11 @@ scale) the pair products ab, ac, bc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, _coprime, _coprime_sqrt, _q_div, _q_mul, format_rat
+from .exactnum import Rat, _coprime, _coprime_sqrt, _q_div, _q_mul, _Value, format_rat
 from .weierstrass import Curve, Point, _affine
 
 #: Multiples beyond this make coordinate digit counts (which grow
@@ -324,8 +323,7 @@ def curve_Epp(t, x) -> Curve:
 # the validated triple
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TripleABC:
+class TripleABC(_Value):
     """A rational triple {a, b, c} with square pairwise products + 1.
 
     Carries the nonnegative square-root witnesses rho_* of ab+1, ac+1,
@@ -334,25 +332,35 @@ class TripleABC:
     polynomial condition.
     """
 
+    _fields = ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc", "t", "m")
+    __slots__ = (*_fields, "_cleared")
     a: Rat
     b: Rat
     c: Rat
     rho_ab: Rat
     rho_ac: Rat
     rho_bc: Rat
-    t: Rat | None = None
-    m: int | None = None
+    t: Rat | None
+    m: int | None
     #: (den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den over the
     #: least common denominator; the checks and the symmetric functions work
     #: with these integers.
-    _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _cleared: tuple[int, int, int, int]
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.t is not None:
-            object.__setattr__(self, "t", Fraction(self.t))
-        a, b, c = self.a, self.b, self.c
+    def __init__(
+        self, a: Rat, b: Rat, c: Rat, rho_ab: Rat, rho_ac: Rat, rho_bc: Rat,
+        t: Rat | None = None, m: int | None = None,
+    ) -> None:
+        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        rhos = (Fraction(rho_ab), Fraction(rho_ac), Fraction(rho_bc))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rho_ab", rhos[0])
+        object.__setattr__(self, "rho_ac", rhos[1])
+        object.__setattr__(self, "rho_bc", rhos[2])
+        object.__setattr__(self, "t", None if t is None else Fraction(t))
+        object.__setattr__(self, "m", m)
         if 0 in (a, b, c):
             raise ValueError("triple elements must be nonzero")
         if len({a, b, c}) != 3:
@@ -361,7 +369,7 @@ class TripleABC:
         object.__setattr__(self, "_cleared", cleared)
         den, na, nb, nc = cleared
         dd = den * den
-        for rho, prod in ((self.rho_ab, na * nb), (self.rho_ac, na * nc), (self.rho_bc, nb * nc)):
+        for rho, prod in zip(rhos, (na * nb, na * nc, nb * nc)):
             # rho^2 = prod/den^2 + 1
             if rho < 0 or rho.numerator**2 * dd != rho.denominator**2 * (prod + dd):
                 raise ValueError(f"witness {rho} does not square to {Fraction(prod, dd)} + 1")

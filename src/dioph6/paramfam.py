@@ -13,11 +13,10 @@ a symbolic check of every tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, format_rat, sqrt_exact
+from .exactnum import Rat, _Value, format_rat, sqrt_exact
 from .family import TripleABC, require_param
 from .sextuple_engine import VerificationReport, verify_tuple
 
@@ -112,10 +111,10 @@ def family_triple(t) -> TripleABC:
     return TripleABC(a, b, c, *roots, t=t, m=2)
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
+class FamilyPoint(_Value):
     """The six closed-form family values at one parameter, self-verified."""
 
+    __slots__ = _fields = ("t", "a", "b", "c", "d", "e", "f", "negatives", "report")
     t: Rat
     a: Rat
     b: Rat
@@ -126,9 +125,29 @@ class FamilyPoint:
     negatives: int
     report: VerificationReport
 
+    def __init__(
+        self, t: Rat, a: Rat, b: Rat, c: Rat, d: Rat, e: Rat, f: Rat,
+        negatives: int, report: VerificationReport,
+    ) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "negatives", negatives)
+        object.__setattr__(self, "report", report)
+
     @property
     def elements(self) -> tuple[Rat, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
+
+    def triple(self) -> TripleABC:
+        """:func:`family_triple` at the same t, with the witnesses of the
+        pairs (1, 2), (1, 3) and (2, 3) taken from the certificate."""
+        roots = (w.square_root for w in self.report.pair_results if w.j <= 3)
+        return TripleABC(self.a, self.b, self.c, *roots, t=self.t, m=2)
 
 
 def family_point(t) -> FamilyPoint:
@@ -148,11 +167,16 @@ def family_point(t) -> FamilyPoint:
 # catalog of named examples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Value):
+    __slots__ = _fields = ("name", "elements", "source")
     name: str
     elements: tuple[Rat, ...]
     source: str
+
+    def __init__(self, name: str, elements: tuple[Rat, ...], source: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "source", source)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ scope and rejected everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -22,6 +21,7 @@ from .exactnum import (
     _int_vp,
     _rat_vp,
     _require_prime,
+    _Value,
     format_rat,
     odd_prime_divisors,
     vp,
@@ -39,8 +39,7 @@ MULTIPLICATIVE = "mult"
 ADDITIVE = "add"
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(_Value):
     """Reduction data of a curve at one odd prime, on the model of
     :func:`p_minimal_model`.
 
@@ -48,11 +47,21 @@ class ReductionReport:
     is the k with u = p^k applied to reach that model.
     """
 
+    __slots__ = _fields = ("p", "type", "v_delta", "v_c4", "scaling_exponent")
     p: int
     type: str
     v_delta: int
     v_c4: int | None
     scaling_exponent: int
+
+    def __init__(
+        self, p: int, type: str, v_delta: int, v_c4: int | None, scaling_exponent: int
+    ) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "v_delta", v_delta)
+        object.__setattr__(self, "v_c4", v_c4)
+        object.__setattr__(self, "scaling_exponent", scaling_exponent)
 
     def to_json_dict(self) -> dict:
         return {
@@ -64,14 +73,20 @@ class ReductionReport:
         }
 
 
-@dataclass(frozen=True)
-class ValuationRow:
+class ValuationRow(_Value):
     """One predicted-vs-observed valuation (or valuation-sign) comparison."""
 
+    __slots__ = _fields = ("m", "predicted", "observed", "lemma_part")
     m: int
     predicted: int
     observed: int
     lemma_part: str
+
+    def __init__(self, m: int, predicted: int, observed: int, lemma_part: str) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "lemma_part", lemma_part)
 
     @property
     def passed(self) -> bool:
@@ -152,8 +167,7 @@ def classify(curve: Curve, p: int) -> ReductionReport:
 # bad primes of the two-torsion model at a point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BadPrimesReport:
+class BadPrimesReport(_Value):
     """Classification of the two-torsion model at every relevant odd prime.
 
     ``candidates`` are the odd primes dividing t(t^2+1) - the only primes
@@ -162,6 +176,9 @@ class BadPrimesReport:
     prime where the minimal discriminant has positive valuation.
     """
 
+    __slots__ = _fields = (
+        "t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds",
+    )
     t: int
     x: Rat
     y: Rat
@@ -170,6 +187,20 @@ class BadPrimesReport:
     additive: tuple[int, ...]
     prop_applicable: bool
     prop_holds: bool | None
+
+    def __init__(
+        self, t: int, x: Rat, y: Rat, entries: tuple[tuple[int, ReductionReport], ...],
+        candidates: tuple[int, ...], additive: tuple[int, ...],
+        prop_applicable: bool, prop_holds: bool | None,
+    ) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "additive", additive)
+        object.__setattr__(self, "prop_applicable", prop_applicable)
+        object.__setattr__(self, "prop_holds", prop_holds)
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,13 +16,12 @@ its denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, _coprime, _coprime_sqrt, format_rat
+from .exactnum import Rat, _coprime, _coprime_sqrt, _Value, format_rat
 from .family import TripleABC
 from .weierstrass import Curve, Point
 
@@ -30,29 +29,40 @@ from .weierstrass import Curve, Point
 DEFAULT_MAX_ODD_INDEX = 6
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(_Value):
     """One pairwise check: elements i, j (1-based), their product + 1, and
     its square root when it exists."""
 
+    __slots__ = _fields = ("i", "j", "product_plus_one", "square_root")
     i: int
     j: int
     product_plus_one: Rat
     square_root: Rat | None
+
+    def __init__(self, i: int, j: int, product_plus_one: Rat, square_root: Rat | None) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "product_plus_one", product_plus_one)
+        object.__setattr__(self, "square_root", square_root)
 
     @property
     def ok(self) -> bool:
         return self.square_root is not None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Full certificate for a candidate tuple: every pairwise product + 1
     together with its square-root witness."""
 
+    __slots__ = _fields = ("pair_results", "nonzero", "distinct")
     pair_results: tuple[PairWitness, ...]
     nonzero: bool
     distinct: bool
+
+    def __init__(self, pair_results: tuple[PairWitness, ...], nonzero: bool, distinct: bool) -> None:
+        object.__setattr__(self, "pair_results", pair_results)
+        object.__setattr__(self, "nonzero", nonzero)
+        object.__setattr__(self, "distinct", distinct)
 
     @property
     def all_pass(self) -> bool:
@@ -137,10 +147,10 @@ def point_Pprime(a, b, c) -> Point:
 # sextuple extension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SextupleRecord:
+class SextupleRecord(_Value):
     """A constructed sextuple with provenance and its full certificate."""
 
+    __slots__ = _fields = ("t", "m", "n", "triple", "d", "e", "f", "report")
     t: Rat | None
     m: int | None
     n: int
@@ -150,8 +160,19 @@ class SextupleRecord:
     f: Rat
     report: VerificationReport
 
-    def __post_init__(self) -> None:
-        if not self.report.all_pass:
+    def __init__(
+        self, t: Rat | None, m: int | None, n: int, triple: TripleABC,
+        d: Rat, e: Rat, f: Rat, report: VerificationReport,
+    ) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "report", report)
+        if not report.all_pass:
             raise ValueError("sextuple record requires a passing certificate")
 
     @property
@@ -211,11 +232,11 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
             raise DegeneracyError(f"{name} coincides with +-P' (x = 0)")
     d, e, f = (x / abc for x in xs)
     elements = (a, b, c, d, e, f)
-    if len(set(elements)) != 6:
+    report = verify_tuple(elements)
+    if not report.distinct:
         raise DegeneracyError(
             f"extension of ({a}, {b}, {c}) with n = {n} repeats an element"
         )
-    report = verify_tuple(elements)
     if not report.all_pass:
         raise ConsistencyError(
             f"certificate failed for ({a}, {b}, {c}) extended with n = {n}: "

@@ -23,11 +23,10 @@ is the Fraction that operator arithmetic would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import Rat, _coprime, _q_add, _q_div, _q_mul, format_rat
+from .exactnum import Rat, _coprime, _q_add, _q_div, _q_mul, _Value, format_rat
 
 __all__ = [
     "Curve",
@@ -37,19 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """An affine point ``[x, y]`` or the point at infinity (both fields None)."""
 
-    x: Rat | None = None
-    y: Rat | None = None
+    __slots__ = _fields = ("x", "y")
+    x: Rat | None
+    y: Rat | None
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: Rat | None = None, y: Rat | None = None) -> None:
+        if (x is None) != (y is None):
             raise ValueError("point needs both coordinates or neither")
-        if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+        if x is not None:
+            x, y = Fraction(x), Fraction(y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:
@@ -79,16 +79,24 @@ def _affine(x: Rat, y: Rat) -> Point:
     return pt
 
 
-@dataclass(frozen=True)
-class StdQuantities:
+class StdQuantities(_Value):
     """The standard b/c invariants and discriminant of a curve."""
 
+    __slots__ = _fields = ("b2", "b4", "b6", "b8", "c4", "delta")
     b2: Rat
     b4: Rat
     b6: Rat
     b8: Rat
     c4: Rat
     delta: Rat
+
+    def __init__(self, b2: Rat, b4: Rat, b6: Rat, b8: Rat, c4: Rat, delta: Rat) -> None:
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b4", b4)
+        object.__setattr__(self, "b6", b6)
+        object.__setattr__(self, "b8", b8)
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "delta", delta)
 
 
 def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
@@ -111,38 +119,39 @@ def _cleared_discriminant(d: int, c2: int, c4: int, c6: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(_Value):
     """Nonsingular curve y^2 = x^3 + a2 x^2 + a4 x + a6 over the rationals.
 
     Only this shape (no xy or y term) is supported; it halves the group-law
     case analysis and covers every curve this package constructs.
     """
 
+    _fields = ("a2", "a4", "a6")
+    __slots__ = (*_fields, "_cleared", "_coeffs", "_std")
     a2: Rat
     a4: Rat
     a6: Rat
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
     #: coefficients; :meth:`contains` works with these integers.
-    _cleared: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _cleared: tuple[int, int, int, int]
     #: (num a2, den a2, num a4, den a4) for the group law.
-    _coeffs: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _coeffs: tuple[int, int, int, int]
     #: The b/c invariants and discriminant, computed on the first call of
     #: :meth:`std_quantities`.
-    _std: StdQuantities | None = field(default=None, init=False, repr=False, compare=False)
+    _std: StdQuantities | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a2", Fraction(self.a2))
-        object.__setattr__(self, "a4", Fraction(self.a4))
-        object.__setattr__(self, "a6", Fraction(self.a6))
-        coeffs = (self.a2, self.a4, self.a6)
-        a2, a4 = self.a2, self.a4
+    def __init__(self, a2: Rat, a4: Rat, a6: Rat) -> None:
+        a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "_std", None)
         object.__setattr__(self, "_coeffs", (a2.numerator, a2.denominator, a4.numerator, a4.denominator))
+        coeffs = (a2, a4, a6)
         d = lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(
-            self, "_cleared", (d, *(c.numerator * (d // c.denominator) for c in coeffs))
-        )
-        if _cleared_discriminant(*self._cleared) == 0:
+        cleared = (d, *(c.numerator * (d // c.denominator) for c in coeffs))
+        object.__setattr__(self, "_cleared", cleared)
+        if _cleared_discriminant(*cleared) == 0:
             raise ValueError(f"singular curve: {self}")
 
     # -- invariants ------------------------------------------------------

@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dioph6.cli import build_parser, main
+from dioph6.paramfam import family_triple
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +45,13 @@ def test_generate_t6_closed_form(capsys, t6_printed):
     assert code == 0
     data = json.loads(out)
     assert data["elements"] == [str(e) for e in t6_printed]
+
+
+@pytest.mark.parametrize("t", ["6", "-17/13"])
+def test_generate_closed_form_record_carries_family_triple(capsys, t):
+    code, out, _ = run_cli(capsys, "generate", f"--t={t}", "--route", "closed-form")
+    assert code == 0
+    assert json.loads(out)["triple"] == family_triple(Fraction(t)).to_json_dict()
 
 
 def test_generate_t2_three_negatives(capsys):

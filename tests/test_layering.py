@@ -1,6 +1,7 @@
 """The paper's check-only identities live in ``dioph6.identities``, which
-neither the package nor the command imports, and every public function of
-the pipeline is one the pipeline runs."""
+neither the package nor the command imports; importing them loads no
+module of the standard library that the pipeline does not use; and every
+public function of the pipeline is one the pipeline runs."""
 
 import ast
 import json
@@ -41,6 +42,10 @@ NOT_EXPORTED = (
     *(name.rpartition(".")[2] for names in (*MOVED.values(), *DELETED.values()) for name in names),
     "three_torsion_condition",
 )
+#: Standard-library modules that ``import dioph6, dioph6.cli`` must not load:
+#: the value types are plain slotted classes, and the prime table's lock
+#: comes from ``_thread``.
+NOT_LOADED = ("dataclasses", "inspect", "typing", "threading")
 #: Public API that no pipeline code calls, kept on purpose.
 KEPT = {
     "weierstrass.Curve.add": "the checked group law; acceptance criterion 04 adds with it",
@@ -62,7 +67,8 @@ KEPT = {
 _PROBE = """
 import importlib, json, sys
 import dioph6, dioph6.cli
-moved, deleted, not_exported = json.loads(sys.argv[1])
+moved, deleted, not_exported, not_loaded = json.loads(sys.argv[1])
+stdlib_loaded = [name for name in not_loaded if name in sys.modules]
 
 def has(obj, dotted):
     for part in dotted.split("."):
@@ -73,6 +79,7 @@ def has(obj, dotted):
 
 print(json.dumps({
     "loaded": "dioph6.identities" in sys.modules,
+    "stdlib_loaded": stdlib_loaded,
     "exported": [n for n in not_exported if hasattr(dioph6, n)],
     "left_behind": [
         f"{mod}.{n}"
@@ -100,10 +107,12 @@ def _imports_identities(path: Path) -> bool:
 def test_identities_stay_off_the_import_path():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([MOVED, DELETED, NOT_EXPORTED])],
+        [sys.executable, "-S", "-c", _PROBE, json.dumps([MOVED, DELETED, NOT_EXPORTED, NOT_LOADED])],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert json.loads(result.stdout) == {"loaded": False, "exported": [], "left_behind": []}
+    assert json.loads(result.stdout) == {
+        "loaded": False, "stdlib_loaded": [], "exported": [], "left_behind": [],
+    }
 
     importers = [
         path.name

@@ -204,6 +204,12 @@ def test_family_triple_carries_provenance():
     assert tri.sigma3 == sigma3(6)
 
 
+@pytest.mark.parametrize("t", [F(6), F(2), F(-17, 13), F(9, 8), F(-5, 3)])
+def test_family_point_triple_is_family_triple(t):
+    # the witnesses of pairs (1, 2), (1, 3), (2, 3) come from the certificate
+    assert family_point(t).triple() == family_triple(t)
+
+
 def test_family_soundness_random_sample():
     rng = random.Random(13)
     count = 0

@@ -354,6 +354,17 @@ def test_extend_rejects_degenerate_n(t2_triple):
         extend_to_sextuple(t2_triple, 99)
 
 
+def test_extend_refuses_repeated_elements_from_the_certificate(monkeypatch, t2_triple):
+    # make x([3]P' + S') = x([3]P' - S') = x([3]P'), so that d = e = f
+    monkeypatch.setattr(
+        Curve, "add_sub_x_unchecked", lambda self, center, marked: (center.x, center.x)
+    )
+    a, b, c = t2_triple.elements
+    with pytest.raises(DegeneracyError) as info:
+        extend_to_sextuple(t2_triple, 1)
+    assert str(info.value) == f"extension of ({a}, {b}, {c}) with n = 1 repeats an element"
+
+
 def test_extend_requires_order3():
     # a Diophantine triple without the order-3 property cannot extend
     roots = [sqrt_exact(p + 1) for p in (F(3), F(8), F(24))]

@@ -1,0 +1,223 @@
+"""The contract of the exported value types: equality, hash and repr over
+their fields, immutability, copying and pickling through the constructor,
+keyword construction, and the checks their constructors make."""
+
+import copy
+import hashlib
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+import dioph6
+from dioph6 import (
+    INFINITY,
+    BadPrimesReport,
+    CatalogEntry,
+    Curve,
+    FamilyPoint,
+    PairWitness,
+    Point,
+    ReductionReport,
+    SextupleRecord,
+    StdQuantities,
+    TripleABC,
+    ValuationRow,
+    VerificationReport,
+    bad_primes_epp,
+    catalog_entry,
+    classify,
+    curve_E,
+    curve_Epp,
+    extend_to_sextuple,
+    family_point,
+    family_triple,
+    mod3_sign_table,
+    verify_tuple,
+)
+from dioph6.exactnum import _Value
+
+#: Every exported value type with its fields, in constructor order.
+FIELDS = {
+    Point: ("x", "y"),
+    StdQuantities: ("b2", "b4", "b6", "b8", "c4", "delta"),
+    Curve: ("a2", "a4", "a6"),
+    TripleABC: ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc", "t", "m"),
+    PairWitness: ("i", "j", "product_plus_one", "square_root"),
+    VerificationReport: ("pair_results", "nonzero", "distinct"),
+    SextupleRecord: ("t", "m", "n", "triple", "d", "e", "f", "report"),
+    FamilyPoint: ("t", "a", "b", "c", "d", "e", "f", "negatives", "report"),
+    CatalogEntry: ("name", "elements", "source"),
+    ReductionReport: ("p", "type", "v_delta", "v_c4", "scaling_exponent"),
+    ValuationRow: ("m", "predicted", "observed", "lemma_part"),
+    BadPrimesReport: (
+        "t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds",
+    ),
+}
+
+#: One instance of each type, built lazily so that collection stays cheap.
+EXAMPLES = {
+    "Point": lambda: Point(1, F(-2, 3)),
+    "INFINITY": lambda: INFINITY,
+    "StdQuantities": lambda: curve_E(2).std_quantities(),
+    "Curve": lambda: curve_E(2),
+    "TripleABC": lambda: family_triple(6),
+    "PairWitness": lambda: verify_tuple([1, 3]).pair_results[0],
+    "VerificationReport": lambda: verify_tuple([1, 3, 8]),
+    "SextupleRecord": lambda: extend_to_sextuple(family_triple(6), 1),
+    "FamilyPoint": lambda: family_point(6),
+    "CatalogEntry": lambda: catalog_entry("fermat"),
+    "ReductionReport": lambda: classify(curve_Epp(31, F(-150072)), 5),
+    "ValuationRow": lambda: mod3_sign_table(2, 2)[0],
+    "BadPrimesReport": lambda: bad_primes_epp(31, Point(-150072, 682327360)),
+}
+
+#: The reprs the frozen dataclasses printed for EXAMPLES; the two longest
+#: (about 2,800 characters each) by their sha256.
+REPRS = {
+    "Point": "Point(x=Fraction(1, 1), y=Fraction(-2, 3))",
+    "INFINITY": "Point(x=None, y=None)",
+    "StdQuantities": "StdQuantities(b2=Fraction(-132, 1), b4=Fraction(3750, 1), "
+    "b6=Fraction(62500, 1), b8=Fraction(-5578125, 1), c4=Fraction(-72576, 1), "
+    "delta=Fraction(-708588000000, 1))",
+    "Curve": "Curve(a2=Fraction(-33, 1), a4=Fraction(1875, 1), a6=Fraction(15625, 1))",
+    "TripleABC": "TripleABC(a=Fraction(3780, 73), b=Fraction(26645, 252), "
+    "c=Fraction(7, 13140), rho_ab=Fraction(74, 1), rho_ac=Fraction(74, 73), "
+    "rho_bc=Fraction(37, 36), t=Fraction(6, 1), m=2)",
+    "PairWitness": "PairWitness(i=1, j=2, product_plus_one=Fraction(4, 1), "
+    "square_root=Fraction(2, 1))",
+    "VerificationReport": "VerificationReport(pair_results=("
+    "PairWitness(i=1, j=2, product_plus_one=Fraction(4, 1), square_root=Fraction(2, 1)), "
+    "PairWitness(i=1, j=3, product_plus_one=Fraction(9, 1), square_root=Fraction(3, 1)), "
+    "PairWitness(i=2, j=3, product_plus_one=Fraction(25, 1), square_root=Fraction(5, 1))), "
+    "nonzero=True, distinct=True)",
+    "SextupleRecord": "sha256:10231ea03cb81ae890bed22d778f1de4480c794d926f777a321a0872112f5ec3",
+    "FamilyPoint": "sha256:56bc28f14d78828658a5b6baee704cafe759a507b95cbde8eb84e5e238170050",
+    "CatalogEntry": "CatalogEntry(name='fermat', elements=(Fraction(1, 1), Fraction(3, 1), "
+    "Fraction(8, 1), Fraction(120, 1)), source=\"Fermat's integer quadruple\")",
+    "ReductionReport": "ReductionReport(p=5, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)",
+    "ValuationRow": "ValuationRow(m=1, predicted=-1, observed=-1, "
+    "lemma_part='sign v3(x([m][3]R))')",
+    "BadPrimesReport": "BadPrimesReport(t=31, x=Fraction(-150072, 1), y=Fraction(682327360, 1), "
+    "entries=((3, ReductionReport(p=3, type='mult', v_delta=6, v_c4=0, scaling_exponent=-1)), "
+    "(5, ReductionReport(p=5, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)), "
+    "(11, ReductionReport(p=11, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)), "
+    "(13, ReductionReport(p=13, type='add', v_delta=4, v_c4=2, scaling_exponent=-1)), "
+    "(31, ReductionReport(p=31, type='add', v_delta=8, v_c4=3, scaling_exponent=0)), "
+    "(37, ReductionReport(p=37, type='add', v_delta=8, v_c4=3, scaling_exponent=-1))), "
+    "candidates=(13, 31, 37), additive=(13, 31, 37), prop_applicable=True, prop_holds=True)",
+}
+
+examples = pytest.mark.parametrize("name", EXAMPLES)
+
+
+def _values(value) -> tuple:
+    return tuple(getattr(value, field) for field in FIELDS[type(value)])
+
+
+def test_every_exported_value_type_has_an_example():
+    exported = {obj for obj in vars(dioph6).values() if isinstance(obj, type) and issubclass(obj, _Value)}
+    assert exported == set(FIELDS)
+    assert {type(build()) for build in EXAMPLES.values()} == set(FIELDS)
+
+
+@examples
+def test_eq_hash_repr(name):
+    value = EXAMPLES[name]()
+    twin = EXAMPLES[name]()
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin) == hash(_values(value))
+    assert value.__eq__(_values(value)) is NotImplemented
+    assert value != _values(value)
+    text = repr(value)
+    if REPRS[name].startswith("sha256:"):
+        text = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    assert text == REPRS[name]
+
+
+def test_equality_is_over_the_fields():
+    assert Point(1, 2) == Point(F(1), F(2)) != Point(1, -2)
+    assert Curve(1, 2, 3) != Curve(1, 2, 4)
+    assert INFINITY == Point() != Point(0, 0)
+    assert {Curve(1, 2, 3), Curve(F(1), F(2), F(3))} == {Curve(1, 2, 3)}
+
+
+@examples
+def test_fields_cannot_be_assigned_or_deleted(name):
+    value = EXAMPLES[name]()
+    for field in FIELDS[type(value)]:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@examples
+def test_copy_deepcopy_and_pickle_round_trip(name):
+    value = EXAMPLES[name]()
+    for twin in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+def test_copies_of_a_curve_keep_working_after_its_invariants_are_cached():
+    curve = curve_E(F(9, 8))
+    sq = curve.std_quantities()
+    for twin in (copy.copy(curve), copy.deepcopy(curve), pickle.loads(pickle.dumps(curve))):
+        assert twin == curve
+        assert twin.std_quantities() == sq
+        assert twin._cleared == curve._cleared and twin._coeffs == curve._coeffs
+        assert twin.contains(Point(0, F(145, 64) ** 3))
+
+
+@examples
+def test_keyword_construction(name):
+    value = EXAMPLES[name]()
+    fields = FIELDS[type(value)]
+    rebuilt = type(value)(**dict(zip(fields, _values(value))))
+    assert rebuilt == value and repr(rebuilt) == repr(value)
+
+
+def test_constructor_defaults_and_coercion():
+    assert Point() == INFINITY and Point().is_infinity
+    assert Point(x=1, y=F(1, 2)).x == F(1) and type(Point(1, 2).x) is F
+    assert Curve(a2=1, a4=2, a6=3).a6 == F(3) and type(Curve(1, 2, 3).a2) is F
+    t6 = family_triple(6)
+    bare = TripleABC(t6.a, t6.b, t6.c, t6.rho_ab, t6.rho_ac, t6.rho_bc)
+    assert (bare.t, bare.m) == (None, None)
+    assert TripleABC(*_values(t6)[:6], t=6, m=2) == t6
+    assert type(TripleABC(*_values(t6)[:6], t=6).t) is F
+
+
+def test_point_needs_both_coordinates_or_neither():
+    for args in ({"x": 1}, {"y": 1}):
+        with pytest.raises(ValueError, match="point needs both coordinates or neither"):
+            Point(**args)
+
+
+def test_singular_curve_is_rejected():
+    with pytest.raises(ValueError, match="singular curve"):
+        Curve(0, 0, 0)
+
+
+def test_triple_rejects_a_bad_witness():
+    t6 = family_triple(6)
+    with pytest.raises(ValueError, match="witness 75 does not square"):
+        TripleABC(t6.a, t6.b, t6.c, t6.rho_ab + 1, t6.rho_ac, t6.rho_bc, t=6, m=2)
+    with pytest.raises(ValueError, match="nonzero"):
+        TripleABC(0, t6.b, t6.c, t6.rho_ab, t6.rho_ac, t6.rho_bc)
+
+
+def test_sextuple_record_rejects_a_failing_report():
+    record = extend_to_sextuple(family_triple(6), 1)
+    failing = verify_tuple([1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError, match="sextuple record requires a passing certificate"):
+        SextupleRecord(*_values(record)[:7], report=failing)
