@@ -144,7 +144,7 @@ def cmd_reduce(args) -> int:
         payload = red.bad_primes_epp(args.t, point, bound=args.factor_bound).to_json_dict()
     else:
         red.require_base_point(args.t, point)
-        report = red.classify(fam.curve_Epp(Fraction(args.t), point.x), args.p)
+        report = red.classify(fam._curve_Epp(args.t, 1, point.x), args.p)
         payload = {
             "t": args.t,
             "x": format_rat(point.x),

@@ -102,6 +102,13 @@ def _coprime(num: int, den: int) -> Rat:
     return q
 
 
+def _over_common_denominator(a: Rat, b: Rat, c: Rat) -> tuple[int, int, int, int]:
+    """(den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den and den the
+    least common denominator."""
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (den, *(x.numerator * (den // x.denominator) for x in (a, b, c)))
+
+
 # Arithmetic on (numerator, denominator) pairs in lowest terms with positive
 # denominators.  Each helper applies the rule that Fraction applies to the
 # same operation (Henrici's: a gcd of the denominators for a sum, two cross
@@ -262,6 +269,8 @@ def _require_prime(p: int) -> None:
 
 def _int_vp(n: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer n."""
+    if not n:
+        raise ValueError("valuation of 0 is undefined")
     n = abs(n)
     count = 0
     while n % p == 0:

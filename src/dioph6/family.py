@@ -14,10 +14,19 @@ scale) the pair products ab, ac, bc.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, _coprime, _coprime_sqrt, _q_div, _q_mul, _Value, format_rat
+from .exactnum import (
+    Rat,
+    _coprime,
+    _coprime_sqrt,
+    _over_common_denominator,
+    _q_div,
+    _q_mul,
+    _Value,
+    format_rat,
+)
 from .weierstrass import Curve, Point, _affine
 
 #: Multiples beyond this make coordinate digit counts (which grow
@@ -138,13 +147,6 @@ def _order3(den: int, na: int, nb: int, nc: int) -> int:
     s2 = na * nb + na * nc + nb * nc
     s3 = na * nb * nc
     return s3 * s3 * (12 * d2 + 4 * s2 - s1 * s1) + (6 * s1 * s3 + (4 * s2 + 3 * d2) * d2) * d4
-
-
-def _over_common_denominator(a: Rat, b: Rat, c: Rat) -> tuple[int, int, int, int]:
-    """(den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den and den the
-    least common denominator."""
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    return (den, *(x.numerator * (den // x.denominator) for x in (a, b, c)))
 
 
 def three_torsion_value(a, b, c) -> Rat:

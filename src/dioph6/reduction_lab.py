@@ -8,6 +8,12 @@ coordinates x -> x - r is needed before scaling, so a curve that must first
 be translated can be reported as additive at a prime of good or
 multiplicative reduction, for p >= 5 as well as p = 3.  p = 2 is out of
 scope and rejected everywhere.
+
+The valuations come from the integers a :class:`Curve` already holds, its
+coefficients a_i = c_i/d over their least common denominator and its
+cleared discriminant D = ``Curve._disc``: at odd p, where 16 is a unit,
+delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.  No Fraction invariant is
+built on the way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .exactnum import (
     _Value,
     format_rat,
     odd_prime_divisors,
-    vp,
 )
 from .family import _curve_E, _curve_Epp, _point_R, require_param
 from .weierstrass import Curve, INFINITY, Point
@@ -134,12 +139,11 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
 
 
 def _scaling_exponent(curve: Curve, p: int) -> int:
-    """The k of :func:`p_minimal_model`, for a prime the caller has checked."""
-    return min(
-        _rat_vp(coeff, p) // i
-        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
-        if coeff != 0
-    )
+    """The k of :func:`p_minimal_model`, for a prime the caller has checked:
+    v_p(a_i) = v_p(c_i) - v_p(d) on the cleared coefficients a_i = c_i/d."""
+    d, c2, c4, c6 = curve._cleared
+    v_d = _int_vp(d, p)
+    return min((_int_vp(c, p) - v_d) // i for i, c in ((2, c2), (4, c4), (6, c6)) if c)
 
 
 def classify(curve: Curve, p: int) -> ReductionReport:
@@ -147,13 +151,17 @@ def classify(curve: Curve, p: int) -> ReductionReport:
     :func:`p_minimal_model`.
 
     Scaling by u = p^k divides the discriminant by u^12 and c4 by u^4, so
-    their valuations on that model are read off the curve's own invariants.
+    their valuations on that model are read off the curve's own invariants,
+    and those off its cleared integers: with a_i = c_i/d and D =
+    ``curve._disc``, delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.
     """
     require_odd_prime(p)
     k = _scaling_exponent(curve, p)
-    sq = curve.std_quantities()
-    v_delta = _rat_vp(sq.delta, p) - 12 * k
-    v_c4 = _rat_vp(sq.c4, p) - 4 * k if sq.c4 != 0 else None
+    d, c2, c4, _ = curve._cleared
+    v_d = _int_vp(d, p)
+    v_delta = _int_vp(curve._disc, p) - 4 * v_d - 12 * k
+    c4_cleared = c2 * c2 - 3 * d * c4
+    v_c4 = _int_vp(c4_cleared, p) - 2 * v_d - 4 * k if c4_cleared else None
     if v_delta == 0:
         kind = GOOD
     elif v_c4 == 0:
@@ -257,7 +265,7 @@ def bad_primes_epp(
     entries.sort(key=lambda item: item[0])
 
     additive = tuple(p for p, rep in entries if rep.type == ADDITIVE)
-    applicable = vp(y, 3) <= 0 if y != 0 else False
+    applicable = _rat_vp(y, 3) <= 0 if y != 0 else False
     holds: bool | None = None
     if applicable:
         holds = set(additive) <= set(candidates)
@@ -330,27 +338,27 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
 
     base, (seed, r2, r3, r4) = _seed_multiples(tq, 4)
     rows = [
-        ValuationRow(2, 0, vp(r2.x, p), "v(x([2]R))"),
-        ValuationRow(3, 4, vp(r3.x, p), "v(x([3]R))"),
-        ValuationRow(4, -2, vp(r4.x, p), "v(x([4]R))"),
-        ValuationRow(4, -3, vp(r4.y, p), "v(y([4]R))"),
+        ValuationRow(2, 0, _rat_vp(r2.x, p), "v(x([2]R))"),
+        ValuationRow(3, 4, _rat_vp(r3.x, p), "v(x([3]R))"),
+        ValuationRow(4, -2, _rat_vp(r4.x, p), "v(x([4]R))"),
+        ValuationRow(4, -3, _rat_vp(r4.y, p), "v(y([4]R))"),
     ]
     sum_x = base.add_x_unchecked
     q = INFINITY
     for m in range(1, m_max + 1):
         q = base.add_unchecked(q, r4)
         vm = _int_vp(m, p)
-        rows.append(ValuationRow(m, -2 * vm - 2, vp(q.x, p), "v(x([4m]R))"))
-        rows.append(ValuationRow(m, 4 + vm, vp(sum_x(seed, q), p), "v(x(R+[m][4]R))"))
-        rows.append(ValuationRow(m, 0, vp(sum_x(r2, q), p), "v(x([2]R+[m][4]R))"))
+        rows.append(ValuationRow(m, -2 * vm - 2, _rat_vp(q.x, p), "v(x([4m]R))"))
+        rows.append(ValuationRow(m, 4 + vm, _rat_vp(sum_x(seed, q), p), "v(x(R+[m][4]R))"))
+        rows.append(ValuationRow(m, 0, _rat_vp(sum_x(r2, q), p), "v(x([2]R+[m][4]R))"))
         rows.append(
-            ValuationRow(m, 4 + _int_vp(m + 1, p), vp(sum_x(r3, q), p), "v(x([3]R+[m][4]R))")
+            ValuationRow(m, 4 + _int_vp(m + 1, p), _rat_vp(sum_x(r3, q), p), "v(x([3]R+[m][4]R))")
         )
     return rows
 
 
 def _valuation_sign(value: Rat, p: int) -> int:
-    v = vp(value, p)
+    v = _rat_vp(value, p)
     return (v > 0) - (v < 0)
 
 
@@ -391,7 +399,7 @@ def nonsingular_residues(t: int, q: int, m_max: int = DEFAULT_TABLE_MAX) -> bool
         x = acc.x
         if x == 0:
             continue
-        if vp(x, q) < 0:
+        if _rat_vp(x, q) < 0:
             continue
         if x.numerator * pow(x.denominator, -1, q) % q == q - 1:
             return False

@@ -24,9 +24,17 @@ is the Fraction that operator arithmetic would give.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .exactnum import Rat, _coprime, _q_add, _q_div, _q_mul, _Value, format_rat
+from .exactnum import (
+    Rat,
+    _coprime,
+    _over_common_denominator,
+    _q_add,
+    _q_div,
+    _q_mul,
+    _Value,
+    format_rat,
+)
 
 __all__ = [
     "Curve",
@@ -127,13 +135,17 @@ class Curve(_Value):
     """
 
     _fields = ("a2", "a4", "a6")
-    __slots__ = (*_fields, "_cleared", "_coeffs", "_std")
+    __slots__ = (*_fields, "_cleared", "_disc", "_coeffs", "_std")
     a2: Rat
     a4: Rat
     a6: Rat
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
     #: coefficients; :meth:`contains` works with these integers.
     _cleared: tuple[int, int, int, int]
+    #: d^4 times the discriminant of the cubic (:func:`_cleared_discriminant`),
+    #: so delta = 16 _disc / d^4.  Nonzero on every curve (the singularity
+    #: check); reduction classification reads v_p(delta) off it.
+    _disc: int
     #: (num a2, den a2, num a4, den a4) for the group law.
     _coeffs: tuple[int, int, int, int]
     #: The b/c invariants and discriminant, computed on the first call of
@@ -147,12 +159,12 @@ class Curve(_Value):
         object.__setattr__(self, "a6", a6)
         object.__setattr__(self, "_std", None)
         object.__setattr__(self, "_coeffs", (a2.numerator, a2.denominator, a4.numerator, a4.denominator))
-        coeffs = (a2, a4, a6)
-        d = lcm(*(c.denominator for c in coeffs))
-        cleared = (d, *(c.numerator * (d // c.denominator) for c in coeffs))
+        cleared = _over_common_denominator(a2, a4, a6)
         object.__setattr__(self, "_cleared", cleared)
-        if _cleared_discriminant(*cleared) == 0:
+        disc = _cleared_discriminant(*cleared)
+        if disc == 0:
             raise ValueError(f"singular curve: {self}")
+        object.__setattr__(self, "_disc", disc)
 
     # -- invariants ------------------------------------------------------
 

@@ -10,6 +10,7 @@ from dioph6 import exactnum, identities
 from dioph6.errors import UnfactorableError
 from dioph6.exactnum import (
     _int_vp,
+    _rat_vp,
     _trial_divide,
     factorize,
     format_rat,
@@ -146,6 +147,18 @@ def test_vp_rejects_zero_and_composite():
         vp(F(0), 5)
     with pytest.raises(ValueError):
         vp(F(3), 4)
+
+
+def test_private_valuations_reject_zero():
+    # the callers that check p once call these directly; on 0 they must
+    # fail as vp does rather than divide by p forever
+    for p in (3, 5, 1000003):
+        with pytest.raises(ValueError, match="^valuation of 0 is undefined$"):
+            _int_vp(0, p)
+        with pytest.raises(ValueError, match="^valuation of 0 is undefined$"):
+            _rat_vp(F(0), p)
+    assert _int_vp(-250, 5) == 3
+    assert _rat_vp(F(-7, 250), 5) == -3
 
 
 @given(nonzero_rationals, nonzero_rationals, small_primes)

@@ -52,11 +52,15 @@ KEPT = {
     "weierstrass.Curve.scale_point": "the point map of Curve.scale, for model-independence checks",
     "paramfam.catalog_entry": "public lookup of a named catalog example",
     "reduction_lab.p_minimal_model": "public model API: the p-minimal u-scaling of a curve",
+    "weierstrass.Curve.std_quantities": "the public Fraction invariants; reduction_lab "
+    "classifies on the curve's cleared integers, and the tests compare it against these",
+    "exactnum.vp": "the public valuation of a rational, which checks its prime; the "
+    "pipeline checks p once and takes valuations through exactnum._rat_vp",
     **{
         f"family.{name}": "a per-t value of the paper; the pipeline checks t once and "
         "evaluates it on t = p/q through the integer helper this function wraps"
         for name in (
-            "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar",
+            "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar", "curve_Epp",
             "map_w_constants", "sigma3", "sigma1_from_x", "sigma2_from",
         )
     },

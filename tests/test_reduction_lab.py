@@ -1,11 +1,12 @@
 import functools
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dioph6.errors import ConsistencyError, UnfactorableError
-from dioph6.exactnum import DEFAULT_FACTOR_BOUND, is_prime, odd_prime_divisors, vp
+from dioph6.exactnum import DEFAULT_FACTOR_BOUND, _rat_vp, is_prime, odd_prime_divisors, vp
 from dioph6.family import curve_E, curve_Epp, point_R, require_param
 from dioph6.reduction_lab import (
     ADDITIVE,
@@ -187,7 +188,7 @@ def _reference_p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     return (curve.scale(F(p) ** k) if k else curve), k
 
 
-def _reference_classify(curve: Curve, p: int) -> ReductionReport:
+def _reference_scaled_classify(curve: Curve, p: int) -> ReductionReport:
     """The earlier classify body, kept verbatim as the reference: it builds
     the scaled model and takes the valuations of its own invariants."""
     model, k = _reference_p_minimal_model(curve, p)
@@ -226,8 +227,77 @@ def test_classify_matches_reference(t, m, data, u):
     p = data.draw(st.sampled_from(primes))
     j = data.draw(st.integers(-2, 2))
     for curve in (model, model.scale(u), model.scale(u * F(p) ** j)):
-        assert classify(curve, p) == _reference_classify(curve, p)
+        assert classify(curve, p) == _reference_scaled_classify(curve, p)
         assert p_minimal_model(curve, p) == _reference_p_minimal_model(curve, p)
+
+
+def _reference_classify(curve: Curve, p: int) -> ReductionReport:
+    """The Fraction classify body, kept as the reference for the one on the
+    cleared integers: k from the valuations of a2, a4, a6, and v(delta),
+    v(c4) from the curve's own ``std_quantities()``."""
+    require_odd_prime(p)
+    k = min(
+        _rat_vp(coeff, p) // i
+        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
+        if coeff != 0
+    )
+    sq = curve.std_quantities()
+    v_delta = _rat_vp(sq.delta, p) - 12 * k
+    v_c4 = _rat_vp(sq.c4, p) - 4 * k if sq.c4 != 0 else None
+    if v_delta == 0:
+        kind = GOOD
+    elif v_c4 == 0:
+        kind = MULTIPLICATIVE
+    else:
+        kind = ADDITIVE
+    return ReductionReport(p, kind, v_delta, v_c4, k)
+
+
+CLASSIFY_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _prime_power_product(sign: int, num: list, den: list) -> F:
+    return sign * F(math.prod(p**e for p, e in num), math.prod(p**e for p, e in den))
+
+
+_prime_powers = st.lists(
+    st.tuples(st.sampled_from((2, *CLASSIFY_PRIMES)), st.integers(0, 9)), max_size=3
+)
+#: Rationals whose numerators and denominators are products of prime powers
+#: at the primes tested, so that valuations well away from 0 are common.
+prime_power_rationals = st.builds(
+    _prime_power_product, st.sampled_from((1, -1)), _prime_powers, _prime_powers
+)
+classify_coefficients = (
+    st.just(F(0))
+    | prime_power_rationals
+    | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+)
+
+
+def _c4_zero_coefficients(s: F, a6: F) -> tuple[F, F, F]:
+    """a2 = 3s, a4 = 3s^2: x^3 + a2 x^2 + a4 x + a6 = (x + s)^3 + a6 - s^3,
+    whose c4 = 16 (a2^2 - 3 a4) vanishes."""
+    return 3 * s, 3 * s * s, a6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(classify_coefficients, classify_coefficients, classify_coefficients)
+    | st.tuples(st.just(F(0)), st.just(F(0)), classify_coefficients)
+    | st.builds(_c4_zero_coefficients, classify_coefficients, classify_coefficients),
+    prime_power_rationals,
+)
+def test_classify_on_cleared_integers_matches_fraction_invariants(coeffs, u):
+    try:
+        curve = Curve(*coeffs)
+    except ValueError:
+        assume(False)
+    for model in (curve, curve.scale(u)):
+        for p in CLASSIFY_PRIMES:
+            want = _reference_classify(model, p)
+            assert classify(model, p) == want
+            assert p_minimal_model(model, p)[1] == want.scaling_exponent
 
 
 @pytest.mark.xfail(

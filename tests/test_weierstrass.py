@@ -412,6 +412,20 @@ def test_singularity_test_on_cleared_coefficients(coeffs):
         assert curve.std_quantities().delta != 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(coefficients, coefficients, coefficients))
+def test_cleared_discriminant_slot_gives_delta(coeffs):
+    try:
+        curve = Curve(*coeffs)
+    except ValueError:
+        return
+    d, c2, c4, _ = curve._cleared
+    sq = curve.std_quantities()
+    assert sq.delta == F(16 * curve._disc, d**4)
+    assert sq.c4 == F(16 * (c2 * c2 - 3 * d * c4), d * d)
+    assert "_disc" not in repr(curve)
+
+
 def test_scale_identity_and_inverse():
     e2 = curve_E(2)
     assert e2.scale(1) == e2
