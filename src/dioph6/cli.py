@@ -178,10 +178,15 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls,
     which must not modify it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="dioph6",
         description="Exact construction, certification and reduction analysis "
@@ -245,11 +250,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():  # --out comes last in every subcommand
         kind = "JSONL" if name == "scan" else "JSON"
         p.add_argument("--out", help=f"write {kind} here instead of stdout")
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass when argv[0] names a
+    command.
+
+    The top-level parser would only record that name and hand the rest to
+    the command's parser, leaving to itself the arguments that parser does
+    not know; here the command's parser is called directly, and those
+    arguments are reported by the top-level parser as it reports them.
+    """
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or a top-level option
+        return build_parser().parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # the package's input errors are ValueErrors

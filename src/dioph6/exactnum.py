@@ -69,13 +69,23 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _as_rat(x) -> Rat:
+    """``x`` itself when it is a Fraction, else ``Fraction(x)``.
+
+    The coercion of every value constructor: ``Fraction(q)`` of a Fraction
+    builds a copy after an ABC ``isinstance`` check, which costs more than
+    the rest of a small constructor.
+    """
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def sqrt_exact(q: Rat | int) -> Rat | None:
     """The nonnegative rational square root of ``q``, or None.
 
     Returns ``r >= 0`` with ``r*r == q`` when ``q`` is a perfect square,
     and None otherwise (negative inputs are never squares).
     """
-    q = Fraction(q)
+    q = _as_rat(q)
     return _coprime_sqrt(q.numerator, q.denominator)
 
 

@@ -19,6 +19,7 @@ from math import gcd
 from .errors import ConsistencyError, DegeneracyError
 from .exactnum import (
     Rat,
+    _as_rat,
     _coprime,
     _coprime_sqrt,
     _over_common_denominator,
@@ -33,13 +34,11 @@ from .weierstrass import Curve, Point, _affine
 #: quadratically in m) unpleasant at desk scale.
 DEFAULT_MAX_MULTIPLE = 8
 
-EXCLUDED_PARAMS = (Fraction(-1), Fraction(0), Fraction(1))
-
 
 def require_param(t) -> Rat:
     """Coerce and validate the family parameter: any rational except -1, 0, 1."""
-    t = Fraction(t)
-    if t in EXCLUDED_PARAMS:
+    t = _as_rat(t)
+    if t.denominator == 1 and -1 <= t.numerator <= 1:
         raise ValueError(f"parameter t = {t} is excluded (t must avoid -1, 0, 1)")
     return t
 
@@ -353,23 +352,23 @@ class TripleABC(_Value):
         self, a: Rat, b: Rat, c: Rat, rho_ab: Rat, rho_ac: Rat, rho_bc: Rat,
         t: Rat | None = None, m: int | None = None,
     ) -> None:
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        rhos = (Fraction(rho_ab), Fraction(rho_ac), Fraction(rho_bc))
+        a, b, c = _as_rat(a), _as_rat(b), _as_rat(c)
+        rhos = (_as_rat(rho_ab), _as_rat(rho_ac), _as_rat(rho_bc))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "rho_ab", rhos[0])
         object.__setattr__(self, "rho_ac", rhos[1])
         object.__setattr__(self, "rho_bc", rhos[2])
-        object.__setattr__(self, "t", None if t is None else Fraction(t))
+        object.__setattr__(self, "t", None if t is None else _as_rat(t))
         object.__setattr__(self, "m", m)
         if 0 in (a, b, c):
             raise ValueError("triple elements must be nonzero")
-        if len({a, b, c}) != 3:
-            raise ValueError("triple elements must be pairwise distinct")
         cleared = _over_common_denominator(a, b, c)
         object.__setattr__(self, "_cleared", cleared)
         den, na, nb, nc = cleared
+        if na == nb or na == nc or nb == nc:
+            raise ValueError("triple elements must be pairwise distinct")
         dd = den * den
         for rho, prod in zip(rhos, (na * nb, na * nc, nb * nc)):
             # rho^2 = prod/den^2 + 1

@@ -159,7 +159,7 @@ def family_point(t) -> FamilyPoint:
     if not report.all_pass:
         raise ConsistencyError(f"closed-form family values at t = {t} failed to verify")
     return FamilyPoint(
-        t, a, b, c, d, e, f, sum(1 for x in elements if x < 0), report
+        t, a, b, c, d, e, f, sum(1 for x in elements if x.numerator < 0), report
     )
 
 

@@ -134,15 +134,15 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     which has good reduction there.
     """
     require_odd_prime(p)
-    k = _scaling_exponent(curve, p)
+    k = _scaling_exponent(curve, p, _int_vp(curve._cleared[0], p))
     return (curve.scale(Fraction(p) ** k) if k else curve), k
 
 
-def _scaling_exponent(curve: Curve, p: int) -> int:
-    """The k of :func:`p_minimal_model`, for a prime the caller has checked:
-    v_p(a_i) = v_p(c_i) - v_p(d) on the cleared coefficients a_i = c_i/d."""
-    d, c2, c4, c6 = curve._cleared
-    v_d = _int_vp(d, p)
+def _scaling_exponent(curve: Curve, p: int, v_d: int) -> int:
+    """The k of :func:`p_minimal_model`, for a prime the caller has checked
+    and v_d = v_p(d): v_p(a_i) = v_p(c_i) - v_d on the cleared coefficients
+    a_i = c_i/d."""
+    _, c2, c4, c6 = curve._cleared
     return min((_int_vp(c, p) - v_d) // i for i, c in ((2, c2), (4, c4), (6, c6)) if c)
 
 
@@ -156,9 +156,14 @@ def classify(curve: Curve, p: int) -> ReductionReport:
     ``curve._disc``, delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.
     """
     require_odd_prime(p)
-    k = _scaling_exponent(curve, p)
+    return _classify(curve, p)
+
+
+def _classify(curve: Curve, p: int) -> ReductionReport:
+    """:func:`classify` at an odd prime the caller has checked."""
     d, c2, c4, _ = curve._cleared
     v_d = _int_vp(d, p)
+    k = _scaling_exponent(curve, p, v_d)
     v_delta = _int_vp(curve._disc, p) - 4 * v_d - 12 * k
     c4_cleared = c2 * c2 - 3 * d * c4
     v_c4 = _int_vp(c4_cleared, p) - 2 * v_d - 4 * k if c4_cleared else None
@@ -256,10 +261,11 @@ def bad_primes_epp(
     )
 
     entries: list[tuple[int, ReductionReport]] = []
+    # odd_prime_divisors has proven each of these primes prime: no second check
     for p in candidates:
-        entries.append((p, classify(model, p)))
+        entries.append((p, _classify(model, p)))
     for p in extras:
-        report = classify(model, p)
+        report = _classify(model, p)
         if report.v_delta > 0:
             entries.append((p, report))
     entries.sort(key=lambda item: item[0])

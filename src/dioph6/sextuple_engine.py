@@ -21,7 +21,15 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ConsistencyError, DegeneracyError
-from .exactnum import Rat, _coprime, _coprime_sqrt, _Value, format_rat
+from .exactnum import (
+    Rat,
+    _as_rat,
+    _coprime,
+    _coprime_sqrt,
+    _over_common_denominator,
+    _Value,
+    format_rat,
+)
 from .family import TripleABC
 from .weierstrass import Curve, Point
 
@@ -99,7 +107,7 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     """
     # numerators and denominators of the elements in lowest terms; equal
     # rationals have equal pairs, so the flags need no Fraction hashing
-    parts = [(q.numerator, q.denominator) for q in map(Fraction, elements)]
+    parts = [(q.numerator, q.denominator) for q in map(_as_rat, elements)]
     pairs = []
     for i, (ni, di) in enumerate(parts, 1):
         for j, (nj, dj) in enumerate(parts[i:], i + 1):
@@ -121,20 +129,36 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _coerced(a, b, c) -> tuple[Rat, Rat, Rat]:
-    return Fraction(a), Fraction(b), Fraction(c)
+    return _as_rat(a), _as_rat(b), _as_rat(c)
 
 
 def induced_curve(a, b, c) -> Curve:
-    """Monic induced curve y^2 = (x + ab)(x + ac)(x + bc) of a triple."""
+    """Monic induced curve y^2 = (x + ab)(x + ac)(x + bc) of a triple, that is
+    y^2 = x^3 + sigma2 x^2 + sigma1 sigma3 x + sigma3^2.
+
+    With the elements over their least common denominator, a = na/den and
+    so on, the coefficients are integers over den^2, den^4 and den^6, and
+    the pair products are na nb, na nc and nb nc over den^2.
+    """
     a, b, c = _coerced(a, b, c)
-    if 0 in (a, b, c):
+    den, na, nb, nc = _over_common_denominator(a, b, c)
+    if 0 in (na, nb, nc):
         raise ValueError("induced curve needs nonzero elements")
-    ab, ac, bc = a * b, a * c, b * c
-    if len({ab, ac, bc}) != 3:
+    ab, ac, bc = na * nb, na * nc, nb * nc
+    if ab == ac or ab == bc or ac == bc:
         raise ValueError(
             f"induced curve of ({a}, {b}, {c}) is singular: repeated pair product"
         )
-    return Curve(ab + ac + bc, ab * ac + ab * bc + ac * bc, (a * b * c) ** 2)
+    s3 = ab * nc
+    dd = den * den
+    # sigma3^2 in lowest terms from sigma3 = s3/den^3 in lowest terms
+    g = gcd(s3, dd * den)
+    n3, d3 = s3 // g, dd * den // g
+    return Curve(
+        Fraction(ab + ac + bc, dd),
+        Fraction(s3 * (na + nb + nc), dd * dd),
+        _coprime(n3 * n3, d3 * d3),
+    )
 
 
 def point_Pprime(a, b, c) -> Point:

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .exactnum import (
     Rat,
+    _as_rat,
     _coprime,
     _over_common_denominator,
     _q_add,
@@ -55,7 +56,7 @@ class Point(_Value):
         if (x is None) != (y is None):
             raise ValueError("point needs both coordinates or neither")
         if x is not None:
-            x, y = Fraction(x), Fraction(y)
+            x, y = _as_rat(x), _as_rat(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -153,7 +154,7 @@ class Curve(_Value):
     _std: StdQuantities | None
 
     def __init__(self, a2: Rat, a4: Rat, a6: Rat) -> None:
-        a2, a4, a6 = Fraction(a2), Fraction(a4), Fraction(a6)
+        a2, a4, a6 = _as_rat(a2), _as_rat(a4), _as_rat(a6)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "a4", a4)
         object.__setattr__(self, "a6", a6)

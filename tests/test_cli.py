@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dioph6 import cli
 from dioph6.cli import build_parser, main
 from dioph6.paramfam import family_triple
 
@@ -486,6 +487,57 @@ def test_golden_cli_bytes(capsys, argv, code, digest):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+_REDUCE_31 = ("reduce", "--t", "31", "--x", "-150072", "--y", "682327360")
+COMMANDS = ("generate", "verify", "triple", "family", "scan", "reduce", "lemmas", "catalog")
+
+#: Valid and malformed calls for the two parse routes of ``main``.
+PARSE_CORPUS = [
+    # no command, an unknown command, and help at the top level
+    (), ("bogus",), ("bogus", "--t", "6"), ("-h",), ("--help",), ("--", "family", "--t", "6"),
+    # help at the command level
+    *((name, "--help") for name in COMMANDS),
+    ("family", "-h"), ("family", "--t=6", "-h"), ("family", "--he"),
+    # a missing required option, a missing value, an unknown option, a stray positional
+    ("family",), ("reduce", "--t", "31", "--x", "-150072"), ("family", "--t"),
+    ("family", "--t", "6", "--out"),
+    ("family", "--t", "6", "--bogus"), (*_REDUCE_31, "--bogus"), (*_REDUCE_31, "--bogus", "x"),
+    ("family", "--t", "6", "extra"), ("catalog", "extra"), ("catalog", "--bogus", "-1"),
+    # values that are rejected when converted or when the command runs
+    ("generate", "--t", "abc"), ("family", "--t", "-5/3"), ("family", "--t", "1"), ("verify",),
+    # abbreviations, repeats, negative values and "--"
+    (*_REDUCE_31, "--fac", "1000"), (*_REDUCE_31, "--p", "13"), ("family", "--t", "2", "--t", "6"),
+    ("family", "--t=-5/3"), ("generate", "--t=-5/3"), ("triple", "--t", "2", "--ro", "closed-form"),
+    ("verify", "--", "1/2", "-3/2"), ("verify", "1", "3", "8", "120"),
+    ("scan", "--from=-1/2", "--to", "1/2", "--step", "1/4"), ("lemmas", "--t", "31", "--p", "13"),
+    ("catalog",),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(argv) or "(none)" for argv in PARSE_CORPUS])
+def test_parse_routes_agree(capsys, monkeypatch, argv):
+    """``main`` parses a call that names a command with that command's
+    parser alone; the reference route parses every call with the top-level
+    parser, ``build_parser().parse_args``, before ``main`` calls ``args.func``.
+    Both give the same exit code, stdout, stderr and namespace."""
+    routes = {"main": cli._parse, "top-level": lambda argv: build_parser().parse_args(argv)}
+    results = {}
+    for name, parse in routes.items():
+        namespaces = []
+
+        def recording(argv, parse=parse):
+            args = parse(argv)
+            namespaces.append(vars(args))
+            return args
+
+        monkeypatch.setattr(cli, "_parse", recording)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        results[name] = (code, *capsys.readouterr(), namespaces)
+    assert results["main"] == results["top-level"]
 
 
 def test_parser_reused_after_rejection(capsys):

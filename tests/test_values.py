@@ -197,6 +197,37 @@ def test_constructor_defaults_and_coercion():
     assert type(TripleABC(*_values(t6)[:6], t=6).t) is F
 
 
+def test_constructors_keep_a_fraction_argument():
+    """A Fraction argument is stored as the same object; int and str
+    arguments become equal Fractions."""
+    x, y = F(1, 3), F(-2, 3)
+    point = Point(x, y)
+    assert point.x is x and point.y is y
+    assert Point(1, "-2/3") == Point(F(1), y) and type(Point("1", 2).x) is F
+
+    coeffs = (F(-33), F(1875, 4), F(15625, 16))
+    curve = Curve(*coeffs)
+    assert all(got is given for got, given in zip(_values(curve), coeffs))
+    assert Curve(-33, "1875/4", "15625/16") == curve and type(Curve(-33, 1, 1).a2) is F
+
+    t6 = family_triple(6)
+    rats = _values(t6)[:7]
+    triple = TripleABC(*rats, m=2)
+    assert all(got is given for got, given in zip(_values(triple), rats))
+    as_text = [str(q) for q in rats[:6]]
+    assert TripleABC(*as_text, t="6", m=2) == t6 == TripleABC(*rats[:6], t=6, m=2)
+    assert all(type(q) is F for q in _values(TripleABC(*as_text, t="6"))[:7])
+
+
+def test_verify_tuple_coerces_its_elements():
+    rats = (F(11, 192), F(35, 192), F(155, 27), F(512, 27), F(1235, 48), F(180873, 16))
+    report = verify_tuple(rats)
+    assert verify_tuple([str(q) for q in rats]) == report and report.all_pass
+    fermat = verify_tuple([1, 3, 8, 120])
+    assert verify_tuple(["1", "3", "8", "120"]) == fermat == verify_tuple(map(F, (1, 3, 8, 120)))
+    assert fermat.all_pass
+
+
 def test_point_needs_both_coordinates_or_neither():
     for args in ({"x": 1}, {"y": 1}):
         with pytest.raises(ValueError, match="point needs both coordinates or neither"):
