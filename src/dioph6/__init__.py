@@ -18,21 +18,7 @@ from .exactnum import (
     sqrt_exact,
     vp,
 )
-from .family import (
-    TripleABC,
-    curve_E,
-    curve_Epp,
-    curve_Estar,
-    map_w_constants,
-    point_Pstar,
-    point_R,
-    point_Tstar,
-    require_param,
-    sigma1_from_x,
-    sigma2_from,
-    sigma3,
-    triple_from_multiple,
-)
+from .family import TripleABC, require_param, triple_from_multiple
 from .paramfam import (
     CatalogEntry,
     FamilyPoint,
@@ -61,6 +47,6 @@ from .sextuple_engine import (
     point_Pprime,
     verify_tuple,
 )
-from .weierstrass import Curve, INFINITY, Point, StdQuantities
+from .weierstrass import Curve, INFINITY, Point
 
 __version__ = "0.1.0"

@@ -157,11 +157,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_lemmas(args) -> int:
     t, p, m_max = args.t, args.p, args.max_m
-    red.require_odd_prime(p)  # before t % p below, which fails at p = 0
     payload: dict = {"t": t, "p": p, "max_m": m_max}
     if p == 3:
         payload["table"], rows = "mod3-signs", red.mod3_sign_table(t, m_max)
-    elif t % p == 0:
+    elif p and t % p == 0:  # p = 0 falls through; each table checks p before t
         payload["table"], rows = "nonsingular-residues", None
         payload["all_pass"] = red.nonsingular_residues(t, p, m_max)
     else:

@@ -51,8 +51,9 @@ def require_param(t) -> Rat:
 # times a form of degree k in (p, q), as for the closed forms of
 # :mod:`dioph6.paramfam`.  The helpers below take (p, q) of a parameter that
 # :func:`require_param` has accepted and build each value from those
-# integers with one reduction; the public functions validate t and call
-# them.  Throughout, s = p^2 + q^2 is the form of t^2 + 1.
+# integers with one reduction; the pipeline checks t once and calls them.
+# :mod:`dioph6.identities` states each value as a function of t, with its
+# formula.  Throughout, s = p^2 + q^2 is the form of t^2 + 1.
 
 def _curve_E(p: int, q: int) -> Curve:
     pp, qq = p * p, q * q
@@ -69,18 +70,6 @@ def _curve_E(p: int, q: int) -> Curve:
 def _point_R(p: int, q: int) -> Point:
     # s is prime to q, so s^3/q^6 is in lowest terms
     return _affine(Fraction(0), _coprime((p * p + q * q) ** 3, q**6))
-
-
-def curve_E(t) -> Curve:
-    """Base curve: y^2 = x^3 + 3(t^2-3t+1)(t^2+3t+1) x^2 + 3(t^2+1)^4 x + (t^2+1)^6."""
-    t = require_param(t)
-    return _curve_E(t.numerator, t.denominator)
-
-
-def point_R(t) -> Point:
-    """The seed point [0, (t^2+1)^3] of infinite order on the base curve."""
-    t = require_param(t)
-    return _point_R(t.numerator, t.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -113,55 +102,16 @@ def _sigma2(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
     )
 
 
-def sigma3(t) -> Rat:
-    """sigma3 = (t^2 - 1)/(2t); then 1 + sigma3^2 = ((t^2+1)/(2t))^2."""
-    t = require_param(t)
-    return Fraction(*_sigma3(t.numerator, t.denominator))
-
-
-def sigma1_from_x(t, x) -> Rat:
-    """sigma1 attached to a base-curve x-coordinate (x must be nonzero):
-    (-t^4 + 4t^2 - 1 - (t^2+1)^4/x) / ((t^2-1) t)."""
-    t = require_param(t)
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("sigma1 is undefined at x = 0 (the seed point itself)")
-    return Fraction(*_sigma1(t.numerator, t.denominator, x.numerator, x.denominator))
-
-
-def sigma2_from(s1, s3) -> Rat:
-    """sigma2 forced by the order-3 condition, as a function of sigma1, sigma3:
-    (s1^2 s3^2 - 12 s3^2 - 6 s1 s3 - 3) / (4 + 4 s3^2)."""
-    s1 = Fraction(s1)
-    s3 = Fraction(s3)
-    return Fraction(*_sigma2(s1.numerator, s1.denominator, s3.numerator, s3.denominator))
-
-
 def _order3(den: int, na: int, nb: int, nc: int) -> int:
-    """den^8 times :func:`three_torsion_value` of a = na/den, b = nb/den,
-    c = nc/den."""
+    """den^8 times the order-3 polynomial s3^2 (12 + 4 s2 - s1^2) +
+    6 s1 s3 + 4 s2 + 3 in the symmetric functions of a = na/den,
+    b = nb/den, c = nc/den."""
     d2 = den * den
     d4 = d2 * d2
     s1 = na + nb + nc
     s2 = na * nb + na * nc + nb * nc
     s3 = na * nb * nc
     return s3 * s3 * (12 * d2 + 4 * s2 - s1 * s1) + (6 * s1 * s3 + (4 * s2 + 3 * d2) * d2) * d4
-
-
-def three_torsion_value(a, b, c) -> Rat:
-    """The symmetric polynomial whose vanishing makes the induced order-3
-    point genuine (see :func:`three_torsion_condition`).
-
-    In the symmetric functions s1, s2, s3 of a, b, c it is
-    s3^2 (12 + 4 s2 - s1^2) + 6 s1 s3 + 4 s2 + 3.
-    """
-    cleared = _over_common_denominator(Fraction(a), Fraction(b), Fraction(c))
-    return Fraction(_order3(*cleared), cleared[0] ** 8)
-
-
-def three_torsion_condition(a, b, c) -> bool:
-    """True iff the triple satisfies the order-3 polynomial condition."""
-    return three_torsion_value(a, b, c) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +163,11 @@ def _map_w_constants(p: int, q: int) -> tuple[Rat, Rat, Rat]:
     return Fraction(v, 4 * qq * qq), Fraction(r2, 2 * qq), Fraction(s8, 8 * qq**3)
 
 
-def curve_Estar(t) -> Curve:
-    """Companion curve, 3-isogenous to the base curve."""
-    t = require_param(t)
-    return _curve_Estar(t.numerator, t.denominator)
-
-
-def point_Tstar(t) -> Point:
-    """Order-3 point generating the isogeny kernel on the companion curve:
-    [-(t^2-6t+1)(t^2+6t+1), 27t(t-1)^2(t+1)^2]."""
-    t = require_param(t)
-    return _point_Tstar(t.numerator, t.denominator)
-
-
-def point_Pstar(t) -> Point:
-    """Companion-curve point mapping to the seed point under the isogeny:
-    [-(t^2+1)(t^2+18t+1), 27t(t+1)^2(t^2+1)]."""
-    t = require_param(t)
-    return _point_Pstar(t.numerator, t.denominator)
-
-
-def map_w_constants(t) -> tuple[Rat, Rat, Rat]:
-    """The constants (v, r, s) of the w coordinate map:
-    v = (5t^4 + 118t^2 + 5)/4, r = -3(t^2+1)/2, s = -27(t-1)^2(t+1)^2(t^2+1)/8."""
-    t = require_param(t)
-    return _map_w_constants(t.numerator, t.denominator)
-
-
 def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
     """The w coordinate of an affine point of the companion curve ``star``.
 
-    w = (y + r(x - v) + s) / (-6(x - v)) with (v, r, s) from
-    :func:`map_w_constants`.  At x = v the expression is 0/0 when y = -s;
+    w = (y + r(x - v) + s) / (-6(x - v)) with the constants (v, r, s) of
+    :func:`_map_w_constants`.  At x = v the expression is 0/0 when y = -s;
     there it is resolved through the conjugate form
     (y + s)(y - s) = f(x) - f(v), which yields the tangent-slope value.
     The single genuine pole (v, s) is rejected.
@@ -288,7 +211,7 @@ def _w_pair(p: int, q: int, pt: Point, star: Curve) -> tuple[int, int]:
 
 
 def _curve_Epp(p: int, q: int, x: Rat) -> Curve:
-    """:func:`curve_Epp` at t = p/q for a nonzero x = X/D: with
+    """The two-torsion model at t = p/q for a nonzero x = X/D: with
     k = s^2 D + q^4 X its coefficients are k^2/(4 q^8 X^2),
     p^2 D k/(2 q^6 X^2) and p^4 D^2/(4 q^4 X^2)."""
     xn, xd = x.numerator, x.denominator
@@ -302,22 +225,6 @@ def _curve_Epp(p: int, q: int, x: Rat) -> Curve:
         Fraction(pp * xd * k, 2 * q4 * qq * xx),
         Fraction(pp * pp * xd * xd, 4 * q4 * xx),
     )
-
-
-def curve_Epp(t, x) -> Curve:
-    """Two-torsion model attached to a nonzero base-curve x-coordinate:
-    y^2 = x^3 + (aa/x + 1)^2/4 x^2 + t^2 (aa/x^2 + 1/x)/2 x + t^4/(4x^2)
-    with aa = (t^2+1)^2.
-
-    Its cubic has roots -(P + 1) t^2/(t^2+1)^2 for P running over the pair
-    products ab, ac, bc of the associated triple; whenever (x, y) lies on
-    the base curve its discriminant is t^6 y^2 / x^6.
-    """
-    t = require_param(t)
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("the two-torsion model needs x != 0")
-    return _curve_Epp(t.numerator, t.denominator, x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 The pipeline goes seed multiple -> 3-isogeny -> triple -> odd multiples on
 the induced curve, and none of its steps needs the functions here: they
+state the paper's per-t values as functions of t (the pipeline evaluates
+them on t = p/q through the integer helpers of :mod:`dioph6.family`), the
+order-3 polynomial of a triple and the b/c invariants of a curve, and they
 restate what the paper proves along the way (the plane curve of the
 two-torsion points, the discriminant quartic, the marked point of order 3
 and its half, the closed-form invariants of the two-torsion model, the
-product-3/4 reconstruction, the five points of the extension curve) so
-that the tests can check the construction against them.  With them are
-the helpers that only such checks use: residues mod p, squarefree testing,
-torsion orders up to a bound, and the closed forms a, b, c and d, e, f as
-functions of t.  No module of the package imports this one.
+product-3/4 reconstruction, the five points of the extension curve) so that
+the tests can check the construction against them.  With them are the
+helpers only such checks use: residues mod p, squarefree testing, torsion
+orders up to a bound, and the closed forms a, b, c and d, e, f of t.  No
+module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -20,18 +23,27 @@ from .errors import ConsistencyError
 from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
+    _over_common_denominator,
     _require_prime,
     _trial_divide,
     _unfactorable,
+    _Value,
     sqrt_exact,
 )
 from .family import (
     TripleABC,
+    _curve_E,
+    _curve_Epp,
+    _curve_Estar,
+    _map_w_constants,
+    _order3,
+    _point_Pstar,
+    _point_R,
+    _point_Tstar,
+    _sigma1,
+    _sigma2,
+    _sigma3,
     _w_value,
-    curve_E,
-    curve_Estar,
-    map_w_constants,
-    point_R,
     require_param,
     triple_from_multiple,
 )
@@ -39,6 +51,146 @@ from .paramfam import _abc, _def
 from .reduction_lab import require_base_point
 from .sextuple_engine import induced_curve
 from .weierstrass import Curve, Point
+
+
+# ---------------------------------------------------------------------------
+# the per-t values as functions of t
+# ---------------------------------------------------------------------------
+
+def curve_E(t) -> Curve:
+    """Base curve: y^2 = x^3 + 3(t^2-3t+1)(t^2+3t+1) x^2 + 3(t^2+1)^4 x + (t^2+1)^6."""
+    t = require_param(t)
+    return _curve_E(t.numerator, t.denominator)
+
+
+def point_R(t) -> Point:
+    """The seed point [0, (t^2+1)^3] of infinite order on the base curve."""
+    t = require_param(t)
+    return _point_R(t.numerator, t.denominator)
+
+
+def curve_Estar(t) -> Curve:
+    """Companion curve, 3-isogenous to the base curve."""
+    t = require_param(t)
+    return _curve_Estar(t.numerator, t.denominator)
+
+
+def point_Tstar(t) -> Point:
+    """Order-3 point generating the isogeny kernel on the companion curve:
+    [-(t^2-6t+1)(t^2+6t+1), 27t(t-1)^2(t+1)^2]."""
+    t = require_param(t)
+    return _point_Tstar(t.numerator, t.denominator)
+
+
+def point_Pstar(t) -> Point:
+    """Companion-curve point mapping to the seed point under the isogeny:
+    [-(t^2+1)(t^2+18t+1), 27t(t+1)^2(t^2+1)]."""
+    t = require_param(t)
+    return _point_Pstar(t.numerator, t.denominator)
+
+
+def map_w_constants(t) -> tuple[Rat, Rat, Rat]:
+    """The constants (v, r, s) of the w coordinate map:
+    v = (5t^4 + 118t^2 + 5)/4, r = -3(t^2+1)/2, s = -27(t-1)^2(t+1)^2(t^2+1)/8."""
+    t = require_param(t)
+    return _map_w_constants(t.numerator, t.denominator)
+
+
+def curve_Epp(t, x) -> Curve:
+    """Two-torsion model attached to a nonzero base-curve x-coordinate:
+    y^2 = x^3 + (aa/x + 1)^2/4 x^2 + t^2 (aa/x^2 + 1/x)/2 x + t^4/(4x^2)
+    with aa = (t^2+1)^2.
+
+    Its cubic has roots -(P + 1) t^2/(t^2+1)^2 for P running over the pair
+    products ab, ac, bc of the associated triple; whenever (x, y) lies on
+    the base curve its discriminant is t^6 y^2 / x^6.
+    """
+    t = require_param(t)
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("the two-torsion model needs x != 0")
+    return _curve_Epp(t.numerator, t.denominator, x)
+
+
+def sigma3(t) -> Rat:
+    """sigma3 = (t^2 - 1)/(2t); then 1 + sigma3^2 = ((t^2+1)/(2t))^2."""
+    t = require_param(t)
+    return Fraction(*_sigma3(t.numerator, t.denominator))
+
+
+def sigma1_from_x(t, x) -> Rat:
+    """sigma1 attached to a base-curve x-coordinate (x must be nonzero):
+    (-t^4 + 4t^2 - 1 - (t^2+1)^4/x) / ((t^2-1) t)."""
+    t = require_param(t)
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("sigma1 is undefined at x = 0 (the seed point itself)")
+    return Fraction(*_sigma1(t.numerator, t.denominator, x.numerator, x.denominator))
+
+
+def sigma2_from(s1, s3) -> Rat:
+    """sigma2 forced by the order-3 condition, as a function of sigma1, sigma3:
+    (s1^2 s3^2 - 12 s3^2 - 6 s1 s3 - 3) / (4 + 4 s3^2)."""
+    s1 = Fraction(s1)
+    s3 = Fraction(s3)
+    return Fraction(*_sigma2(s1.numerator, s1.denominator, s3.numerator, s3.denominator))
+
+
+def three_torsion_value(a, b, c) -> Rat:
+    """The symmetric polynomial whose vanishing makes the induced order-3
+    point genuine (see :func:`three_torsion_condition`).
+
+    In the symmetric functions s1, s2, s3 of a, b, c it is
+    s3^2 (12 + 4 s2 - s1^2) + 6 s1 s3 + 4 s2 + 3.
+    """
+    cleared = _over_common_denominator(Fraction(a), Fraction(b), Fraction(c))
+    return Fraction(_order3(*cleared), cleared[0] ** 8)
+
+
+def three_torsion_condition(a, b, c) -> bool:
+    """True iff the triple satisfies the order-3 polynomial condition."""
+    return three_torsion_value(a, b, c) == 0
+
+
+# ---------------------------------------------------------------------------
+# the standard invariants
+# ---------------------------------------------------------------------------
+
+class StdQuantities(_Value):
+    """The standard b/c invariants and discriminant of a curve."""
+
+    __slots__ = _fields = ("b2", "b4", "b6", "b8", "c4", "delta")
+    b2: Rat
+    b4: Rat
+    b6: Rat
+    b8: Rat
+    c4: Rat
+    delta: Rat
+
+    def __init__(self, b2: Rat, b4: Rat, b6: Rat, b8: Rat, c4: Rat, delta: Rat) -> None:
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b4", b4)
+        object.__setattr__(self, "b6", b6)
+        object.__setattr__(self, "b8", b8)
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "delta", delta)
+
+
+def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
+    """The invariants of y^2 = x^3 + a2 x^2 + a4 x + a6 from its
+    coefficients, singular or not."""
+    b2 = 4 * a2
+    b4 = 2 * a4
+    b6 = 4 * a6
+    b8 = 4 * a2 * a6 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return StdQuantities(b2, b4, b6, b8, c4, delta)
+
+
+def std_quantities(curve: Curve) -> StdQuantities:
+    """The standard b/c invariants and discriminant of a curve."""
+    return _std_quantities(curve.a2, curve.a4, curve.a6)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def require_odd_prime(p: int) -> None:
 def require_base_point(t, pt: Point) -> None:
     """Reject an excluded t, and a point that is not admissible on the base
     curve at t: the point at infinity, a point with x = 0, or a point off
-    ``curve_E(t)``."""
+    the base curve E(t)."""
     t = require_param(t)
     if pt.is_infinity or pt.x == 0 or not _curve_E(t.numerator, t.denominator).contains(pt):
         raise ValueError("point is not an admissible base-curve point")
@@ -334,8 +334,8 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
     for each m:  v(x([4m]R)) = -2 v_p(m) - 2,  v(x(R+[m][4]R)) = 4 + v_p(m),
     v(x([2]R+[m][4]R)) = 0,  v(x([3]R+[m][4]R)) = 4 + v_p(m+1).
     """
-    tq = _check_table_args(t, m_max)
     require_odd_prime(p)
+    tq = _check_table_args(t, m_max)
     e = _int_vp(t * t + 1, p)
     if e == 0:
         raise ValueError(f"{p} does not divide t^2 + 1 = {t * t + 1}")
@@ -397,8 +397,8 @@ def nonsingular_residues(t: int, q: int, m_max: int = DEFAULT_TABLE_MAX) -> bool
     Multiples with v_q(x) < 0 reduce to the point at infinity and count as
     automatically non-congruent.
     """
-    tq = _check_table_args(t, m_max)
     require_odd_prime(q)
+    tq = _check_table_args(t, m_max)
     if t % q != 0:
         raise ValueError(f"{q} does not divide t = {t}")
     for acc in _seed_multiples(tq, m_max)[1]:

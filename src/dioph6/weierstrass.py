@@ -1,6 +1,6 @@
 """Elliptic curves over the rationals in the form y^2 = x^3 + a2 x^2 + a4 x + a6,
-with the exact chord-and-tangent group law, standard invariants and u-scaling
-coordinate changes.
+with the exact chord-and-tangent group law, an integer singularity check and
+u-scaling coordinate changes.
 
 Curves and points are immutable values.  Points carry no back-reference to a
 curve, so every group operation takes the curve explicitly.
@@ -37,12 +37,7 @@ from .exactnum import (
     format_rat,
 )
 
-__all__ = [
-    "Curve",
-    "Point",
-    "StdQuantities",
-    "INFINITY",
-]
+__all__ = ["Curve", "Point", "INFINITY"]
 
 
 class Point(_Value):
@@ -88,36 +83,6 @@ def _affine(x: Rat, y: Rat) -> Point:
     return pt
 
 
-class StdQuantities(_Value):
-    """The standard b/c invariants and discriminant of a curve."""
-
-    __slots__ = _fields = ("b2", "b4", "b6", "b8", "c4", "delta")
-    b2: Rat
-    b4: Rat
-    b6: Rat
-    b8: Rat
-    c4: Rat
-    delta: Rat
-
-    def __init__(self, b2: Rat, b4: Rat, b6: Rat, b8: Rat, c4: Rat, delta: Rat) -> None:
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "b4", b4)
-        object.__setattr__(self, "b6", b6)
-        object.__setattr__(self, "b8", b8)
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "delta", delta)
-
-
-def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
-    b2 = 4 * a2
-    b4 = 2 * a4
-    b6 = 4 * a6
-    b8 = 4 * a2 * a6 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return StdQuantities(b2, b4, b6, b8, c4, delta)
-
-
 def _cleared_discriminant(d: int, c2: int, c4: int, c6: int) -> int:
     """d^4 times the discriminant of the cubic x^3 + a2 x^2 + a4 x + a6 with
     a_i = c_i / d; the curve's discriminant is 16 times that of the cubic,
@@ -136,7 +101,7 @@ class Curve(_Value):
     """
 
     _fields = ("a2", "a4", "a6")
-    __slots__ = (*_fields, "_cleared", "_disc", "_coeffs", "_std")
+    __slots__ = (*_fields, "_cleared", "_disc", "_coeffs")
     a2: Rat
     a4: Rat
     a6: Rat
@@ -149,16 +114,12 @@ class Curve(_Value):
     _disc: int
     #: (num a2, den a2, num a4, den a4) for the group law.
     _coeffs: tuple[int, int, int, int]
-    #: The b/c invariants and discriminant, computed on the first call of
-    #: :meth:`std_quantities`.
-    _std: StdQuantities | None
 
     def __init__(self, a2: Rat, a4: Rat, a6: Rat) -> None:
         a2, a4, a6 = _as_rat(a2), _as_rat(a4), _as_rat(a6)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "a4", a4)
         object.__setattr__(self, "a6", a6)
-        object.__setattr__(self, "_std", None)
         object.__setattr__(self, "_coeffs", (a2.numerator, a2.denominator, a4.numerator, a4.denominator))
         cleared = _over_common_denominator(a2, a4, a6)
         object.__setattr__(self, "_cleared", cleared)
@@ -166,13 +127,6 @@ class Curve(_Value):
         if disc == 0:
             raise ValueError(f"singular curve: {self}")
         object.__setattr__(self, "_disc", disc)
-
-    # -- invariants ------------------------------------------------------
-
-    def std_quantities(self) -> StdQuantities:
-        if self._std is None:
-            object.__setattr__(self, "_std", _std_quantities(self.a2, self.a4, self.a6))
-        return self._std
 
     # -- membership ------------------------------------------------------
 

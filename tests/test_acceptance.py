@@ -13,22 +13,20 @@ from fractions import Fraction as F
 
 from dioph6.cli import main as cli_main
 from dioph6.exactnum import sqrt_exact, vp
-from dioph6.family import (
+from dioph6.family import triple_from_multiple
+from dioph6.identities import (
     curve_E,
     curve_Epp,
-    point_R,
-    three_torsion_condition,
-    triple_from_multiple,
-)
-from dioph6.identities import (
     half_point_check,
     is_squarefree,
     mod_p,
     order3_check,
+    point_R,
     point_Sprime,
     rank_curve_membership,
     reconstruct_product34_triple,
     square_product_check,
+    three_torsion_condition,
 )
 from dioph6.paramfam import catalog_entry, family_point
 from dioph6.reduction_lab import (

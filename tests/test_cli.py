@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph6 import cli
+from dioph6 import cli, exactnum
 from dioph6.cli import build_parser, main
 from dioph6.paramfam import family_triple
 
@@ -321,6 +321,47 @@ def test_reduce_and_lemmas_reject_psi13(capsys):
         ("lemmas", "--t", "31", "--p", psi13),
     ):
         assert_bad_input(capsys, f"{psi13} is not prime", *argv)
+
+
+@pytest.mark.parametrize(
+    ("t", "p", "checks"),
+    [("3", "5", 1), ("5", "5", 1), ("31", "13", 1), ("3", "7", 1), ("2", "3", 0), ("3", "9", 1)],
+)
+def test_lemmas_checks_its_prime_once(capsys, monkeypatch, t, p, checks):
+    # the table that runs checks p; the command does not check it first
+    calls, is_prime = [], exactnum.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(exactnum, "is_prime", counting)
+    run_cli(capsys, "lemmas", "--t", t, "--p", p, "--max-m", "2")
+    assert len(calls) == checks
+
+
+PSI12 = "318665857834031151167461"
+#: Each bad --p with the error it must give, whatever --t and --max-m are.
+BAD_LEMMAS_PRIMES = {
+    "0": "0 is not prime",
+    "1": "1 is not prime",
+    "2": "p = 2 is out of scope for reduction analysis",
+    "4": "4 is not prime",
+    "9": "9 is not prime",
+    "-3": "-3 is not prime",
+    "-5": "-5 is not prime",
+    "-13": "-13 is not prime",
+    PSI12: f"{PSI12} is not prime",
+}
+
+
+@pytest.mark.parametrize("p", BAD_LEMMAS_PRIMES)
+def test_lemmas_bad_prime_reported_whatever_t(capsys, p):
+    for t in ("0", "1", "-1", "2", "3", "5", "13", "31", "-31"):
+        for max_m in ("0", "2", "13"):
+            assert_bad_input(
+                capsys, BAD_LEMMAS_PRIMES[p], "lemmas", f"--t={t}", f"--p={p}", "--max-m", max_m
+            )
 
 
 def test_reduce_rejects_nonpositive_factor_bound(capsys):

@@ -11,22 +11,29 @@ from dioph6.family import (
     TripleABC,
     _w_pair,
     _w_value,
+    require_param,
+    triple_from_multiple,
+)
+from dioph6.identities import (
     curve_E,
     curve_Epp,
     curve_Estar,
+    map_u,
+    map_w,
     map_w_constants,
+    map_X,
+    plane_curve_value,
     point_Pstar,
     point_R,
     point_Tstar,
-    require_param,
+    quartic_condition,
     sigma1_from_x,
     sigma2_from,
     sigma3,
+    std_quantities,
     three_torsion_condition,
     three_torsion_value,
-    triple_from_multiple,
 )
-from dioph6.identities import map_u, map_w, map_X, plane_curve_value, quartic_condition
 from dioph6.weierstrass import INFINITY, Curve, Point
 
 
@@ -245,7 +252,7 @@ def test_curve_Epp_delta_and_c4_identities():
         base = curve_E(t)
         pt = base.mul(m, point_R(t))
         model = curve_Epp(t, pt.x)
-        sq = model.std_quantities()
+        sq = std_quantities(model)
         assert sq.delta == t**6 * pt.y**2 / pt.x**6
         assert sq.c4 == ((t * t + 1) ** 2 / pt.x + 1) * (pt.y**2 + 3 * pt.x**2 * t * t) / pt.x**3
 

@@ -17,7 +17,12 @@ PACKAGE_DIR = Path(dioph6.__file__).parent
 #: The names that moved to dioph6.identities, by the module they left; a
 #: method of Curve became a function of the curve there.
 MOVED = {
-    "family": ("quartic_condition", "map_w", "map_X", "map_u", "plane_curve_value"),
+    "family": (
+        "quartic_condition", "map_w", "map_X", "map_u", "plane_curve_value",
+        "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar", "curve_Epp",
+        "map_w_constants", "sigma3", "sigma1_from_x", "sigma2_from",
+        "three_torsion_value", "three_torsion_condition",
+    ),
     "sextuple_engine": (
         "_rho_witnesses", "point_Sprime", "point_half", "order3_check",
         "half_point_check", "square_product_check",
@@ -29,18 +34,19 @@ MOVED = {
     ),
     "reduction_lab": ("epp_invariants",),
     "exactnum": ("mod_p", "_iroot", "is_squarefree"),
-    "weierstrass": ("Curve.torsion_order_upto",),
+    "weierstrass": (
+        "Curve.torsion_order_upto", "Curve.std_quantities", "StdQuantities", "_std_quantities",
+    ),
 }
 #: Names deleted outright, by the module that held them.
 DELETED = {
     "family": ("SigmaTriple", "sigma_triple_from_x"),
-    "weierstrass": ("point", "Curve.neg", "Curve.rhs"),
+    "weierstrass": ("point", "Curve.neg", "Curve.rhs", "Curve._std"),
     "exactnum": ("isqrt", "is_square"),
 }
 #: Names the top-level namespace no longer exports.
-NOT_EXPORTED = (
-    *(name.rpartition(".")[2] for names in (*MOVED.values(), *DELETED.values()) for name in names),
-    "three_torsion_condition",
+NOT_EXPORTED = tuple(
+    name.rpartition(".")[2] for names in (*MOVED.values(), *DELETED.values()) for name in names
 )
 #: Standard-library modules that ``import dioph6, dioph6.cli`` must not load:
 #: the value types are plain slotted classes, and the prime table's lock
@@ -52,20 +58,8 @@ KEPT = {
     "weierstrass.Curve.scale_point": "the point map of Curve.scale, for model-independence checks",
     "paramfam.catalog_entry": "public lookup of a named catalog example",
     "reduction_lab.p_minimal_model": "public model API: the p-minimal u-scaling of a curve",
-    "weierstrass.Curve.std_quantities": "the public Fraction invariants; reduction_lab "
-    "classifies on the curve's cleared integers, and the tests compare it against these",
     "exactnum.vp": "the public valuation of a rational, which checks its prime; the "
     "pipeline checks p once and takes valuations through exactnum._rat_vp",
-    **{
-        f"family.{name}": "a per-t value of the paper; the pipeline checks t once and "
-        "evaluates it on t = p/q through the integer helper this function wraps"
-        for name in (
-            "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar", "curve_Epp",
-            "map_w_constants", "sigma3", "sigma1_from_x", "sigma2_from",
-        )
-    },
-    "family.three_torsion_condition": "the order-3 condition of any triple; TripleABC "
-    "checks it on the triple's integers over their common denominator (family._order3)",
 }
 
 _PROBE = """

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dioph6 import paramfam
 from dioph6.exactnum import Rat, sqrt_exact
-from dioph6.family import require_param, sigma3, triple_from_multiple
+from dioph6.family import require_param, triple_from_multiple
 from dioph6.identities import (
     PRODUCT34_CURVE,
     PRODUCT34_GENERATOR,
@@ -14,6 +14,7 @@ from dioph6.identities import (
     def_closed_form,
     rank_curve_membership,
     reconstruct_product34_triple,
+    sigma3,
     torsion_order_upto,
 )
 from dioph6.paramfam import catalog, catalog_entry, family_point, family_triple

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dioph6.errors import ConsistencyError, UnfactorableError
 from dioph6.exactnum import DEFAULT_FACTOR_BOUND, _rat_vp, is_prime, odd_prime_divisors, vp
-from dioph6.family import curve_E, curve_Epp, point_R, require_param
+from dioph6.family import require_param
 from dioph6.reduction_lab import (
     ADDITIVE,
     GOOD,
@@ -23,7 +24,7 @@ from dioph6.reduction_lab import (
     require_odd_prime,
     valuation_table,
 )
-from dioph6.identities import epp_invariants
+from dioph6.identities import curve_E, curve_Epp, epp_invariants, point_R, std_quantities
 from dioph6.weierstrass import INFINITY, Curve, Point
 
 T31_POINT = Point(-150072, 682327360)
@@ -39,7 +40,7 @@ def test_epp_invariants_cross_oracle():
         base = curve_E(t)
         pt = base.mul(m, point_R(t))
         delta, c4 = epp_invariants(t, pt)
-        sq = curve_Epp(t, pt.x).std_quantities()
+        sq = std_quantities(curve_Epp(t, pt.x))
         assert (delta, c4) == (sq.delta, sq.c4)
 
 
@@ -116,7 +117,7 @@ def test_p_minimal_model_copies_only_to_scale():
                     continue
                 scaled = curve.scale(F(p) ** k)
                 assert got == scaled
-                fresh = Curve(scaled.a2, scaled.a4, scaled.a6).std_quantities()
+                fresh = std_quantities(Curve(scaled.a2, scaled.a4, scaled.a6))
                 v_c4 = vp(fresh.c4, p) if fresh.c4 else None
                 report = classify(curve, p)
                 assert (report.v_delta, report.v_c4, report.scaling_exponent) == (
@@ -192,7 +193,7 @@ def _reference_scaled_classify(curve: Curve, p: int) -> ReductionReport:
     """The earlier classify body, kept verbatim as the reference: it builds
     the scaled model and takes the valuations of its own invariants."""
     model, k = _reference_p_minimal_model(curve, p)
-    sq = model.std_quantities()
+    sq = std_quantities(model)
     v_delta = vp(sq.delta, p)
     v_c4 = vp(sq.c4, p) if sq.c4 != 0 else None
     if v_delta == 0:
@@ -234,14 +235,14 @@ def test_classify_matches_reference(t, m, data, u):
 def _reference_classify(curve: Curve, p: int) -> ReductionReport:
     """The Fraction classify body, kept as the reference for the one on the
     cleared integers: k from the valuations of a2, a4, a6, and v(delta),
-    v(c4) from the curve's own ``std_quantities()``."""
+    v(c4) from ``std_quantities(curve)``."""
     require_odd_prime(p)
     k = min(
         _rat_vp(coeff, p) // i
         for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
         if coeff != 0
     )
-    sq = curve.std_quantities()
+    sq = std_quantities(curve)
     v_delta = _rat_vp(sq.delta, p) - 12 * k
     v_c4 = _rat_vp(sq.c4, p) - 4 * k if sq.c4 != 0 else None
     if v_delta == 0:
@@ -298,6 +299,46 @@ def test_classify_on_cleared_integers_matches_fraction_invariants(coeffs, u):
             want = _reference_classify(model, p)
             assert classify(model, p) == want
             assert p_minimal_model(model, p)[1] == want.scaling_exponent
+
+
+def _random_integral_coefficients(rng: random.Random, p: int) -> tuple[int, int, int]:
+    """a2, a4, a6 with small cofactors of random powers of p; one draw in
+    four has c4 = 0 (a2 = 3s, a4 = 3s^2), so j = 0."""
+    a2, a4, a6 = (rng.randint(-30, 30) * p ** rng.randint(0, 2) for _ in range(3))
+    if rng.random() < 0.25:
+        a2 = 3 * rng.randint(-10, 10) * p ** rng.randint(0, 1)
+        a4 = a2 * a2 // 3
+    return a2, a4, a6
+
+
+def test_classify_matches_sympy_discriminant_and_j():
+    # an independent oracle; integral coefficients only, because sympy's
+    # EllipticCurve truncates rational ones
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.elliptic_curve import EllipticCurve
+
+    def v(n, p):
+        return sympy.multiplicity(p, abs(n))
+
+    rng = random.Random(16)
+    checked = 0
+    while checked < 400:
+        p = rng.choice(CLASSIFY_PRIMES)
+        a2, a4, a6 = _random_integral_coefficients(rng, p)
+        e = rng.randint(0, 2)
+        a2, a4, a6 = a2 * p ** (2 * e), a4 * p ** (4 * e), a6 * p ** (6 * e)
+        oracle = EllipticCurve(a4, a6, a2=a2)
+        if oracle.discriminant == 0:
+            continue
+        report = classify(Curve(a2, a4, a6), p)
+        assert report.v_delta == v(oracle.discriminant, p) - 12 * report.scaling_exponent
+        j = sympy.Rational(oracle.j_invariant)
+        if j == 0:
+            assert report.v_c4 is None
+        else:
+            assert report.v_c4 is not None
+            assert 3 * report.v_c4 == v(j.p, p) - v(j.q, p) + report.v_delta
+        checked += 1
 
 
 @pytest.mark.xfail(
@@ -482,6 +523,18 @@ def test_mod3_sign_table_t3_witness():
     rows = mod3_sign_table(3, m_max=1)
     first = {row.lemma_part: row for row in rows}
     assert first["sign v3(x([m][3]R))"].observed == -1
+
+
+@pytest.mark.parametrize("table", [valuation_table, nonsingular_residues])
+@pytest.mark.parametrize(("t", "p", "message"), [
+    (0, 4, "4 is not prime"),
+    (F(1, 2), 9, "9 is not prime"),
+    (1, 2, "p = 2 is out of scope"),
+    (3, 0, "0 is not prime"),
+])
+def test_tables_check_the_prime_before_t(table, t, p, message):
+    with pytest.raises(ValueError, match=message):
+        table(t, p, m_max=100)
 
 
 def test_nonsingular_residues():

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import sqrt_exact
-from dioph6.family import three_torsion_condition, triple_from_multiple
+from dioph6.family import triple_from_multiple
 from dioph6.identities import (
     half_point_check,
     order3_check,
     point_half,
     point_Sprime,
     square_product_check,
+    three_torsion_condition,
 )
 from dioph6.sextuple_engine import (
     PairWitness,

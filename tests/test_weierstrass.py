@@ -4,11 +4,22 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6.family import curve_E, curve_Estar, point_Pstar, point_R, point_Tstar
-from dioph6.family import curve_Epp, triple_from_multiple
-from dioph6.identities import point_Sprime, torsion_order_upto
+from dioph6.family import triple_from_multiple
+from dioph6.identities import (
+    StdQuantities,
+    _std_quantities,
+    curve_E,
+    curve_Epp,
+    curve_Estar,
+    point_Pstar,
+    point_R,
+    point_Sprime,
+    point_Tstar,
+    std_quantities,
+    torsion_order_upto,
+)
 from dioph6.sextuple_engine import induced_curve, point_Pprime
-from dioph6.weierstrass import Curve, INFINITY, Point, StdQuantities, _std_quantities
+from dioph6.weierstrass import Curve, INFINITY, Point
 
 REMARK_CURVE = Curve(0, 1512, 33588)
 GEN = Point(-11, 125)
@@ -357,7 +368,7 @@ def test_group_law_matches_fraction_reference(curve_and_gens, data):
 # ---------------------------------------------------------------------------
 
 def test_std_quantities_formulas():
-    sq = REMARK_CURVE.std_quantities()
+    sq = std_quantities(REMARK_CURVE)
     assert sq.b2 == 0
     assert sq.b4 == 2 * 1512
     assert sq.b6 == 4 * 33588
@@ -366,7 +377,7 @@ def test_std_quantities_formulas():
     assert sq.delta == -8 * sq.b4**3 - 27 * sq.b6**2
 
 
-def test_std_quantities_built_once_on_demand(t6_triple):
+def test_std_quantities_of_derived_curves(t6_triple):
     def fresh(curve):
         a2, a4, a6 = curve.a2, curve.a4, curve.a6
         b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
@@ -381,10 +392,7 @@ def test_std_quantities_built_once_on_demand(t6_triple):
         curve_Epp(t, curve_E(t).mul(3, point_R(t)).x),
     ]
     for curve in curves:
-        assert Curve(curve.a2, curve.a4, curve.a6)._std is None
-        assert curve.std_quantities() is curve.std_quantities()
-        assert curve.std_quantities() == fresh(curve)
-        assert "_std" not in repr(curve)
+        assert std_quantities(curve) == fresh(curve)
 
 
 def _singular_coefficients(r: F, s: F) -> tuple[F, F, F]:
@@ -409,7 +417,7 @@ def test_singularity_test_on_cleared_coefficients(coeffs):
         assert str(exc).startswith("singular curve: y^2 = x^3 + (")
     else:
         assert not singular
-        assert curve.std_quantities().delta != 0
+        assert std_quantities(curve).delta != 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,7 +428,7 @@ def test_cleared_discriminant_slot_gives_delta(coeffs):
     except ValueError:
         return
     d, c2, c4, _ = curve._cleared
-    sq = curve.std_quantities()
+    sq = std_quantities(curve)
     assert sq.delta == F(16 * curve._disc, d**4)
     assert sq.c4 == F(16 * (c2 * c2 - 3 * d * c4), d * d)
     assert "_disc" not in repr(curve)
@@ -440,7 +448,7 @@ def test_scale_laws_and_point_transport(u):
     curve = curve_E(2)
     seed = point_R(2)
     scaled = curve.scale(u)
-    sq, ssq = curve.std_quantities(), scaled.std_quantities()
+    sq, ssq = std_quantities(curve), std_quantities(scaled)
     assert ssq.delta == sq.delta / u**12
     assert ssq.c4 == sq.c4 / u**4
     image = curve.scale_point(seed, u)
