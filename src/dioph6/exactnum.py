@@ -112,6 +112,12 @@ def _coprime(num: int, den: int) -> Rat:
     return q
 
 
+def _format_coprime(num: int, den: int) -> str:
+    """:func:`format_rat` of num/den for coprime num and den > 0, by
+    ``Fraction.__str__``'s rule: ``num`` when den is 1, else ``num/den``."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _over_common_denominator(a: Rat, b: Rat, c: Rat) -> tuple[int, int, int, int]:
     """(den, na, nb, nc) with a = na/den, b = nb/den, c = nc/den and den the
     least common denominator."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, _Value, format_rat, sqrt_exact
+from .exactnum import Rat, _coprime, _Value, format_rat, sqrt_exact
 from .family import TripleABC, require_param
 from .sextuple_engine import VerificationReport, verify_tuple
 
@@ -146,7 +146,7 @@ class FamilyPoint(_Value):
     def triple(self) -> TripleABC:
         """:func:`family_triple` at the same t, with the witnesses of the
         pairs (1, 2), (1, 3) and (2, 3) taken from the certificate."""
-        roots = (w.square_root for w in self.report.pair_results if w.j <= 3)
+        roots = (_coprime(row[4], row[5]) for row in self.report._rows if row[1] <= 3)
         return TripleABC(self.a, self.b, self.c, *roots, t=self.t, m=2)
 
 
@@ -246,18 +246,20 @@ _CATALOG_DATA = (
 )
 
 
+def _verified_entry(name: str, elements: tuple[Rat, ...], source: str) -> CatalogEntry:
+    if not verify_tuple(elements).all_pass:
+        raise ConsistencyError(f"catalog entry {name!r} failed verification")
+    return CatalogEntry(name, elements, source)
+
+
 def catalog() -> list[CatalogEntry]:
     """Embedded fixtures, each re-verified on the way out."""
-    entries = []
-    for name, elements, source in _CATALOG_DATA:
-        if not verify_tuple(elements).all_pass:
-            raise ConsistencyError(f"catalog entry {name!r} failed verification")
-        entries.append(CatalogEntry(name, elements, source))
-    return entries
+    return [_verified_entry(*data) for data in _CATALOG_DATA]
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
+    """The named fixture, re-verified on the way out (the others are not)."""
+    for data in _CATALOG_DATA:
+        if data[0] == name:
+            return _verified_entry(*data)
     raise KeyError(name)

@@ -11,21 +11,23 @@ from one x-only sum-and-difference (``Curve.add_sub_x_unchecked``).
 The certificate works on the numerators and denominators of the elements:
 each product + 1 comes out in lowest terms without a gcd of its own, and
 its witness is the exact integer square root of its numerator and then of
-its denominator.
+its denominator.  The certificate is kept as integer rows, which the
+verdict and the JSON form read; the :class:`PairWitness` objects are built
+only when a caller reads ``VerificationReport.pair_results``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import ConsistencyError, DegeneracyError
 from .exactnum import (
     Rat,
     _as_rat,
     _coprime,
-    _coprime_sqrt,
+    _format_coprime,
     _over_common_denominator,
     _Value,
     format_rat,
@@ -60,25 +62,58 @@ class PairWitness(_Value):
 
 class VerificationReport(_Value):
     """Full certificate for a candidate tuple: every pairwise product + 1
-    together with its square-root witness."""
+    together with its square-root witness.
 
-    __slots__ = _fields = ("pair_results", "nonzero", "distinct")
-    pair_results: tuple[PairWitness, ...]
+    The certificate is held as integer rows (i, j, num, den, root_num,
+    root_den), the product + 1 num/den and its root root_num/root_den in
+    lowest terms, the root parts None when there is no root.  The verdict
+    and the JSON form read the rows; the :class:`PairWitness` values of
+    ``pair_results`` are built from them on first access and kept.
+    """
+
+    __slots__ = ("_rows", "_pairs", "nonzero", "distinct")
+    _fields = ("pair_results", "nonzero", "distinct")
     nonzero: bool
     distinct: bool
 
     def __init__(self, pair_results: tuple[PairWitness, ...], nonzero: bool, distinct: bool) -> None:
-        object.__setattr__(self, "pair_results", pair_results)
+        rows = []
+        for p in pair_results:
+            q, r = p.product_plus_one, p.square_root
+            root = (None, None) if r is None else (r.numerator, r.denominator)
+            rows.append((p.i, p.j, q.numerator, q.denominator, *root))
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_pairs", pair_results)
         object.__setattr__(self, "nonzero", nonzero)
         object.__setattr__(self, "distinct", distinct)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple, ...], nonzero: bool, distinct: bool) -> VerificationReport:
+        report = object.__new__(cls)
+        object.__setattr__(report, "_rows", rows)
+        object.__setattr__(report, "_pairs", None)
+        object.__setattr__(report, "nonzero", nonzero)
+        object.__setattr__(report, "distinct", distinct)
+        return report
+
+    @property
+    def pair_results(self) -> tuple[PairWitness, ...]:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = tuple(
+                PairWitness(i, j, _coprime(num, den), None if rn is None else _coprime(rn, rd))
+                for i, j, num, den, rn, rd in self._rows
+            )
+            object.__setattr__(self, "_pairs", pairs)
+        return pairs
+
     @property
     def all_pass(self) -> bool:
-        return self.nonzero and self.distinct and all(p.ok for p in self.pair_results)
+        return self.nonzero and self.distinct and all(row[4] is not None for row in self._rows)
 
     @property
     def failing_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p.i, p.j) for p in self.pair_results if not p.ok)
+        return tuple((row[0], row[1]) for row in self._rows if row[4] is None)
 
     def to_json_dict(self, elements: Sequence[Rat] | None = None) -> dict:
         out: dict = {}
@@ -89,12 +124,12 @@ class VerificationReport(_Value):
         out["distinct"] = self.distinct
         out["pairs"] = [
             {
-                "i": p.i,
-                "j": p.j,
-                "product_plus_one": format_rat(p.product_plus_one),
-                "square_root": None if p.square_root is None else format_rat(p.square_root),
+                "i": i,
+                "j": j,
+                "product_plus_one": _format_coprime(num, den),
+                "square_root": None if rn is None else _format_coprime(rn, rd),
             }
-            for p in self.pair_results
+            for i, j, num, den, rn, rd in self._rows
         ]
         return out
 
@@ -103,12 +138,12 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     """Exhaustively check the defining property of a Diophantine tuple.
 
     Failures are reported as data, never raised: the report carries one
-    witness row per pair plus nonzero/distinct flags.
+    integer row per pair plus nonzero/distinct flags.
     """
     # numerators and denominators of the elements in lowest terms; equal
     # rationals have equal pairs, so the flags need no Fraction hashing
     parts = [(q.numerator, q.denominator) for q in map(_as_rat, elements)]
-    pairs = []
+    rows = []
     for i, (ni, di) in enumerate(parts, 1):
         for j, (nj, dj) in enumerate(parts[i:], i + 1):
             # cancelling g1 and g2 leaves the product in lowest terms, and
@@ -116,11 +151,18 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
             g1, g2 = gcd(ni, dj), gcd(nj, di)
             den = (di // g2) * (dj // g1)
             num = (ni // g1) * (nj // g2) + den
-            pairs.append(PairWitness(i, j, _coprime(num, den), _coprime_sqrt(num, den)))
-    return VerificationReport(
-        pair_results=tuple(pairs),
-        nonzero=all(n != 0 for n, _ in parts),
-        distinct=len(set(parts)) == len(parts),
+            # exactnum._coprime_sqrt's test, inline and without the Fraction:
+            # the roots of a coprime num and den are coprime as well
+            rn = rd = None
+            if num >= 0:
+                r = isqrt(num)
+                if r * r == num:
+                    s = isqrt(den)
+                    if s * s == den:
+                        rn, rd = r, s
+            rows.append((i, j, num, den, rn, rd))
+    return VerificationReport._from_rows(
+        tuple(rows), all(n != 0 for n, _ in parts), len(set(parts)) == len(parts)
     )
 
 
@@ -211,9 +253,10 @@ class SextupleRecord(_Value):
         }
         if route is not None:
             out["route"] = route
+        triple = self.triple.to_json_dict()
         d, e, f = (format_rat(x) for x in (self.d, self.e, self.f))
-        out["elements"] = [*(format_rat(x) for x in self.triple.elements), d, e, f]
-        out["triple"] = self.triple.to_json_dict()
+        out["elements"] = [triple["a"], triple["b"], triple["c"], d, e, f]
+        out["triple"] = triple
         out["d"] = d
         out["e"] = e
         out["f"] = f

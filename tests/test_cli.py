@@ -10,6 +10,7 @@ import pytest
 from dioph6 import cli, exactnum
 from dioph6.cli import build_parser, main
 from dioph6.paramfam import family_triple
+from dioph6.sextuple_engine import PairWitness, verify_tuple
 
 
 def run_cli(capsys, *argv):
@@ -524,6 +525,25 @@ def test_golden_cli_bytes(capsys, argv, code, digest):
     assert got_code == code
     # an answer writes only to stdout and a refusal only to stderr
     assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
+def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
+    """The commands read the certificate's integer rows; witnesses are
+    built only when pair_results is read."""
+    built = []
+    init = PairWitness.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(PairWitness, "__init__", counted)
+    for argv, code, _ in GOLDEN_CLI_DIGESTS:
+        assert run_cli(capsys, *argv)[0] == code
+    assert built == []
+    witnesses = verify_tuple([1, 3, 8]).pair_results
+    assert all(type(w) is PairWitness for w in witnesses)
+    assert built == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_parser_is_built_once():

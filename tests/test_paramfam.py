@@ -282,6 +282,23 @@ def test_catalog_entry_lookup(gibbs_sextuple):
         catalog_entry("nope")
 
 
+def test_catalog_entry_verifies_only_its_entry(monkeypatch):
+    checked = []
+
+    def counted(elements):
+        checked.append(elements)
+        return verify_tuple(elements)
+
+    monkeypatch.setattr(paramfam, "verify_tuple", counted)
+    entry = catalog_entry("euler")
+    assert checked == [entry.elements]
+    assert entry == {e.name: e for e in catalog()}["euler"]
+    checked.clear()
+    with pytest.raises(KeyError):
+        catalog_entry("nope")
+    assert checked == []
+
+
 # ---------------------------------------------------------------------------
 # product-3/4 reconstruction
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 import functools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dioph6.errors import DegeneracyError
-from dioph6.exactnum import sqrt_exact
+from dioph6.exactnum import format_rat, sqrt_exact
 from dioph6.family import triple_from_multiple
 from dioph6.identities import (
     half_point_check,
@@ -164,6 +165,56 @@ def test_verify_tuple_matches_reference(elements):
             assert g.square_root is None
         else:
             assert _canonical_parts(g.square_root) == _canonical_parts(w.square_root)
+
+
+def _json_outcome(build):
+    """The JSON dict that ``build()`` returns, or the text of the ValueError
+    it raises (a product + 1 past the int-to-text digit limit)."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_json(report, elements):
+    """The certificate's JSON form, built from the witnesses with format_rat."""
+    out = {"elements": [format_rat(e) for e in elements]}
+    out["all_pass"] = report.nonzero and report.distinct and all(w.ok for w in report.pair_results)
+    out["nonzero"] = report.nonzero
+    out["distinct"] = report.distinct
+    out["pairs"] = [
+        {
+            "i": w.i,
+            "j": w.j,
+            "product_plus_one": format_rat(w.product_plus_one),
+            "square_root": None if w.square_root is None else format_rat(w.square_root),
+        }
+        for w in report.pair_results
+    ]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_inputs())
+# 1 * x + 1 = 10^102 / (10^101 + 1): a square numerator over a large non-square
+@example([1, F(10**102 - 10**101 - 1, 10**101 + 1)])
+def test_certificate_rows_match_reference_witnesses(elements):
+    """The verdict and the JSON form of a report whose witnesses were never
+    built agree with the reference witnesses, and such a report compares,
+    hashes and pickles like the report built from those witnesses."""
+    want = _reference_verify_tuple(elements)
+    fresh = verify_tuple(elements)
+    assert fresh.all_pass == (want.nonzero and want.distinct and all(w.ok for w in want.pair_results))
+    assert fresh.failing_pairs == tuple((w.i, w.j) for w in want.pair_results if not w.ok)
+    got_json = _json_outcome(lambda: fresh.to_json_dict(elements))
+    assert got_json == _json_outcome(lambda: _reference_json(want, elements))
+    assert fresh._pairs is None  # nothing above built a witness
+
+    assert verify_tuple(elements) == want
+    assert hash(verify_tuple(elements)) == hash(want)
+    twin = pickle.loads(pickle.dumps(verify_tuple(elements)))
+    assert twin == want and hash(twin) == hash(want)
+    assert all(type(w) is PairWitness for w in twin.pair_results)
 
 
 def test_verify_tuple_reference_cases():
