@@ -28,21 +28,37 @@ Rat = Fraction
 #: that a pathological input fails loudly instead of spinning.
 DEFAULT_FACTOR_BOUND = 10**6
 
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``_fields``, declares them (and any cache
-    it keeps) in ``__slots__``, and sets them in its own ``__init__`` with
-    ``object.__setattr__``.  Equality (same class only), hash, repr and
-    copying or pickling (through the constructor) are over ``_fields``;
-    every other assignment and every deletion raises AttributeError.
+    A subclass lists its fields in ``_fields`` and declares them (and any
+    cache it keeps) in ``__slots__``.  This base's constructor takes the
+    fields by position or keyword, each exactly once, and stores them as
+    given; a subclass that coerces or checks its arguments does so in its
+    own ``__init__`` and passes the final values to ``_Value.__init__``.
+    Equality (same class only), hash, repr and copying or pickling (through
+    the constructor) are over ``_fields``; every other assignment and every
+    deletion raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs:
+            # what is left of kwargs is a field given twice or an unknown one
+            args = (*args, *[kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes ({', '.join(fields)}), "
+                "each once, by position or keyword"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -343,9 +359,9 @@ class _PrimeTable:
     have been divided through all of it (:meth:`traversed`), and then only
     for a number whose limit lies past it; until then :meth:`product`
     returns None and the caller divides by the candidates.  The blocks come
-    from a sieve over the pairs, doubled in length as the blocks need and
-    dropped when the last block is built: what stays is the products, about
-    180 KB in all.
+    from one sieve over all the pairs (under 1 ms), made when the first
+    block is built and dropped when the last one is: what stays is the
+    products, about 180 KB in all.
     """
 
     def __init__(self) -> None:
@@ -386,9 +402,8 @@ class _PrimeTable:
     def _build(self, k: int) -> int:
         first, last = self.pairs(k)
         rows = slice((first - 5) // 6, (last - 5) // 6 + 1)
-        size = len(self._sieve[0])
-        if size < rows.stop:  # doubled, so all the sieving costs about two full sieves
-            self._sieve = _pair_sieve(min(max(_BLOCK_PAIRS, 2 * size), _TABLE_PAIRS))
+        if not self._sieve[0]:
+            self._sieve = _pair_sieve(_TABLE_PAIRS)
         low, high = self._sieve
         return _product(
             [*compress(range(first, last + 1, 6), low[rows]),

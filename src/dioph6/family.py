@@ -261,14 +261,7 @@ class TripleABC(_Value):
     ) -> None:
         a, b, c = _as_rat(a), _as_rat(b), _as_rat(c)
         rhos = (_as_rat(rho_ab), _as_rat(rho_ac), _as_rat(rho_bc))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rho_ab", rhos[0])
-        object.__setattr__(self, "rho_ac", rhos[1])
-        object.__setattr__(self, "rho_bc", rhos[2])
-        object.__setattr__(self, "t", None if t is None else _as_rat(t))
-        object.__setattr__(self, "m", m)
+        _Value.__init__(self, a, b, c, *rhos, None if t is None else _as_rat(t), m)
         if 0 in (a, b, c):
             raise ValueError("triple elements must be nonzero")
         cleared = _over_common_denominator(a, b, c)

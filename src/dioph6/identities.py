@@ -167,14 +167,6 @@ class StdQuantities(_Value):
     c4: Rat
     delta: Rat
 
-    def __init__(self, b2: Rat, b4: Rat, b6: Rat, b8: Rat, c4: Rat, delta: Rat) -> None:
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "b4", b4)
-        object.__setattr__(self, "b6", b6)
-        object.__setattr__(self, "b8", b8)
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "delta", delta)
-
 
 def _std_quantities(a2: Rat, a4: Rat, a6: Rat) -> StdQuantities:
     """The invariants of y^2 = x^3 + a2 x^2 + a4 x + a6 from its

@@ -125,20 +125,6 @@ class FamilyPoint(_Value):
     negatives: int
     report: VerificationReport
 
-    def __init__(
-        self, t: Rat, a: Rat, b: Rat, c: Rat, d: Rat, e: Rat, f: Rat,
-        negatives: int, report: VerificationReport,
-    ) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "negatives", negatives)
-        object.__setattr__(self, "report", report)
-
     @property
     def elements(self) -> tuple[Rat, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
@@ -172,11 +158,6 @@ class CatalogEntry(_Value):
     name: str
     elements: tuple[Rat, ...]
     source: str
-
-    def __init__(self, name: str, elements: tuple[Rat, ...], source: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "source", source)
 
     def to_json_dict(self) -> dict:
         return {

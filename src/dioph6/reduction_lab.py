@@ -59,15 +59,6 @@ class ReductionReport(_Value):
     v_c4: int | None
     scaling_exponent: int
 
-    def __init__(
-        self, p: int, type: str, v_delta: int, v_c4: int | None, scaling_exponent: int
-    ) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "v_delta", v_delta)
-        object.__setattr__(self, "v_c4", v_c4)
-        object.__setattr__(self, "scaling_exponent", scaling_exponent)
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -86,12 +77,6 @@ class ValuationRow(_Value):
     predicted: int
     observed: int
     lemma_part: str
-
-    def __init__(self, m: int, predicted: int, observed: int, lemma_part: str) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "lemma_part", lemma_part)
 
     @property
     def passed(self) -> bool:
@@ -200,20 +185,6 @@ class BadPrimesReport(_Value):
     additive: tuple[int, ...]
     prop_applicable: bool
     prop_holds: bool | None
-
-    def __init__(
-        self, t: int, x: Rat, y: Rat, entries: tuple[tuple[int, ReductionReport], ...],
-        candidates: tuple[int, ...], additive: tuple[int, ...],
-        prop_applicable: bool, prop_holds: bool | None,
-    ) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "additive", additive)
-        object.__setattr__(self, "prop_applicable", prop_applicable)
-        object.__setattr__(self, "prop_holds", prop_holds)
 
     def to_json_dict(self) -> dict:
         return {

@@ -49,12 +49,6 @@ class PairWitness(_Value):
     product_plus_one: Rat
     square_root: Rat | None
 
-    def __init__(self, i: int, j: int, product_plus_one: Rat, square_root: Rat | None) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "product_plus_one", product_plus_one)
-        object.__setattr__(self, "square_root", square_root)
-
     @property
     def ok(self) -> bool:
         return self.square_root is not None
@@ -226,19 +220,9 @@ class SextupleRecord(_Value):
     f: Rat
     report: VerificationReport
 
-    def __init__(
-        self, t: Rat | None, m: int | None, n: int, triple: TripleABC,
-        d: Rat, e: Rat, f: Rat, report: VerificationReport,
-    ) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "triple", triple)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "report", report)
-        if not report.all_pass:
+    def __init__(self, *args, **kwargs) -> None:
+        _Value.__init__(self, *args, **kwargs)
+        if not self.report.all_pass:
             raise ValueError("sextuple record requires a passing certificate")
 
     @property

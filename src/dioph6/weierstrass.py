@@ -52,8 +52,7 @@ class Point(_Value):
             raise ValueError("point needs both coordinates or neither")
         if x is not None:
             x, y = _as_rat(x), _as_rat(y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _Value.__init__(self, x, y)
 
     @property
     def is_infinity(self) -> bool:
@@ -117,9 +116,7 @@ class Curve(_Value):
 
     def __init__(self, a2: Rat, a4: Rat, a6: Rat) -> None:
         a2, a4, a6 = _as_rat(a2), _as_rat(a4), _as_rat(a6)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a4", a4)
-        object.__setattr__(self, "a6", a6)
+        _Value.__init__(self, a2, a4, a6)
         object.__setattr__(self, "_coeffs", (a2.numerator, a2.denominator, a4.numerator, a4.denominator))
         cleared = _over_common_denominator(a2, a4, a6)
         object.__setattr__(self, "_cleared", cleared)

@@ -187,6 +187,11 @@ def test_family_t6(capsys):
 def test_family_rejects_t1(capsys):
     code, _, _ = run_cli(capsys, "family", "--t", "1")
     assert code == 2
+    # a non-ASCII digit (ARABIC-INDIC SIX) is no rational, although int() reads it
+    with pytest.raises(SystemExit) as info:
+        main(["family", "--t", "\u0666"])
+    assert info.value.code == 2
+    assert "not a rational: '\u0666'" in capsys.readouterr().err
 
 
 def test_scan_three_negative_region(capsys):

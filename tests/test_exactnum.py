@@ -475,7 +475,12 @@ def test_parse_and_format():
     assert format_rat(F(8, 2)) == "4"
 
 
-@pytest.mark.parametrize("bad", ["1/0", "3.5", "a", "1 / 2", "--3", "+3", ""])
+@pytest.mark.parametrize(
+    "bad",
+    # the last four are non-ASCII digits, which int() would read:
+    # ARABIC-INDIC SIX, FULLWIDTH ONE/TWO, ARABIC-INDIC TWO and THREE
+    ["1/0", "3.5", "a", "1 / 2", "--3", "+3", "", "\u0666", "\uff11/\uff12", "1/\u0662", "-\u0663"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)

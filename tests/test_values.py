@@ -251,3 +251,54 @@ def test_sextuple_record_rejects_a_failing_report():
     failing = verify_tuple([1, 2, 3, 4, 5, 6])
     with pytest.raises(ValueError, match="sextuple record requires a passing certificate"):
         SextupleRecord(*_values(record)[:7], report=failing)
+
+
+#: The fields that a type's constructor has defaults for, so may go unset.
+DEFAULTS = {Point: ("x", "y"), TripleABC: ("t", "m")}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_constructor_binds_each_field_once(cls):
+    """A missing field, one positional argument too many, an unknown keyword
+    and a field given both by position and by keyword raise TypeError;
+    fields may be split between position and keyword."""
+    value = EXAMPLES[cls.__name__]()
+    fields, values = FIELDS[cls], _values(value)
+    by_name = dict(zip(fields, values))
+    for field in fields:
+        if field not in DEFAULTS.get(cls, ()):
+            with pytest.raises(TypeError):
+                cls(**{name: v for name, v in by_name.items() if name != field})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, bogus=values[0])
+    with pytest.raises(TypeError):
+        cls(values[0], **by_name)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[-1]: values[-1]})
+    split = len(fields) // 2
+    assert cls(*values[:split], **dict(zip(fields[split:], values[split:]))) == value
+
+
+#: The value types with their own __init__, each with the reason; every
+#: other type stores its fields as given through _Value.__init__.
+OWN_INIT = {
+    Point: "coerces its coordinates to Fraction and requires both or neither",
+    Curve: "coerces its coefficients, rejects a singular curve and caches "
+    "_cleared, _disc and _coeffs",
+    TripleABC: "coerces its elements, witnesses and t, and checks the witnesses, "
+    "distinctness and the order-3 condition",
+    SextupleRecord: "requires a passing certificate",
+    VerificationReport: "keeps the certificate as integer rows, not as its field pair_results",
+}
+
+
+def test_only_types_that_coerce_or_check_define_an_init():
+    subclasses, todo = set(), [_Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            subclasses.add(cls)
+            todo.append(cls)
+    assert subclasses == set(FIELDS)
+    assert {cls for cls in subclasses if "__init__" in vars(cls)} == set(OWN_INIT)
