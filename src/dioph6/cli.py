@@ -57,8 +57,7 @@ def cmd_generate(args) -> int:
             raise ValueError("the closed-form route is only defined for m = 2, n = 1")
         point = paramfam.family_point(t)
         record = engine.SextupleRecord(
-            t=t, m=2, n=1, triple=point.triple(),
-            d=point.d, e=point.e, f=point.f, report=point.report,
+            t, 2, 1, point.triple(), point.d, point.e, point.f, point.report
         )
     else:
         triple = fam.triple_from_multiple(t, args.m)

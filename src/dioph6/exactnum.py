@@ -359,9 +359,9 @@ class _PrimeTable:
     have been divided through all of it (:meth:`traversed`), and then only
     for a number whose limit lies past it; until then :meth:`product`
     returns None and the caller divides by the candidates.  The blocks come
-    from one sieve over all the pairs (under 1 ms), made when the first
-    block is built and dropped when the last one is: what stays is the
-    products, about 180 KB in all.
+    from a sieve over the pairs, doubled in length as the blocks need and
+    dropped when the last block is built: what stays is the products, about
+    180 KB in all.
     """
 
     def __init__(self) -> None:
@@ -402,8 +402,9 @@ class _PrimeTable:
     def _build(self, k: int) -> int:
         first, last = self.pairs(k)
         rows = slice((first - 5) // 6, (last - 5) // 6 + 1)
-        if not self._sieve[0]:
-            self._sieve = _pair_sieve(_TABLE_PAIRS)
+        size = len(self._sieve[0])
+        if size < rows.stop:  # doubled, so all the sieving costs about two full sieves
+            self._sieve = _pair_sieve(min(max(_BLOCK_PAIRS, 2 * size), _TABLE_PAIRS))
         low, high = self._sieve
         return _product(
             [*compress(range(first, last + 1, 6), low[rows]),

@@ -251,16 +251,7 @@ def bad_primes_epp(
                 f"additive primes {additive} escape the candidate set "
                 f"{candidates} at t = {t} despite v_3(y) <= 0"
             )
-    return BadPrimesReport(
-        t=t,
-        x=x,
-        y=y,
-        entries=tuple(entries),
-        candidates=candidates,
-        additive=additive,
-        prop_applicable=applicable,
-        prop_holds=holds,
-    )
+    return BadPrimesReport(t, x, y, tuple(entries), candidates, additive, applicable, holds)
 
 
 # ---------------------------------------------------------------------------

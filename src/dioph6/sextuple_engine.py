@@ -293,6 +293,4 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
             f"certificate failed for ({a}, {b}, {c}) extended with n = {n}: "
             f"pairs {report.failing_pairs}"
         )
-    return SextupleRecord(
-        t=triple.t, m=triple.m, n=n, triple=triple, d=d, e=e, f=f, report=report
-    )
+    return SextupleRecord(triple.t, triple.m, n, triple, d, e, f, report)
