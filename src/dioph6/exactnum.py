@@ -17,7 +17,7 @@ import operator
 import re
 from _thread import allocate_lock
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count, takewhile
 
 from .errors import UnfactorableError
 
@@ -330,16 +330,19 @@ def _rat_vp(q: Rat, p: int) -> int:
     return _int_vp(q.numerator, p) - _int_vp(q.denominator, p)
 
 
-#: Candidate pairs (d, d + 2), d = 5 (mod 6), per block of the prime table:
-#: a block spans 6 * 2731 = 16,386 integers.  Larger blocks cost fewer gcd
-#: calls per number; smaller ones, less to build.
+#: Candidate pairs (d, d + 2), d = 5 (mod 6), in the first block of the
+#: prime table: the primes below 100.  Each block after it holds twice the
+#: pairs of the one before while that stays below _BLOCK_PAIRS, and every
+#: block from there on _BLOCK_PAIRS, 6 * 2731 = 16,386 integers.  Larger
+#: blocks cost fewer gcd calls per number; smaller ones, less to build and
+#: less to divide for a number that needs only the small primes.
+_FIRST_PAIRS = 16
 _BLOCK_PAIRS = 2731
 #: The table holds the primes of the pairs with d <= DEFAULT_FACTOR_BOUND.
 #: Past it, trial division goes on one candidate at a time from d =
 #: _TABLE_END, so no pair is split between the two.
 _TABLE_PAIRS = (DEFAULT_FACTOR_BOUND + 1) // 6
 _TABLE_END = 6 * _TABLE_PAIRS + 5
-_TABLE_BLOCKS = -(-_TABLE_PAIRS // _BLOCK_PAIRS)
 
 
 def _product(xs: list[int]) -> int:
@@ -350,18 +353,29 @@ def _product(xs: list[int]) -> int:
 
 
 class _PrimeTable:
-    """Products of the primes below _TABLE_END in blocks of _BLOCK_PAIRS
-    candidate pairs, built lazily and in order.
+    """Products of the primes below _TABLE_END in blocks of candidate pairs
+    (:meth:`pairs`), built lazily and in order.
 
-    Building a block costs about as much as dividing 1.4 numbers through it
-    candidate by candidate (0.7 against 0.5 ms), and most numbers stop
-    inside the first block.  So block k is built only after two numbers
-    have been divided through all of it (:meth:`traversed`), and then only
-    for a number whose limit lies past it; until then :meth:`product`
-    returns None and the caller divides by the candidates.  The blocks come
-    from a sieve over the pairs, doubled in length as the blocks need and
-    dropped when the last block is built: what stays is the products, about
-    180 KB in all.
+    Most numbers need only the small primes: of the 305 numbers that the
+    answered reduce operations of one benchmark pass factor (seed 1), 160
+    need no candidate above 100 and 240 none above 1,000.  So the blocks
+    start with the 16 pairs below 100, a product of 119 bits, and double up
+    to _BLOCK_PAIRS: with the table built, such a number takes 7 to 12 us
+    where one gcd with a first block of 2,731 pairs, a product of 23,449
+    bits, made it 15 to 31 us (CPython 3.11.7).  Past the leading blocks
+    every block is _BLOCK_PAIRS long: blocks that doubled to the end of the
+    table would make the last of them half the table, and a number divided
+    through all of it would take 605 us instead of 327.
+
+    Building a block costs about as much as dividing two numbers through it
+    candidate by candidate (0.7 against 0.4 ms for a full block), and most
+    numbers stop inside the first blocks.  So block k is built only after
+    two numbers have been divided through all of it (:meth:`traversed`),
+    and then only for a number whose limit lies past it; until then
+    :meth:`product` returns None and the caller divides by the candidates.
+    The blocks come from a sieve over the pairs, doubled in length as the
+    blocks need and dropped when the last block is built: what stays is the
+    products, about 180 KB in all.
     """
 
     def __init__(self) -> None:
@@ -373,8 +387,18 @@ class _PrimeTable:
 
     @staticmethod
     def pairs(k: int) -> tuple[int, int]:
-        """The first and the last d of the pairs (d, d + 2) in block k."""
-        return 6 * k * _BLOCK_PAIRS + 5, 6 * min((k + 1) * _BLOCK_PAIRS, _TABLE_PAIRS) - 1
+        """The first and the last d of the pairs (d, d + 2) in block k.
+
+        Blocks 0, 1, ... hold _FIRST_PAIRS times 1, 2, 4, ... pairs while
+        that is less than _BLOCK_PAIRS, and _BLOCK_PAIRS from then on; the
+        last block ends with the table.
+        """
+        leading = (_BLOCK_PAIRS // _FIRST_PAIRS).bit_length()  # blocks below full size
+
+        def start(j: int) -> int:  # the row of block j's first pair
+            return _FIRST_PAIRS * ((1 << min(j, leading)) - 1) + _BLOCK_PAIRS * max(j - leading, 0)
+
+        return 6 * start(k) + 5, 6 * min(start(k + 1), _TABLE_PAIRS) - 1
 
     def product(self, k: int, whole: bool) -> int | None:
         """The product of the primes of block k, or None while it is not
@@ -400,16 +424,21 @@ class _PrimeTable:
         self.passes[k] += 1
 
     def _build(self, k: int) -> int:
-        first, last = self.pairs(k)
+        first, last = _BLOCKS[k]
         rows = slice((first - 5) // 6, (last - 5) // 6 + 1)
         size = len(self._sieve[0])
         if size < rows.stop:  # doubled, so all the sieving costs about two full sieves
-            self._sieve = _pair_sieve(min(max(_BLOCK_PAIRS, 2 * size), _TABLE_PAIRS))
+            self._sieve = _pair_sieve(min(max(rows.stop, 2 * size), _TABLE_PAIRS))
         low, high = self._sieve
         return _product(
             [*compress(range(first, last + 1, 6), low[rows]),
              *compress(range(first + 2, last + 3, 6), high[rows])]
         )
+
+
+#: (first, last) of each block of the prime table, by :meth:`_PrimeTable.pairs`.
+_BLOCKS = tuple(takewhile(lambda block: block[0] < _TABLE_END, map(_PrimeTable.pairs, count())))
+_TABLE_BLOCKS = len(_BLOCKS)
 
 
 def _pair_sieve(pairs: int) -> tuple[bytearray, bytearray]:
@@ -467,8 +496,7 @@ def _table_divide(m: int, bound: int, factors: dict[int, int]) -> int:
     comes after d itself has been divided out; if that makes it fail, m is
     p alone, a cofactor below bound^2 that counts as a factor all the same.
     """
-    for k in range(_TABLE_BLOCKS):
-        first, last = _PrimeTable.pairs(k)
+    for k, (first, last) in enumerate(_BLOCKS):
         if first > bound or first * first > m:
             break
         product = _PRIMES.product(k, last <= bound and last * last <= m)

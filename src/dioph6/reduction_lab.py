@@ -13,11 +13,16 @@ The valuations come from the integers a :class:`Curve` already holds, its
 coefficients a_i = c_i/d over their least common denominator and its
 cleared discriminant D = ``Curve._disc``: at odd p, where 16 is a unit,
 delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.  No Fraction invariant is
-built on the way.
+built on the way, and a curve's integers are taken once for all the primes
+it is classified at.  The bad-prime scan keeps each classified prime as a
+row (p, type, v_delta, v_c4, scaling_exponent) until it is printed; a
+:class:`ReductionReport` is built only by :func:`classify` or when a
+caller reads ``BadPrimesReport.entries``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import ConsistencyError
@@ -60,13 +65,7 @@ class ReductionReport(_Value):
     scaling_exponent: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "type": self.type,
-            "v_delta": self.v_delta,
-            "v_c4": self.v_c4,
-            "scaling_exponent": self.scaling_exponent,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class ValuationRow(_Value):
@@ -119,16 +118,8 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     which has good reduction there.
     """
     require_odd_prime(p)
-    k = _scaling_exponent(curve, p, _int_vp(curve._cleared[0], p))
+    k = next(_classified(curve, (p,)))[4]
     return (curve.scale(Fraction(p) ** k) if k else curve), k
-
-
-def _scaling_exponent(curve: Curve, p: int, v_d: int) -> int:
-    """The k of :func:`p_minimal_model`, for a prime the caller has checked
-    and v_d = v_p(d): v_p(a_i) = v_p(c_i) - v_d on the cleared coefficients
-    a_i = c_i/d."""
-    _, c2, c4, c6 = curve._cleared
-    return min((_int_vp(c, p) - v_d) // i for i, c in ((2, c2), (4, c4), (6, c6)) if c)
 
 
 def classify(curve: Curve, p: int) -> ReductionReport:
@@ -141,24 +132,33 @@ def classify(curve: Curve, p: int) -> ReductionReport:
     ``curve._disc``, delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.
     """
     require_odd_prime(p)
-    return _classify(curve, p)
+    return ReductionReport(*next(_classified(curve, (p,))))
 
 
-def _classify(curve: Curve, p: int) -> ReductionReport:
-    """:func:`classify` at an odd prime the caller has checked."""
-    d, c2, c4, _ = curve._cleared
-    v_d = _int_vp(d, p)
-    k = _scaling_exponent(curve, p, v_d)
-    v_delta = _int_vp(curve._disc, p) - 4 * v_d - 12 * k
+def _classified(curve: Curve, primes: Iterable[int]) -> Iterator[tuple]:
+    """The fields (p, type, v_delta, v_c4, scaling_exponent) of
+    :func:`classify` at each of the odd primes, which the caller has
+    checked, with the curve's invariants taken once.
+
+    With v_d = v_p(d), v_p(a_i) = v_p(c_i) - v_d on the cleared
+    coefficients a_i = c_i/d, which gives the k of :func:`p_minimal_model`.
+    """
+    d, c2, c4, c6 = curve._cleared
+    disc = curve._disc
     c4_cleared = c2 * c2 - 3 * d * c4
-    v_c4 = _int_vp(c4_cleared, p) - 2 * v_d - 4 * k if c4_cleared else None
-    if v_delta == 0:
-        kind = GOOD
-    elif v_c4 == 0:
-        kind = MULTIPLICATIVE
-    else:
-        kind = ADDITIVE
-    return ReductionReport(p, kind, v_delta, v_c4, k)
+    coeffs = [(i, c) for i, c in ((2, c2), (4, c4), (6, c6)) if c]
+    for p in primes:
+        v_d = _int_vp(d, p)
+        k = min([(_int_vp(c, p) - v_d) // i for i, c in coeffs])
+        v_delta = _int_vp(disc, p) - 4 * v_d - 12 * k
+        v_c4 = _int_vp(c4_cleared, p) - 2 * v_d - 4 * k if c4_cleared else None
+        if v_delta == 0:
+            kind = GOOD
+        elif v_c4 == 0:
+            kind = MULTIPLICATIVE
+        else:
+            kind = ADDITIVE
+        yield p, kind, v_delta, v_c4, k
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +172,50 @@ class BadPrimesReport(_Value):
     where additive reduction can occur when t is an integer and
     v_3(y) <= 0.  ``entries`` additionally classifies every other odd
     prime where the minimal discriminant has positive valuation.
+
+    The entries are held as rows (p, type, v_delta, v_c4,
+    scaling_exponent), the fields of their :class:`ReductionReport`, until
+    printed: the JSON form reads the rows, and the (p, report) pairs of
+    ``entries`` are built from them on first access and kept.
     """
 
-    __slots__ = _fields = (
-        "t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds",
+    __slots__ = (
+        "t", "x", "y", "_rows", "candidates", "additive", "prop_applicable", "prop_holds",
+        "_entries",
     )
+    _fields = ("t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds")
     t: int
     x: Rat
     y: Rat
-    entries: tuple[tuple[int, ReductionReport], ...]
     candidates: tuple[int, ...]
     additive: tuple[int, ...]
     prop_applicable: bool
     prop_holds: bool | None
+
+    def __init__(self, t, x, y, entries, candidates, additive, prop_applicable, prop_holds) -> None:
+        rows = tuple(
+            (rep.p, rep.type, rep.v_delta, rep.v_c4, rep.scaling_exponent) for _, rep in entries
+        )
+        self._store(t, x, y, rows, candidates, additive, prop_applicable, prop_holds, entries)
+
+    @classmethod
+    def _from_rows(cls, *values) -> BadPrimesReport:
+        """The report of the fields with ``entries`` given as rows."""
+        report = object.__new__(cls)
+        report._store(*values, None)
+        return report
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ReductionReport], ...]:
+        entries = self._entries
+        if entries is None:
+            entries = tuple((row[0], ReductionReport(*row)) for row in self._rows)
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,7 +223,7 @@ class BadPrimesReport(_Value):
             "x": format_rat(self.x),
             "y": format_rat(self.y),
             "candidates": list(self.candidates),
-            "entries": [rep.to_json_dict() for _, rep in self.entries],
+            "entries": [dict(zip(ReductionReport._fields, row)) for row in self._rows],
             "additive": list(self.additive),
             "containment_applicable": self.prop_applicable,
             "containment_holds": self.prop_holds,
@@ -231,17 +262,11 @@ def bad_primes_epp(
         - set(candidates)
     )
 
-    entries: list[tuple[int, ReductionReport]] = []
     # odd_prime_divisors has proven each of these primes prime: no second check
-    for p in candidates:
-        entries.append((p, _classify(model, p)))
-    for p in extras:
-        report = _classify(model, p)
-        if report.v_delta > 0:
-            entries.append((p, report))
-    entries.sort(key=lambda item: item[0])
-
-    additive = tuple(p for p, rep in entries if rep.type == ADDITIVE)
+    rows = list(_classified(model, candidates))
+    rows += [row for row in _classified(model, extras) if row[2] > 0]
+    rows.sort()  # by p, which no two rows share
+    additive = tuple(row[0] for row in rows if row[1] == ADDITIVE)
     applicable = _rat_vp(y, 3) <= 0 if y != 0 else False
     holds: bool | None = None
     if applicable:
@@ -251,7 +276,7 @@ def bad_primes_epp(
                 f"additive primes {additive} escape the candidate set "
                 f"{candidates} at t = {t} despite v_3(y) <= 0"
             )
-    return BadPrimesReport(t, x, y, tuple(entries), candidates, additive, applicable, holds)
+    return BadPrimesReport._from_rows(t, x, y, tuple(rows), candidates, additive, applicable, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 from dioph6 import cli, exactnum
 from dioph6.cli import build_parser, main
 from dioph6.paramfam import family_triple
+from dioph6.reduction_lab import ReductionReport, bad_primes_epp
 from dioph6.sextuple_engine import PairWitness, verify_tuple
+from dioph6.weierstrass import Point
 
 
 def run_cli(capsys, *argv):
@@ -533,22 +535,37 @@ def test_golden_cli_bytes(capsys, argv, code, digest):
 
 
 def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
-    """The commands read the certificate's integer rows; witnesses are
-    built only when pair_results is read."""
-    built = []
-    init = PairWitness.__init__
+    """The commands read the certificate's integer rows and the bad-prime
+    scan's rows; witnesses and reduction reports are built only when
+    pair_results or entries is read, and a report by classify."""
+    built, reports = [], []
+    init, report_init = PairWitness.__init__, ReductionReport.__init__
 
     def counted(self, *args):
         built.append(args[:2])
         init(self, *args)
 
+    def counted_report(self, *args):
+        reports.append(args[0])
+        report_init(self, *args)
+
     monkeypatch.setattr(PairWitness, "__init__", counted)
+    monkeypatch.setattr(ReductionReport, "__init__", counted_report)
     for argv, code, _ in GOLDEN_CLI_DIGESTS:
+        before = len(reports)
         assert run_cli(capsys, *argv)[0] == code
+        assert len(reports) - before == (argv[0] == "reduce" and "--p" in argv), argv
     assert built == []
+    assert reports == [13]
     witnesses = verify_tuple([1, 3, 8]).pair_results
     assert all(type(w) is PairWitness for w in witnesses)
     assert built == [(1, 2), (1, 3), (2, 3)]
+    scan = bad_primes_epp(31, Point(-150072, 682327360))
+    assert reports == [13]
+    entries = scan.entries
+    assert [p for p, _ in entries] == reports[1:] == [3, 5, 11, 13, 31, 37]
+    assert all(type(rep) is ReductionReport and rep.p == p for p, rep in entries)
+    assert scan.entries is entries and len(reports) == 7
 
 
 def test_parser_is_built_once():

@@ -275,10 +275,15 @@ def _outcome(fn, *args):
 
 #: Primes on either side of the trial-division bounds below, so that
 #: factors sit just inside, on and just past the limit of the loop, and
-#: around the edges of the first blocks of the prime table: block 0 ends with
-#: the pair (16385, 16387), block 1 with (32771, 32773).
+#: around the edges of the blocks of the prime table: the leading blocks
+#: double from 16 pairs, so block 0 ends with the pair (95, 97), block 1
+#: with (287, 289) and block 2 with (671, 673), and the blocks reach full
+#: size at the seam between block 7, ending with (24479, 24481), and block
+#: 8, the first of 2,731 pairs, ending with (40865, 40867).  16381 to 32779
+#: sit inside blocks 7 and 8.
 EDGE_PRIMES = (
-    2, 3, 5, 7, 11, 13, 991, 997, 1009, 16381, 16411, 32749, 32771, 32779, 999983, 1000003,
+    2, 3, 5, 7, 11, 13, 97, 101, 103, 283, 293, 673, 677, 991, 997, 1009,
+    16381, 16411, 24481, 24499, 32749, 32771, 32779, 40867, 40879, 999983, 1000003,
 )
 edge_powers = st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 2)).map(lambda pe: pe[0] ** pe[1])
 edge_products = st.builds(
@@ -287,7 +292,11 @@ edge_products = st.builds(
     st.integers(1, 10**6) | st.integers(10**12, 10**14),
 )
 trial_bounds = st.integers(1, 12) | st.sampled_from(
-    [997, 16379, 16383, 16384, 16385, 16391, 32771, 999983, 999995, 10**6]
+    [
+        94, 95, 96, 97, 101, 283, 287, 288, 293, 671, 673, 677, 997,
+        16379, 16383, 16384, 16385, 16391, 24479, 24480, 24481, 24485, 32771,
+        40865, 40867, 40871, 999983, 999995, 10**6,
+    ]
 )
 
 
@@ -299,14 +308,21 @@ trial_bounds = st.integers(1, 12) | st.sampled_from(
 @example(999983**2 * 1000003**2, 10**6)
 @example(1000003**2, 999995)
 @example(1000003 * (10**12 + 39), 10**6)
-# the loop tests d + 2 for the last d <= bound: bound 12 finds 13, and
-# bound 16379 finds 16381, the last prime of the table's first block
+# the loop tests d + 2 for the last d <= bound: bound 12 finds 13, bound 95
+# finds 97, the last prime of the table's first block, and bound 24479
+# finds 24481, the last prime before the blocks reach full size
 @example(13 * 1000003**2, 12)
 @example(13**2 * 17 * 1000003**2, 11)
+@example(97 * 1000003**2, 95)
+@example(97 * 101 * (10**12 + 39), 96)
+@example(24481 * 1000003**2, 24479)
+@example(24481 * 24499 * (10**12 + 39), 24485)
+@example(40867 * 40879 * (10**12 + 39), 40867)
 @example(16381 * 1000003**2, 16379)
 @example(16381 * 16411 * (10**12 + 39), 16385)
 # a bound on the first d of a block still tests that pair
 @example(5 * 7 * 1000003**2, 5)
+@example(103 * 1000003**2, 101)
 @example(32779 * 1000003**2, 32777)
 def test_trial_division_matches_reference(n, bound):
     expected = _reference_trial_divide(n, bound)
@@ -326,6 +342,10 @@ DEEP_CASES = [
     (5 * 7 * 16381 * 1000003**2, 16385),
     (13 * 1000003**2, 12),
     (32771 * 32779 * 1000003**2, 32771),
+    # factors in the leading blocks, several to a block, then the whole table
+    (5 * 7**2 * 97 * 101 * 103 * 283**2 * 293 * 673 * 677 * 1000003**2, 10**6),
+    # stopped at the seam, after factors in the leading blocks
+    (97 * 101 * 24481 * 24499, 999983),
 ]
 
 
@@ -348,14 +368,27 @@ def _block_range(k: int) -> range:
 
 
 def test_prime_table_blocks():
+    """The blocks double from 16 pairs up to _BLOCK_PAIRS, stay there, and
+    tile the pairs of the table with no gap and no overlap."""
     table = exactnum._PrimeTable()
     last_block = exactnum._TABLE_BLOCKS - 1
     table.passes = [2] * exactnum._TABLE_BLOCKS
+    blocks = [exactnum._PrimeTable.pairs(k) for k in range(exactnum._TABLE_BLOCKS)]
+    assert tuple(blocks) == exactnum._BLOCKS
+    sizes = [(last - first) // 6 + 1 for first, last in blocks]
+    seam = sizes.index(exactnum._BLOCK_PAIRS)
+    assert sizes[:seam] == [16 << k for k in range(seam)] == [16, 32, 64, 128, 256, 512, 1024, 2048]
+    assert set(sizes[seam:-1]) == {exactnum._BLOCK_PAIRS} and 0 < sizes[-1] <= exactnum._BLOCK_PAIRS
     assert _block_range(0).start == 4  # 2 and 3 are divided out before the table
-    assert _block_range(1).start == _block_range(0).stop
+    assert all(_block_range(k + 1).start == _block_range(k).stop for k in range(last_block))
+    assert sum(sizes) == exactnum._TABLE_PAIRS
     assert _block_range(last_block)[-1] <= exactnum.DEFAULT_FACTOR_BOUND < exactnum._TABLE_END
-    for k in (0, 1, last_block):
+    assert exactnum._PrimeTable.pairs(exactnum._TABLE_BLOCKS)[0] >= exactnum._TABLE_END
+    # the first block, a doubling block, the last one short of full size,
+    # the first full-size one and the last block
+    for k in (0, 1, seam - 1, seam, last_block):
         assert table.product(k, True) == math.prod(n for n in _block_range(k) if is_prime(n)), k
+    assert blocks[0] == (5, 95) and blocks[seam] == (24485, 40865)
 
 
 def test_prime_table_blocks_match_sympy(sympy):

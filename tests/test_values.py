@@ -291,6 +291,7 @@ OWN_INIT = {
     "distinctness and the order-3 condition",
     SextupleRecord: "requires a passing certificate",
     VerificationReport: "keeps the certificate as integer rows, not as its field pair_results",
+    BadPrimesReport: "keeps the classified primes as rows, not as its field entries",
 }
 
 
