@@ -7,6 +7,17 @@ success / verified, 1 for a failed mathematical check, 2 for invalid input.
 
 The subcommands signal bad input by raising; :func:`main` alone maps an
 exception to an exit code and an ``error:`` line on stderr.
+
+A command line whose first argument names a command is read from a table
+of that command's options (:func:`_table_parse`) when it is well formed:
+each option spelled out in full, as ``--name value`` or ``--name=value``,
+at most once, every required option given, and every value converted and
+checked as argparse would.  A value may not be ``--`` after ``=``, nor
+start with ``-`` in its own token unless the rest is ASCII digits.
+``verify`` takes its elements there after one ``--`` right after the
+command, or with no token that starts with ``-``.  Every other command
+line, from help, abbreviations and repeated options to a value that fails
+to convert, goes to argparse, which writes its own usage and error text.
 """
 
 from __future__ import annotations
@@ -46,8 +57,12 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+#: ``json.dumps(payload, indent=2)`` without building an encoder per call.
+_ENCODER = json.JSONEncoder(indent=2)
+
+
 def _emit(payload, out_path: str | None) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", out_path)
+    _write(_ENCODER.encode(payload) + "\n", out_path)
 
 
 def cmd_generate(args) -> int:
@@ -183,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and by command name the table that
+    :func:`_table_parse` reads: the options that take one value, by name;
+    the positional or None; the namespace's defaults; the required dests."""
     parser = argparse.ArgumentParser(
         prog="dioph6",
         description="Exact construction, certification and reduction analysis "
@@ -245,28 +262,65 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     command("catalog", cmd_catalog, "print the catalog of named examples")
 
+    tables = {}
     for name, p in sub.choices.items():  # --out comes last in every subcommand
         kind = "JSONL" if name == "scan" else "JSON"
         p.add_argument("--out", help=f"write {kind} here instead of stdout")
-    return parser, sub.choices
+        actions = p._actions  # every Action that add_argument returned, in order
+        defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+        tables[name] = (
+            {a.option_strings[0]: a for a in actions if a.option_strings and a.nargs is None},
+            next((a for a in actions if not a.option_strings), None),
+            {"command": name, **defaults, "func": p.get_default("func")},
+            {a.dest for a in actions if a.required},
+        )
+    return parser, tables
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a well-formed command line (see the module
+    docstring), or None to leave the command line to argparse."""
+    table = _parsers()[1].get(argv[0]) if argv else None
+    if table is None:  # no command, an unknown one, or a top-level option
+        return None
+    options, positional, defaults, required = table
+    _, *rest = argv
+    if positional is not None:  # verify: its elements alone
+        if rest[:1] == ["--"]:
+            rest = rest[1:]
+            if "--" in rest:
+                return None
+        elif any(arg[:1] == "-" for arg in rest):
+            return None
+        return argparse.Namespace(**{**defaults, positional.dest: rest}) if rest else None
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        action = options.get(name)
+        if action is None or action.dest in given:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as "-"
+            if value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
+                return None
+        elif value == "--":  # argparse before 3.13 reads "--opt=--" as no value
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    return argparse.Namespace(**{**defaults, **given}) if required <= given.keys() else None
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass when argv[0] names a
-    command.
-
-    The top-level parser would only record that name and hand the rest to
-    the command's parser, leaving to itself the arguments that parser does
-    not know; here the command's parser is called directly, and those
-    arguments are reported by the top-level parser as it reports them.
-    """
-    command = _parsers()[1].get(argv[0]) if argv else None
-    if command is None:  # no command, an unknown one, or a top-level option
-        return build_parser().parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """``build_parser().parse_args(argv)``, from the table when it takes the
+    command line."""
+    args = _table_parse(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -338,6 +338,7 @@ def _rat_vp(q: Rat, p: int) -> int:
 #: less to divide for a number that needs only the small primes.
 _FIRST_PAIRS = 16
 _BLOCK_PAIRS = 2731
+_LEADING_BLOCKS = (_BLOCK_PAIRS // _FIRST_PAIRS).bit_length()  # blocks below full size
 #: The table holds the primes of the pairs with d <= DEFAULT_FACTOR_BOUND.
 #: Past it, trial division goes on one candidate at a time from d =
 #: _TABLE_END, so no pair is split between the two.
@@ -393,7 +394,7 @@ class _PrimeTable:
         that is less than _BLOCK_PAIRS, and _BLOCK_PAIRS from then on; the
         last block ends with the table.
         """
-        leading = (_BLOCK_PAIRS // _FIRST_PAIRS).bit_length()  # blocks below full size
+        leading = _LEADING_BLOCKS
 
         def start(j: int) -> int:  # the row of block j's first pair
             return _FIRST_PAIRS * ((1 << min(j, leading)) - 1) + _BLOCK_PAIRS * max(j - leading, 0)
@@ -495,10 +496,21 @@ def _table_divide(m: int, bound: int, factors: dict[int, int]) -> int:
     first prime that fails it ends the division.  Here the test of p = d + 2
     comes after d itself has been divided out; if that makes it fail, m is
     p alone, a cofactor below bound^2 that counts as a factor all the same.
+
+    Such a prime cofactor would be divided through every block up to its
+    square root.  So the first time that m <= min(bound^2, psi_13), where
+    :func:`is_prime` is a proof, needs a full-size block, m is asked it; a
+    prime m is recorded as a factor and 1 returned.
     """
+    asked = False
     for k, (first, last) in enumerate(_BLOCKS):
         if first > bound or first * first > m:
             break
+        if k >= _LEADING_BLOCKS and not asked and m <= min(bound * bound, _PSI_13):
+            asked = True
+            if is_prime(m):
+                factors[m] = 1
+                return 1
         product = _PRIMES.product(k, last <= bound and last * last <= m)
         if product is None:
             m = _candidate_loop(m, first, min(bound, last), factors)

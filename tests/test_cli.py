@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dioph6 import cli, exactnum
 from dioph6.cli import build_parser, main
@@ -595,15 +599,31 @@ PARSE_CORPUS = [
     ("verify", "--", "1/2", "-3/2"), ("verify", "1", "3", "8", "120"),
     ("scan", "--from=-1/2", "--to", "1/2", "--step", "1/4"), ("lemmas", "--t", "31", "--p", "13"),
     ("catalog",),
+    # the table's edges: full names in both forms, negative integers in their
+    # own token, values that int() reads and parse_rat does not, empty values
+    (*_REDUCE_31, "--factor-bound=1000"), (*_REDUCE_31, "--factor-bound", "1000", "--fac", "1000"),
+    ("reduce", "--t", "31", "--x=-150072", "--y=682327360"), ("family", "--t", "-150072"),
+    ("reduce", "--t", "٣١", "--x", "-150072", "--y", "682327360", "--p", "1_3"),
+    ("lemmas", "--t", "+5", "--p", " 5 ", "--max-m", "3"), ("family", "--t", " 7 "),
+    ("family", "--t", "٣١"), ("family", "--t", "-٣"), ("family", "--t", "1_000"),
+    ("family", "--t", "-"), ("family", "--t="), ("family", "--t", ""), ("catalog", "--out="),
+    ("scan", "--from", "-1", "--to", "1", "--step", "1/2"),
+    ("generate", "--t", "6", "--route=bogus"), ("lemmas", "--t", "3", "--p", "5", "--m", "4"),
+    ("family", "--t=6", "--t=6"), ("reduce", "--t", "31", "--x=-150072"),
+    # "--" in other places than right after verify
+    ("verify", "--"), ("verify", "1", "--", "3"), ("verify", "--", "1", "--", "3"),
+    ("verify", "--", "--", "1"),
+    ("verify", "--", "1", "3", "--out"), ("family", "--", "--t", "6"), ("family", "--t", "6", "--"),
+    ("family", "--t", "--", "6"), ("catalog", "--"),
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(argv) or "(none)" for argv in PARSE_CORPUS])
 def test_parse_routes_agree(capsys, monkeypatch, argv):
-    """``main`` parses a call that names a command with that command's
-    parser alone; the reference route parses every call with the top-level
-    parser, ``build_parser().parse_args``, before ``main`` calls ``args.func``.
-    Both give the same exit code, stdout, stderr and namespace."""
+    """``main`` reads a well-formed call from the option table and leaves
+    every other call to argparse; the reference route parses every call with
+    ``build_parser().parse_args`` before ``main`` calls ``args.func``.  Both
+    give the same exit code, stdout, stderr and namespace."""
     routes = {"main": cli._parse, "top-level": lambda argv: build_parser().parse_args(argv)}
     results = {}
     for name, parse in routes.items():
@@ -621,6 +641,112 @@ def test_parse_routes_agree(capsys, monkeypatch, argv):
             code = exc.code
         results[name] = (code, *capsys.readouterr(), namespaces)
     assert results["main"] == results["top-level"]
+
+
+#: Each command's options, and a value each accepts.
+OPTIONS = {
+    "generate": {"--t": "6", "--m": "3", "--n": "2", "--route": "closed-form", "--out": "o.json"},
+    "verify": {"--file": "e.json", "--out": "o.json"},
+    "triple": {"--t": "2", "--m": "3", "--route": "isogeny", "--out": "o.json"},
+    "family": {"--t": "-17/13", "--out": "o.json"},
+    "scan": {"--from": "1/2", "--to": "3", "--step": "1/4", "--out": "o.json"},
+    "reduce": {"--t": "31", "--x": "-150072", "--y": "682327360", "--p": "13",
+               "--factor-bound": "1000", "--out": "o.json"},
+    "lemmas": {"--t": "31", "--p": "13", "--max-m": "4", "--out": "o.json"},
+    "catalog": {"--out": "o.json"},
+}
+REQUIRED = {"--t", "--x", "--y", "--from", "--to", "--step"}  # and lemmas' --p
+VALUES = ("", "-150072", "-5/3", "٣١", "1_000", "+5", " 7 ", "6", "-", "--", "-h", "isogeny")
+#: Words out of place: abbreviations, help, unknown names, "--", a stray value.
+NOISE = ("bogus", "fam", "--fac", "--ro", "--m", "--fr", "--st", "-h", "--help", "--bogus", "-t",
+         "--", "x", *{name for options in OPTIONS.values() for name in options})
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line, its options in any order and form, with
+    up to three edits: a value swapped for a doubtful one, an option dropped
+    or repeated, a word inserted anywhere (the command's place included)."""
+    command = draw(st.sampled_from(list(OPTIONS)))
+    options = OPTIONS[command]
+    names = [name for name in draw(st.permutations(list(options)))
+             if name in REQUIRED or (command, name) == ("lemmas", "--p") or draw(st.booleans())]
+    values = [options[name] for name in names]
+    inserts = []
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("value", "drop", "repeat", "insert")))
+        k = draw(st.integers(0, len(names)))
+        if edit == "insert":
+            inserts.append((k, draw(st.sampled_from(NOISE))))
+        elif k < len(names) and edit == "value":
+            values[k] = draw(st.sampled_from(VALUES))
+        elif k < len(names) and edit == "drop":
+            del names[k], values[k]
+        elif k < len(names):
+            names.append(names[k])
+            values.append(draw(st.sampled_from((options[names[k]], *VALUES))))
+    words = []
+    for name, value in zip(names, values):
+        words += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    if command == "verify":
+        elements = st.sampled_from(("1", "3", "8", "120", "-1/2", ""))
+        elements = draw(st.lists(elements, min_size=1, max_size=4))
+        lead = ["--"] if draw(st.booleans()) else []
+        words = [*lead, *elements, *words] if draw(st.booleans()) else [*words, *lead, *elements]
+    argv = [command, *words]
+    for k, word in inserts:
+        argv.insert(min(k, len(argv)), word)
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """The namespace's attributes, or argparse's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_lines())
+def test_table_parse_agrees_with_argparse(argv):
+    """``cli._parse`` reads a well-formed command line from the table and
+    leaves every other to argparse: either way it gives what
+    ``build_parser().parse_args`` gives."""
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+#: One command line of each shape the benchmark runs.
+BENCH_SHAPES = [
+    ("generate", "--t=-5/3", "--m", "3", "--n", "2"),
+    ("generate", "--t=6", "--m", "2", "--n", "1", "--route", "closed-form"),
+    ("verify", "--", "1", "3", "8", "120"),
+    ("family", "--t=-17/13"),
+    ("scan", "--from=-3/2", "--to=-1", "--step=1/8"),
+    ("reduce", "--t", "31", "--x=-150072", "--y=682327360"),
+    ("reduce", "--t", "31", "--x=-150072", "--y=682327360", "--p", "13"),
+    ("lemmas", "--t", "31", "--p", "13", "--max-m", "4"),
+    ("catalog",),
+]
+
+
+def test_well_formed_command_lines_skip_argparse(capsys, monkeypatch):
+    """The golden command lines and the benchmark's shapes are read from the
+    table: with argparse's parsing disabled they print the same bytes."""
+    expected = [run_cli(capsys, *argv) for argv in BENCH_SHAPES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv, code, digest in GOLDEN_CLI_DIGESTS:
+        got_code, out, err = run_cli(capsys, *argv)
+        assert (got_code, hashlib.sha256((out + err).encode()).hexdigest()) == (code, digest)
+    assert [run_cli(capsys, *argv) for argv in BENCH_SHAPES] == expected
+    with pytest.raises(AssertionError, match="argparse parsed"):
+        main(["family", "--t", "2", "--t", "6"])
 
 
 def test_parser_reused_after_rejection(capsys):

@@ -361,6 +361,24 @@ def test_trial_division_with_the_table_unbuilt_traversed_and_built(monkeypatch, 
         assert len(table.products) == exactnum._TABLE_BLOCKS
 
 
+@pytest.mark.parametrize("n, asked, walked", [
+    (5 * 100000000003, [100000000003], 0),  # prime: no full-size block walked
+    (5 * 100003 * 999983, [100003 * 999983], 4),  # composite: walked up to 100003
+    (7 * (10**12 + 39), [10**12 + 39], 60),  # above bound^2: asked only after the table
+])
+def test_cofactor_below_bound_squared_asked_once(monkeypatch, n, asked, walked):
+    """From the first full-size block on, a cofactor m <= bound^2 is asked
+    is_prime once; a prime one ends the division there."""
+    table = exactnum._PrimeTable()
+    monkeypatch.setattr(exactnum, "_PRIMES", table)
+    calls = []
+    monkeypatch.setattr(exactnum, "is_prime", lambda m: calls.append(m) or is_prime(m))
+    assert _trial_divide(n, 10**6) == _reference_trial_divide(n, 10**6)
+    assert calls == asked
+    full = exactnum._TABLE_BLOCKS - exactnum._LEADING_BLOCKS
+    assert table.passes == [1] * (exactnum._LEADING_BLOCKS + walked) + [0] * (full - walked)
+
+
 def _block_range(k: int) -> range:
     """The integers of block k: its pairs and the multiples of 2 or 3 between."""
     first, last = exactnum._PrimeTable.pairs(k)
