@@ -1,0 +1,85 @@
+#!/usr/bin/env bash
+# The package-import and console-script checks of CI, for one interpreter:
+#
+#     ci/check.sh PY        e.g. ci/check.sh python3.12
+#
+# Runs from the repository root whatever the working directory. `dioph6` is
+# the console script that `PY -m pip install -e .` put beside PY; where PY
+# has none, it is `PY -m dioph6.cli` on the checkout's src/. Stops at the
+# first failing command or check and exits non-zero.
+set -e
+PY=${1:?usage: ci/check.sh PY}
+cd "$(dirname "$0")/.."
+script="$("$PY" -c "import sysconfig; print(sysconfig.get_path('scripts'))")/dioph6"
+if [ -x "$script" ]; then
+  dioph6() { "$script" "$@"; }
+else
+  src="$PWD/src"
+  dioph6() { PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}" "$PY" -m dioph6.cli "$@"; }
+fi
+
+# -- package imports with the standard library alone ------------------------
+PYTHONPATH=src "$PY" -S -c "import dioph6, dioph6.cli, dioph6.identities"
+# the command's import path loads no dataclasses, inspect, typing or threading
+PYTHONPATH=src "$PY" -S -c "import sys, dioph6, dioph6.cli; loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'threading') if m in sys.modules]; assert not loaded, loaded"
+
+# -- console script ------------------------------------------------------------
+dioph6 family --t 6
+dioph6 catalog
+dioph6 scan --from 11/8 --to 12/5 --step 1/8
+dioph6 generate --t 6 --route closed-form
+dioph6 triple --t 2
+dioph6 reduce --t 31 --x -150072 --y 682327360
+dioph6 reduce --t 31 --x -150072 --y 682327360 --p 13
+dioph6 lemmas --t 31 --p 13
+dioph6 reduce --t 81 --x=-151114833807437138470625976/4403749235540328025 --y=-198233143917514773432929819565756159232/9241317070754070234434739875
+dioph6 verify 11/192 35/192 155/27 512/27 1235/48 180873/16
+# a sextuple written with --out verifies when read back with --file
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+dioph6 generate --t 6 --m 3 --n 2 --out "$tmp/g.json"
+"$PY" -c "import json, sys; json.dump(json.load(open(sys.argv[1]))['elements'], open(sys.argv[2], 'w'))" "$tmp/g.json" "$tmp/elements.json"
+dioph6 verify --file "$tmp/elements.json"
+# a command line read from the option table prints what argparse's
+# reading of an equivalent one prints: an abbreviation, the other
+# value form, and a repeated option (the last one wins)
+dioph6 reduce --t 31 --x -150072 --y 682327360 --factor-bound=1000 > "$tmp/table.json"
+dioph6 reduce --t 31 --x -150072 --y 682327360 --fac 1000 > "$tmp/argparse.json"
+cmp "$tmp/table.json" "$tmp/argparse.json"
+dioph6 reduce --t 31 --x=-150072 --y=682327360 > "$tmp/table.json"
+dioph6 reduce --t 31 --x -150072 --y 682327360 > "$tmp/argparse.json"
+cmp "$tmp/table.json" "$tmp/argparse.json"
+dioph6 family --t 6 > "$tmp/table.json"
+dioph6 family --t 2 --t 6 > "$tmp/argparse.json"
+cmp "$tmp/table.json" "$tmp/argparse.json"
+# a failing certificate exits 1 (a failed check), not 2 (bad input)
+code=0; dioph6 verify -- 1 3 8 121 || code=$?
+test "$code" -eq 1
+# a composite --p is bad input: 399165290221 * 798330580441 passes
+# Miller-Rabin to the twelve prime bases up to 37, not to 41
+code=0; dioph6 reduce --t 31 --x -150072 --y 682327360 --p 318665857834031151167461 || code=$?
+test "$code" -eq 2
+# 1287836182261 * 2575672364521 passes all thirteen bases up to 41;
+# the strong Lucas test of Baillie-PSW rejects it
+code=0; dioph6 reduce --t 31 --x -150072 --y 682327360 --p 3317044064679887385961981 || code=$?
+test "$code" -eq 2
+# usage errors: a negative value after "=", an unknown option after
+# a command (reported by the top-level parser) and no command at all
+dioph6 generate --t=-5/3
+code=0; err=$(dioph6 reduce --t 31 --x -150072 --y 682327360 --bogus 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+printf '%s\n' "$err" | grep -qF 'usage: dioph6 [-h]'
+code=0; dioph6 || code=$?
+test "$code" -eq 2
+# lemmas checks --p before --t, and p = 0 never reaches t % p
+code=0; err=$(dioph6 lemmas --t 0 --p 4 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+printf '%s\n' "$err" | grep -qxF 'error: 4 is not prime'
+code=0; dioph6 lemmas --t 31 --p 0 || code=$?
+test "$code" -eq 2
+# the documented refusal: y's numerator keeps a composite cofactor
+# with no prime up to the bound, so the command divides it through
+# the whole prime table, candidate by candidate, before it refuses
+code=0; err=$(dioph6 reduce --t 21 --x=47258069343691701/8210172100 --y=-10790725316327890280638199/743923693981000 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+printf '%s\n' "$err" | grep -q 'unfactorable at desk scale (bound 1000000)$'

@@ -134,20 +134,17 @@ def cmd_scan(args) -> int:
     start, stop, step = args.start, args.stop, args.step
     if step <= 0:
         raise ValueError("--step must be positive")
-    ts = []
-    t = start
-    while t <= stop:
-        ts.append(t)
-        t += step
-    if not ts:
+    if start > stop:
         raise ValueError("empty scan range")
     lines = []
-    for t in ts:  # ascending by construction; rows stay sorted
+    t = start
+    while t <= stop:  # ascending, so the rows stay sorted
         try:
             row = _family_row(t)
         except ValueError as exc:  # inadmissible parameter; log and move on
             row = {"t": format_rat(t), "skipped": str(exc)}
         lines.append(json.dumps(row))
+        t += step
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

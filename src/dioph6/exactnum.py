@@ -371,7 +371,7 @@ class _PrimeTable:
     Building a block costs about as much as dividing two numbers through it
     candidate by candidate (0.7 against 0.4 ms for a full block), and most
     numbers stop inside the first blocks.  So block k is built only after
-    two numbers have been divided through all of it (:meth:`traversed`),
+    two numbers have been divided through all of it (``passes``),
     and then only for a number whose limit lies past it; until then
     :meth:`product` returns None and the caller divides by the candidates.
     The blocks come from a sieve over the pairs, doubled in length as the
@@ -415,14 +415,6 @@ class _PrimeTable:
             if len(self.products) == _TABLE_BLOCKS:
                 self._sieve = (bytearray(), bytearray())
         return self.products[k]
-
-    def traversed(self, k: int) -> None:
-        """Record that a number has been divided through block k whole.
-
-        It was divided through every block before it whole as well, so
-        :meth:`product` builds the blocks in order.
-        """
-        self.passes[k] += 1
 
     def _build(self, k: int) -> int:
         first, last = _BLOCKS[k]
@@ -515,7 +507,9 @@ def _table_divide(m: int, bound: int, factors: dict[int, int]) -> int:
         if product is None:
             m = _candidate_loop(m, first, min(bound, last), factors)
             if last <= bound and last * last <= m:
-                _PRIMES.traversed(k)
+                # m passed every block before k whole as well, so the
+                # table builds its blocks in order
+                _PRIMES.passes[k] += 1
             continue
         g = math.gcd(m, product)
         if g == 1:

@@ -132,7 +132,7 @@ class FamilyPoint(_Value):
     def triple(self) -> TripleABC:
         """:func:`family_triple` at the same t, with the witnesses of the
         pairs (1, 2), (1, 3) and (2, 3) taken from the certificate."""
-        roots = (_coprime(row[4], row[5]) for row in self.report._rows if row[1] <= 3)
+        roots = (_coprime(row[4], row[5]) for row in self.report.rows if row[1] <= 3)
         return TripleABC(self.a, self.b, self.c, *roots, t=self.t, m=2)
 
 

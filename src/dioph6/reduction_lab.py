@@ -14,10 +14,10 @@ coefficients a_i = c_i/d over their least common denominator and its
 cleared discriminant D = ``Curve._disc``: at odd p, where 16 is a unit,
 delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.  No Fraction invariant is
 built on the way, and a curve's integers are taken once for all the primes
-it is classified at.  The bad-prime scan keeps each classified prime as a
-row (p, type, v_delta, v_c4, scaling_exponent) until it is printed; a
-:class:`ReductionReport` is built only by :func:`classify` or when a
-caller reads ``BadPrimesReport.entries``.
+it is classified at.  The bad-prime scan's report has as its field one
+row (p, type, v_delta, v_c4, scaling_exponent) per classified prime; a
+:class:`ReductionReport` is built only by :func:`classify`, or from a row
+on each read of ``BadPrimesReport.entries``.
 """
 
 from __future__ import annotations
@@ -170,52 +170,28 @@ class BadPrimesReport(_Value):
 
     ``candidates`` are the odd primes dividing t(t^2+1) - the only primes
     where additive reduction can occur when t is an integer and
-    v_3(y) <= 0.  ``entries`` additionally classifies every other odd
-    prime where the minimal discriminant has positive valuation.
-
-    The entries are held as rows (p, type, v_delta, v_c4,
-    scaling_exponent), the fields of their :class:`ReductionReport`, until
-    printed: the JSON form reads the rows, and the (p, report) pairs of
-    ``entries`` are built from them on first access and kept.
+    v_3(y) <= 0.  ``rows`` classifies these and every other odd prime
+    where the minimal discriminant has positive valuation, one row (p,
+    type, v_delta, v_c4, scaling_exponent) per prime in ascending p: the
+    fields of its :class:`ReductionReport`.  The JSON form reads the rows;
+    ``entries`` builds the (p, report) pairs from them on each read.
     """
 
-    __slots__ = (
-        "t", "x", "y", "_rows", "candidates", "additive", "prop_applicable", "prop_holds",
-        "_entries",
+    __slots__ = _fields = (
+        "t", "x", "y", "rows", "candidates", "additive", "prop_applicable", "prop_holds",
     )
-    _fields = ("t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds")
     t: int
     x: Rat
     y: Rat
+    rows: tuple[tuple[int, str, int, int | None, int], ...]
     candidates: tuple[int, ...]
     additive: tuple[int, ...]
     prop_applicable: bool
     prop_holds: bool | None
 
-    def __init__(self, t, x, y, entries, candidates, additive, prop_applicable, prop_holds) -> None:
-        rows = tuple(
-            (rep.p, rep.type, rep.v_delta, rep.v_c4, rep.scaling_exponent) for _, rep in entries
-        )
-        self._store(t, x, y, rows, candidates, additive, prop_applicable, prop_holds, entries)
-
-    @classmethod
-    def _from_rows(cls, *values) -> BadPrimesReport:
-        """The report of the fields with ``entries`` given as rows."""
-        report = object.__new__(cls)
-        report._store(*values, None)
-        return report
-
-    def _store(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     @property
     def entries(self) -> tuple[tuple[int, ReductionReport], ...]:
-        entries = self._entries
-        if entries is None:
-            entries = tuple((row[0], ReductionReport(*row)) for row in self._rows)
-            object.__setattr__(self, "_entries", entries)
-        return entries
+        return tuple((row[0], ReductionReport(*row)) for row in self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +199,7 @@ class BadPrimesReport(_Value):
             "x": format_rat(self.x),
             "y": format_rat(self.y),
             "candidates": list(self.candidates),
-            "entries": [dict(zip(ReductionReport._fields, row)) for row in self._rows],
+            "entries": [dict(zip(ReductionReport._fields, row)) for row in self.rows],
             "additive": list(self.additive),
             "containment_applicable": self.prop_applicable,
             "containment_holds": self.prop_holds,
@@ -276,7 +252,7 @@ def bad_primes_epp(
                 f"additive primes {additive} escape the candidate set "
                 f"{candidates} at t = {t} despite v_3(y) <= 0"
             )
-    return BadPrimesReport._from_rows(t, x, y, tuple(rows), candidates, additive, applicable, holds)
+    return BadPrimesReport(t, x, y, tuple(rows), candidates, additive, applicable, holds)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from one x-only sum-and-difference (``Curve.add_sub_x_unchecked``).
 The certificate works on the numerators and denominators of the elements:
 each product + 1 comes out in lowest terms without a gcd of its own, and
 its witness is the exact integer square root of its numerator and then of
-its denominator.  The certificate is kept as integer rows, which the
-verdict and the JSON form read; the :class:`PairWitness` objects are built
-only when a caller reads ``VerificationReport.pair_results``.
+its denominator.  The report's field is the certificate as integer rows,
+which the verdict and the JSON form read; the :class:`PairWitness` objects
+are built from them on each read of ``VerificationReport.pair_results``.
 """
 
 from __future__ import annotations
@@ -58,56 +58,32 @@ class VerificationReport(_Value):
     """Full certificate for a candidate tuple: every pairwise product + 1
     together with its square-root witness.
 
-    The certificate is held as integer rows (i, j, num, den, root_num,
-    root_den), the product + 1 num/den and its root root_num/root_den in
+    ``rows`` holds one integer row (i, j, num, den, root_num, root_den) per
+    pair i < j: the product + 1 num/den and its root root_num/root_den in
     lowest terms, the root parts None when there is no root.  The verdict
-    and the JSON form read the rows; the :class:`PairWitness` values of
-    ``pair_results`` are built from them on first access and kept.
+    and the JSON form read the rows; ``pair_results`` builds the
+    :class:`PairWitness` values from them on each read.
     """
 
-    __slots__ = ("_rows", "_pairs", "nonzero", "distinct")
-    _fields = ("pair_results", "nonzero", "distinct")
+    __slots__ = _fields = ("rows", "nonzero", "distinct")
+    rows: tuple[tuple[int, int, int, int, int | None, int | None], ...]
     nonzero: bool
     distinct: bool
 
-    def __init__(self, pair_results: tuple[PairWitness, ...], nonzero: bool, distinct: bool) -> None:
-        rows = []
-        for p in pair_results:
-            q, r = p.product_plus_one, p.square_root
-            root = (None, None) if r is None else (r.numerator, r.denominator)
-            rows.append((p.i, p.j, q.numerator, q.denominator, *root))
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_pairs", pair_results)
-        object.__setattr__(self, "nonzero", nonzero)
-        object.__setattr__(self, "distinct", distinct)
-
-    @classmethod
-    def _from_rows(cls, rows: tuple[tuple, ...], nonzero: bool, distinct: bool) -> VerificationReport:
-        report = object.__new__(cls)
-        object.__setattr__(report, "_rows", rows)
-        object.__setattr__(report, "_pairs", None)
-        object.__setattr__(report, "nonzero", nonzero)
-        object.__setattr__(report, "distinct", distinct)
-        return report
-
     @property
     def pair_results(self) -> tuple[PairWitness, ...]:
-        pairs = self._pairs
-        if pairs is None:
-            pairs = tuple(
-                PairWitness(i, j, _coprime(num, den), None if rn is None else _coprime(rn, rd))
-                for i, j, num, den, rn, rd in self._rows
-            )
-            object.__setattr__(self, "_pairs", pairs)
-        return pairs
+        return tuple(
+            PairWitness(i, j, _coprime(num, den), None if rn is None else _coprime(rn, rd))
+            for i, j, num, den, rn, rd in self.rows
+        )
 
     @property
     def all_pass(self) -> bool:
-        return self.nonzero and self.distinct and all(row[4] is not None for row in self._rows)
+        return self.nonzero and self.distinct and all(row[4] is not None for row in self.rows)
 
     @property
     def failing_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((row[0], row[1]) for row in self._rows if row[4] is None)
+        return tuple((row[0], row[1]) for row in self.rows if row[4] is None)
 
     def to_json_dict(self, elements: Sequence[Rat] | None = None) -> dict:
         out: dict = {}
@@ -123,7 +99,7 @@ class VerificationReport(_Value):
                 "product_plus_one": _format_coprime(num, den),
                 "square_root": None if rn is None else _format_coprime(rn, rd),
             }
-            for i, j, num, den, rn, rd in self._rows
+            for i, j, num, den, rn, rd in self.rows
         ]
         return out
 
@@ -155,7 +131,7 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
                     if s * s == den:
                         rn, rd = r, s
             rows.append((i, j, num, den, rn, rd))
-    return VerificationReport._from_rows(
+    return VerificationReport(
         tuple(rows), all(n != 0 for n, _ in parts), len(set(parts)) == len(parts)
     )
 

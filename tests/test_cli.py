@@ -541,7 +541,8 @@ def test_golden_cli_bytes(capsys, argv, code, digest):
 def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
     """The commands read the certificate's integer rows and the bad-prime
     scan's rows; witnesses and reduction reports are built only when
-    pair_results or entries is read, and a report by classify."""
+    pair_results or entries is read, anew on each read, and a report by
+    classify."""
     built, reports = [], []
     init, report_init = PairWitness.__init__, ReductionReport.__init__
 
@@ -561,15 +562,17 @@ def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
         assert len(reports) - before == (argv[0] == "reduce" and "--p" in argv), argv
     assert built == []
     assert reports == [13]
-    witnesses = verify_tuple([1, 3, 8]).pair_results
+    report = verify_tuple([1, 3, 8])
+    witnesses = report.pair_results
     assert all(type(w) is PairWitness for w in witnesses)
     assert built == [(1, 2), (1, 3), (2, 3)]
+    assert report.pair_results == witnesses and built == [(1, 2), (1, 3), (2, 3)] * 2
     scan = bad_primes_epp(31, Point(-150072, 682327360))
     assert reports == [13]
     entries = scan.entries
     assert [p for p, _ in entries] == reports[1:] == [3, 5, 11, 13, 31, 37]
     assert all(type(rep) is ReductionReport and rep.p == p for p, rep in entries)
-    assert scan.entries is entries and len(reports) == 7
+    assert scan.entries == entries and reports[7:] == reports[1:7]
 
 
 def test_parser_is_built_once():

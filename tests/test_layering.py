@@ -42,7 +42,14 @@ MOVED = {
 DELETED = {
     "family": ("SigmaTriple", "sigma_triple_from_x"),
     "weierstrass": ("point", "Curve.neg", "Curve.rhs", "Curve._std"),
-    "exactnum": ("isqrt", "is_square"),
+    "exactnum": ("isqrt", "is_square", "_PrimeTable.traversed"),
+    "sextuple_engine": (
+        "VerificationReport._from_rows", "VerificationReport._rows", "VerificationReport._pairs",
+    ),
+    "reduction_lab": (
+        "BadPrimesReport._from_rows", "BadPrimesReport._store", "BadPrimesReport._rows",
+        "BadPrimesReport._entries",
+    ),
 }
 #: Names the top-level namespace no longer exports.
 NOT_EXPORTED = tuple(

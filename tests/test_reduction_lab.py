@@ -401,7 +401,8 @@ def _reference_bad_primes_epp(
     t: int, pt, bound: int = DEFAULT_FACTOR_BOUND
 ) -> BadPrimesReport:
     """The earlier bad_primes_epp body, kept verbatim as the reference: it
-    also factors the denominator of y."""
+    also factors the denominator of y.  Its entries become the report's
+    rows at the end."""
     if not isinstance(t, int):
         raise ValueError("integer parameter required for the bad-prime scan")
     tq = require_param(t)
@@ -444,7 +445,7 @@ def _reference_bad_primes_epp(
         t=t,
         x=x,
         y=y,
-        entries=tuple(entries),
+        rows=tuple((rep.p, rep.type, rep.v_delta, rep.v_c4, rep.scaling_exponent) for _, rep in entries),
         candidates=candidates,
         additive=additive,
         prop_applicable=applicable,

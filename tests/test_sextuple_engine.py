@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -78,7 +79,8 @@ def test_dioph_tuple_validation():
 
 def _reference_verify_tuple(elements):
     """The earlier verify_tuple body, kept verbatim as the reference: it
-    multiplies Fractions and takes each root with sqrt_exact."""
+    multiplies Fractions and takes each root with sqrt_exact.  Its
+    witnesses become the report's rows at the end."""
     els = [F(e) for e in elements]
     pairs = []
     for i in range(len(els)):
@@ -86,10 +88,16 @@ def _reference_verify_tuple(elements):
             value = els[i] * els[j] + 1
             pairs.append(PairWitness(i + 1, j + 1, value, sqrt_exact(value)))
     return VerificationReport(
-        pair_results=tuple(pairs),
+        rows=tuple(_witness_row(w) for w in pairs),
         nonzero=all(e != 0 for e in els),
         distinct=len(set(els)) == len(els),
     )
+
+
+def _witness_row(w):
+    q, r = w.product_plus_one, w.square_root
+    root = (None, None) if r is None else (r.numerator, r.denominator)
+    return (w.i, w.j, q.numerator, q.denominator, *root)
 
 
 @functools.cache
@@ -167,6 +175,23 @@ def test_verify_tuple_matches_reference(elements):
             assert _canonical_parts(g.square_root) == _canonical_parts(w.square_root)
 
 
+@contextlib.contextmanager
+def _counted_witnesses():
+    """Record the (i, j) of every PairWitness built inside the block."""
+    built = []
+    init = PairWitness.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    PairWitness.__init__ = counted
+    try:
+        yield built
+    finally:
+        del PairWitness.__init__
+
+
 def _json_outcome(build):
     """The JSON dict that ``build()`` returns, or the text of the ValueError
     it raises (a product + 1 past the int-to-text digit limit)."""
@@ -203,12 +228,20 @@ def test_certificate_rows_match_reference_witnesses(elements):
     built agree with the reference witnesses, and such a report compares,
     hashes and pickles like the report built from those witnesses."""
     want = _reference_verify_tuple(elements)
-    fresh = verify_tuple(elements)
-    assert fresh.all_pass == (want.nonzero and want.distinct and all(w.ok for w in want.pair_results))
-    assert fresh.failing_pairs == tuple((w.i, w.j) for w in want.pair_results if not w.ok)
-    got_json = _json_outcome(lambda: fresh.to_json_dict(elements))
+    with _counted_witnesses() as built:
+        fresh = verify_tuple(elements)
+        all_pass, failing, got_json = (
+            fresh.all_pass, fresh.failing_pairs, _json_outcome(lambda: fresh.to_json_dict(elements))
+        )
+    assert built == []  # nothing above built a witness
+    assert all_pass == (want.nonzero and want.distinct and all(w.ok for w in want.pair_results))
+    assert failing == tuple((w.i, w.j) for w in want.pair_results if not w.ok)
     assert got_json == _json_outcome(lambda: _reference_json(want, elements))
-    assert fresh._pairs is None  # nothing above built a witness
+    with _counted_witnesses() as built:
+        first, second = fresh.pair_results, fresh.pair_results
+    # each read builds one witness per row
+    assert first == second == want.pair_results
+    assert built == [row[:2] for row in fresh.rows] * 2
 
     assert verify_tuple(elements) == want
     assert hash(verify_tuple(elements)) == hash(want)

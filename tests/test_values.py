@@ -43,14 +43,14 @@ FIELDS = {
     Curve: ("a2", "a4", "a6"),
     TripleABC: ("a", "b", "c", "rho_ab", "rho_ac", "rho_bc", "t", "m"),
     PairWitness: ("i", "j", "product_plus_one", "square_root"),
-    VerificationReport: ("pair_results", "nonzero", "distinct"),
+    VerificationReport: ("rows", "nonzero", "distinct"),
     SextupleRecord: ("t", "m", "n", "triple", "d", "e", "f", "report"),
     FamilyPoint: ("t", "a", "b", "c", "d", "e", "f", "negatives", "report"),
     CatalogEntry: ("name", "elements", "source"),
     ReductionReport: ("p", "type", "v_delta", "v_c4", "scaling_exponent"),
     ValuationRow: ("m", "predicted", "observed", "lemma_part"),
     BadPrimesReport: (
-        "t", "x", "y", "entries", "candidates", "additive", "prop_applicable", "prop_holds",
+        "t", "x", "y", "rows", "candidates", "additive", "prop_applicable", "prop_holds",
     ),
 }
 
@@ -71,8 +71,9 @@ EXAMPLES = {
     "BadPrimesReport": lambda: bad_primes_epp(31, Point(-150072, 682327360)),
 }
 
-#: The reprs the frozen dataclasses printed for EXAMPLES; the two longest
-#: (about 2,800 characters each) by their sha256.
+#: The reprs of EXAMPLES: as the frozen dataclasses printed them, except
+#: that the two reports print their rows; the two longest (about 1,800
+#: characters each) by their sha256.
 REPRS = {
     "Point": "Point(x=Fraction(1, 1), y=Fraction(-2, 3))",
     "INFINITY": "Point(x=None, y=None)",
@@ -85,25 +86,19 @@ REPRS = {
     "rho_bc=Fraction(37, 36), t=Fraction(6, 1), m=2)",
     "PairWitness": "PairWitness(i=1, j=2, product_plus_one=Fraction(4, 1), "
     "square_root=Fraction(2, 1))",
-    "VerificationReport": "VerificationReport(pair_results=("
-    "PairWitness(i=1, j=2, product_plus_one=Fraction(4, 1), square_root=Fraction(2, 1)), "
-    "PairWitness(i=1, j=3, product_plus_one=Fraction(9, 1), square_root=Fraction(3, 1)), "
-    "PairWitness(i=2, j=3, product_plus_one=Fraction(25, 1), square_root=Fraction(5, 1))), "
+    "VerificationReport": "VerificationReport(rows=("
+    "(1, 2, 4, 1, 2, 1), (1, 3, 9, 1, 3, 1), (2, 3, 25, 1, 5, 1)), "
     "nonzero=True, distinct=True)",
-    "SextupleRecord": "sha256:10231ea03cb81ae890bed22d778f1de4480c794d926f777a321a0872112f5ec3",
-    "FamilyPoint": "sha256:56bc28f14d78828658a5b6baee704cafe759a507b95cbde8eb84e5e238170050",
+    "SextupleRecord": "sha256:18a8a0488f6dba55092fc1591a18e9a8722b972d437201bfc6bed67f702a061f",
+    "FamilyPoint": "sha256:6a3806cdf645751007b8c367609d6890ca824b2cc7f8f924f9083e56ddba1350",
     "CatalogEntry": "CatalogEntry(name='fermat', elements=(Fraction(1, 1), Fraction(3, 1), "
     "Fraction(8, 1), Fraction(120, 1)), source=\"Fermat's integer quadruple\")",
     "ReductionReport": "ReductionReport(p=5, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)",
     "ValuationRow": "ValuationRow(m=1, predicted=-1, observed=-1, "
     "lemma_part='sign v3(x([m][3]R))')",
     "BadPrimesReport": "BadPrimesReport(t=31, x=Fraction(-150072, 1), y=Fraction(682327360, 1), "
-    "entries=((3, ReductionReport(p=3, type='mult', v_delta=6, v_c4=0, scaling_exponent=-1)), "
-    "(5, ReductionReport(p=5, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)), "
-    "(11, ReductionReport(p=11, type='mult', v_delta=2, v_c4=0, scaling_exponent=0)), "
-    "(13, ReductionReport(p=13, type='add', v_delta=4, v_c4=2, scaling_exponent=-1)), "
-    "(31, ReductionReport(p=31, type='add', v_delta=8, v_c4=3, scaling_exponent=0)), "
-    "(37, ReductionReport(p=37, type='add', v_delta=8, v_c4=3, scaling_exponent=-1))), "
+    "rows=((3, 'mult', 6, 0, -1), (5, 'mult', 2, 0, 0), (11, 'mult', 2, 0, 0), "
+    "(13, 'add', 4, 2, -1), (31, 'add', 8, 3, 0), (37, 'add', 8, 3, -1)), "
     "candidates=(13, 31, 37), additive=(13, 31, 37), prop_applicable=True, prop_holds=True)",
 }
 
@@ -290,8 +285,6 @@ OWN_INIT = {
     TripleABC: "coerces its elements, witnesses and t, and checks the witnesses, "
     "distinctness and the order-3 condition",
     SextupleRecord: "requires a passing certificate",
-    VerificationReport: "keeps the certificate as integer rows, not as its field pair_results",
-    BadPrimesReport: "keeps the classified primes as rows, not as its field entries",
 }
 
 
