@@ -71,6 +71,18 @@ test "$code" -eq 2
 printf '%s\n' "$err" | grep -qF 'usage: dioph6 [-h]'
 code=0; dioph6 || code=$?
 test "$code" -eq 2
+# "--" after "=" is an option given no value: exit 2 with the command's
+# usage and one error line, no traceback, and no file named "--"
+for line in "family --t=--" "generate --t 6 --m=--" "lemmas --t 3 --p=--" \
+    "reduce --t=-- --x 1 --y 1" "catalog --out=--"; do
+  # shellcheck disable=SC2086  # the line is split into its words on purpose
+  code=0; err=$(cd "$tmp" && dioph6 $line 2>&1 >/dev/null) || code=$?
+  test "$code" -eq 2
+  case $err in *Traceback*) exit 1 ;; esac
+  test "$(printf '%s\n' "$err" | grep -c 'error: ')" -eq 1
+  printf '%s\n' "$err" | grep -qx "dioph6 ${line%% *}: error: argument --[a-z]*: expected one argument"
+done
+test ! -e "$tmp/--"
 # lemmas checks --p before --t, and p = 0 never reaches t % p
 code=0; err=$(dioph6 lemmas --t 0 --p 4 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2

@@ -12,8 +12,9 @@ A command line whose first argument names a command is read from a table
 of that command's options (:func:`_table_parse`) when it is well formed:
 each option spelled out in full, as ``--name value`` or ``--name=value``,
 at most once, every required option given, and every value converted and
-checked as argparse would.  A value may not be ``--`` after ``=``, nor
-start with ``-`` in its own token unless the rest is ASCII digits.
+checked as argparse would.  A value may not be ``--`` after ``=``, which
+argparse rejects as a missing value, nor start with ``-`` in its own token
+unless the rest is ASCII digits.
 ``verify`` takes its elements there after one ``--`` right after the
 command, or with no token that starts with ``-``.  Every other command
 line, from help, abbreviations and repeated options to a value that fails
@@ -71,9 +72,8 @@ def cmd_generate(args) -> int:
         if args.m != 2 or args.n != 1:
             raise ValueError("the closed-form route is only defined for m = 2, n = 1")
         point = paramfam.family_point(t)
-        record = engine.SextupleRecord(
-            t, 2, 1, point.triple(), point.d, point.e, point.f, point.report
-        )
+        triple = paramfam.family_triple(t)
+        record = engine.SextupleRecord(t, 2, 1, triple, point.d, point.e, point.f, point.report)
     else:
         triple = fam.triple_from_multiple(t, args.m)
         record = engine.extend_to_sextuple(triple, args.n)
@@ -188,6 +188,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with ``--opt=--`` an option given no value on every
+    interpreter: before 3.13 argparse stores [], and 3.13 the value ``--``."""
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:  # only "=--" gives these
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls,
     which must not modify it."""
@@ -199,7 +209,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     """The top-level parser, and by command name the table that
     :func:`_table_parse` reads: the options that take one value, by name;
     the positional or None; the namespace's defaults; the required dests."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dioph6",
         description="Exact construction, certification and reduction analysis "
         "of rational Diophantine sextuples.",
@@ -301,7 +311,7 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
             value = next(tokens, "-")  # a missing value reads as "-"
             if value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
                 return None
-        elif value == "--":  # argparse before 3.13 reads "--opt=--" as no value
+        elif value == "--":  # "--opt=--" gives no value; _Parser says so
             return None
         try:
             value = action.type(value) if action.type else value

@@ -102,21 +102,17 @@ def sqrt_exact(q: Rat | int) -> Rat | None:
     and None otherwise (negative inputs are never squares).
     """
     q = _as_rat(q)
-    return _coprime_sqrt(q.numerator, q.denominator)
+    roots = _coprime_sqrt(q.numerator, q.denominator)
+    return None if roots is None else _coprime(*roots)
 
 
-def _coprime_sqrt(num: int, den: int) -> Rat | None:
-    """:func:`sqrt_exact` of num/den for coprime num and den > 0."""
-    if num < 0:
+def _coprime_sqrt(num: int, den: int) -> tuple[int, int] | None:
+    """The square root of num/den, for coprime num and den > 0, as the
+    coprime pair (root_num, root_den), or None: the package's one exact
+    root test, which :func:`sqrt_exact` and the certificate share."""
+    if num < 0 or (r := math.isqrt(num)) * r != num or (s := math.isqrt(den)) * s != den:
         return None
-    num_root = math.isqrt(num)
-    if num_root * num_root != num:
-        return None
-    den_root = math.isqrt(den)
-    if den_root * den_root != den:
-        return None
-    # num/den is in lowest terms, so its roots are coprime as well
-    return _coprime(num_root, den_root)
+    return r, s
 
 
 def _coprime(num: int, den: int) -> Rat:
@@ -129,8 +125,8 @@ def _coprime(num: int, den: int) -> Rat:
 
 
 def _format_coprime(num: int, den: int) -> str:
-    """:func:`format_rat` of num/den for coprime num and den > 0, by
-    ``Fraction.__str__``'s rule: ``num`` when den is 1, else ``num/den``."""
+    """The text of every rational a command writes, :func:`format_rat`'s too,
+    for coprime num and den > 0: ``num`` when den is 1, else ``num/den``."""
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -489,20 +485,12 @@ def _table_divide(m: int, bound: int, factors: dict[int, int]) -> int:
     comes after d itself has been divided out; if that makes it fail, m is
     p alone, a cofactor below bound^2 that counts as a factor all the same.
 
-    Such a prime cofactor would be divided through every block up to its
-    square root.  So the first time that m <= min(bound^2, psi_13), where
-    :func:`is_prime` is a proof, needs a full-size block, m is asked it; a
-    prime m is recorded as a factor and 1 returned.
+    It asks no primality test: a cofactor left after the table, prime or
+    not, is certified in one place, the last step of :func:`_trial_divide`.
     """
-    asked = False
     for k, (first, last) in enumerate(_BLOCKS):
         if first > bound or first * first > m:
             break
-        if k >= _LEADING_BLOCKS and not asked and m <= min(bound * bound, _PSI_13):
-            asked = True
-            if is_prime(m):
-                factors[m] = 1
-                return 1
         product = _PRIMES.product(k, last <= bound and last * last <= m)
         if product is None:
             m = _candidate_loop(m, first, min(bound, last), factors)
@@ -601,4 +589,5 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(q: Rat | int) -> str:
     """Canonical text form of a rational: ``num/den`` in lowest terms, or ``num``."""
-    return str(q) if type(q) is Fraction else str(Fraction(q))
+    q = _as_rat(q)
+    return _format_coprime(q._numerator, q._denominator)

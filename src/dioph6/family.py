@@ -157,40 +157,16 @@ def _w_constants(p: int, q: int) -> tuple[int, int, int]:
     return 5 * pp * pp + 118 * pp * qq + 5 * qq * qq, -3 * s, -27 * (pp - qq) ** 2 * s
 
 
-def _map_w_constants(p: int, q: int) -> tuple[Rat, Rat, Rat]:
-    v, r2, s8 = _w_constants(p, q)
-    qq = q * q
-    return Fraction(v, 4 * qq * qq), Fraction(r2, 2 * qq), Fraction(s8, 8 * qq**3)
-
-
-def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
-    """The w coordinate of an affine point of the companion curve ``star``.
-
-    w = (y + r(x - v) + s) / (-6(x - v)) with the constants (v, r, s) of
-    :func:`_map_w_constants`.  At x = v the expression is 0/0 when y = -s;
-    there it is resolved through the conjugate form
-    (y + s)(y - s) = f(x) - f(v), which yields the tangent-slope value.
-    The single genuine pole (v, s) is rejected.
-    """
-    if q.is_infinity:
-        raise DegeneracyError("w is undefined at the point at infinity")
-    x, y = q.x, q.y
-    if x != v:
-        return (y + r * (x - v) + s) / (-6 * (x - v))
-    if y == -s:
-        slope = (3 * x * x + 2 * star.a2 * x + star.a4) / (2 * y)
-        return (slope + r) / Fraction(-6)
-    raise DegeneracyError(f"point {q} is the pole of the w map")
-
-
 def _w_pair(p: int, q: int, pt: Point, star: Curve) -> tuple[int, int]:
-    """:func:`_w_value` of a point of ``star`` = E*(t), t = p/q, as a pair
-    (num, den) in lowest terms with den > 0.
+    """The w coordinate of an affine point of ``star`` = E*(t), t = p/q, as
+    a pair (num, den) in lowest terms with den > 0.
 
-    With x = X/D and y = Y/E in lowest terms, x - v = G/(4 q^4 D) for
-    G = 4 q^4 X - V D, and w = (D (8 q^6 Y + s8 E) + r2 G E) / (-12 q^2 E G)
-    in the notation of :func:`_w_constants`.  x = v (G = 0) is left to
-    :func:`_w_value`.
+    w = (y + r(x - v) + s) / (-6(x - v)) with the constants of
+    :func:`_w_constants`.  With x = X/D and y = Y/E in lowest terms and
+    G = 4 q^4 X - V D, w = (D (8 q^6 Y + s8 E) + r2 G E) / (-12 q^2 E G).
+    At x = v (G = 0, met by every m = 3 triple), (v, s) is the pole, and
+    at (v, -s) the conjugate form (y + s)(y - s) = f(x) - f(v) resolves
+    0/0 to the tangent-slope value (slope + r)/(-6).
     """
     if pt.is_infinity:
         raise DegeneracyError("w is undefined at the point at infinity")
@@ -200,10 +176,14 @@ def _w_pair(p: int, q: int, pt: Point, star: Curve) -> tuple[int, int]:
     x, y = pt.x, pt.y
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     gap = 4 * q4 * xn - v * xd
+    lift = 8 * q4 * qq * yn + s8 * yd  # 8 q^6 E (y + s)
     if gap == 0:
-        w = _w_value(pt, star, *_map_w_constants(p, q))
+        if lift != 0:
+            raise DegeneracyError(f"point {pt} is the pole of the w map")
+        slope = (3 * x * x + 2 * star.a2 * x + star.a4) / (2 * y)
+        w = (slope + Fraction(r2, 2 * qq)) / -6
         return w.numerator, w.denominator
-    num = xd * (8 * q4 * qq * yn + s8 * yd) + r2 * gap * yd
+    num = xd * lift + r2 * gap * yd
     den = 12 * qq * yd * gap
     g = gcd(num, den)
     # w = num / (-den)
@@ -355,7 +335,7 @@ def triple_from_multiple(t, m: int) -> TripleABC:
             f"non-square ratio extracting the triple at (t, m) = ({t}, {m}); "
             "the construction guarantees rational roots for multiples of the seed"
         )
-    a, b, c = ((root.numerator, root.denominator) for root in mags)
+    a, b, c = mags
     if x_ab[0] < 0:
         b = (-b[0], b[1])
     if x_ac[0] < 0:
@@ -380,7 +360,7 @@ def triple_from_multiple(t, m: int) -> TripleABC:
         )
     if len({a, b, c}) != 3:
         raise DegeneracyError(f"triple elements collide at (t, m) = ({t}, {m})")
-    triple = TripleABC(*(_coprime(*x) for x in (a, b, c)), *rhos, t=t, m=m)
+    triple = TripleABC(*(_coprime(*x) for x in (a, b, c, *rhos)), t=t, m=m)
 
     # cross-check the sigma algebra against the base-curve side: with the
     # triple over its common denominator, compare by cross-multiplication

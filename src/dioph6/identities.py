@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DegeneracyError
 from .exactnum import (
     DEFAULT_FACTOR_BOUND,
     Rat,
@@ -35,7 +35,6 @@ from .family import (
     _curve_E,
     _curve_Epp,
     _curve_Estar,
-    _map_w_constants,
     _order3,
     _point_Pstar,
     _point_R,
@@ -43,7 +42,7 @@ from .family import (
     _sigma1,
     _sigma2,
     _sigma3,
-    _w_value,
+    _w_constants,
     require_param,
     triple_from_multiple,
 )
@@ -87,6 +86,27 @@ def point_Pstar(t) -> Point:
     [-(t^2+1)(t^2+18t+1), 27t(t+1)^2(t^2+1)]."""
     t = require_param(t)
     return _point_Pstar(t.numerator, t.denominator)
+
+
+def _map_w_constants(p: int, q: int) -> tuple[Rat, Rat, Rat]:
+    v, r2, s8 = _w_constants(p, q)
+    qq = q * q
+    return Fraction(v, 4 * qq * qq), Fraction(r2, 2 * qq), Fraction(s8, 8 * qq**3)
+
+
+def _w_value(q: Point, star: Curve, v: Rat, r: Rat, s: Rat) -> Rat:
+    """The w coordinate of an affine point of the companion curve ``star``,
+    in rationals with the constants of :func:`_map_w_constants`: the
+    reference for the pipeline's :func:`dioph6.family._w_pair`."""
+    if q.is_infinity:
+        raise DegeneracyError("w is undefined at the point at infinity")
+    x, y = q.x, q.y
+    if x != v:
+        return (y + r * (x - v) + s) / (-6 * (x - v))
+    if y == -s:
+        slope = (3 * x * x + 2 * star.a2 * x + star.a4) / (2 * y)
+        return (slope + r) / Fraction(-6)
+    raise DegeneracyError(f"point {q} is the pole of the w map")
 
 
 def map_w_constants(t) -> tuple[Rat, Rat, Rat]:
@@ -275,8 +295,9 @@ def quartic_condition(s1, s3) -> tuple[Rat, bool]:
 
 
 def map_w(t, q: Point) -> Rat:
-    """The w coordinate of an affine point of the companion curve at t, as
-    the isogeny route computes it (see :func:`dioph6.family._w_value`)."""
+    """The w coordinate of an affine point of the companion curve at t, in
+    rationals (:func:`_w_value`); the isogeny route computes it on integers
+    (:func:`dioph6.family._w_pair`)."""
     t = require_param(t)
     return _w_value(q, curve_Estar(t), *map_w_constants(t))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import Rat, _coprime, _Value, format_rat, sqrt_exact
+from .exactnum import Rat, _Value, format_rat, sqrt_exact
 from .family import TripleABC, require_param
 from .sextuple_engine import VerificationReport, verify_tuple
 
@@ -128,12 +128,6 @@ class FamilyPoint(_Value):
     @property
     def elements(self) -> tuple[Rat, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
-
-    def triple(self) -> TripleABC:
-        """:func:`family_triple` at the same t, with the witnesses of the
-        pairs (1, 2), (1, 3) and (2, 3) taken from the certificate."""
-        roots = (_coprime(row[4], row[5]) for row in self.report.rows if row[1] <= 3)
-        return TripleABC(self.a, self.b, self.c, *roots, t=self.t, m=2)
 
 
 def family_point(t) -> FamilyPoint:

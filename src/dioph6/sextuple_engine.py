@@ -10,23 +10,26 @@ from one x-only sum-and-difference (``Curve.add_sub_x_unchecked``).
 
 The certificate works on the numerators and denominators of the elements:
 each product + 1 comes out in lowest terms without a gcd of its own, and
-its witness is the exact integer square root of its numerator and then of
-its denominator.  The report's field is the certificate as integer rows,
-which the verdict and the JSON form read; the :class:`PairWitness` objects
-are built from them on each read of ``VerificationReport.pair_results``.
+its witness is the pair of exact integer square roots that
+``exactnum._coprime_sqrt``, the package's one root test, gives for them.
+The report's field is the certificate as integer rows, which the verdict
+reads and the JSON form writes with ``exactnum._format_coprime``, the text
+rule of every other rational; the :class:`PairWitness` objects are built
+from the rows on each read of ``VerificationReport.pair_results``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import ConsistencyError, DegeneracyError
 from .exactnum import (
     Rat,
     _as_rat,
     _coprime,
+    _coprime_sqrt,
     _format_coprime,
     _over_common_denominator,
     _Value,
@@ -121,16 +124,7 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
             g1, g2 = gcd(ni, dj), gcd(nj, di)
             den = (di // g2) * (dj // g1)
             num = (ni // g1) * (nj // g2) + den
-            # exactnum._coprime_sqrt's test, inline and without the Fraction:
-            # the roots of a coprime num and den are coprime as well
-            rn = rd = None
-            if num >= 0:
-                r = isqrt(num)
-                if r * r == num:
-                    s = isqrt(den)
-                    if s * s == den:
-                        rn, rd = r, s
-            rows.append((i, j, num, den, rn, rd))
+            rows.append((i, j, num, den, *(_coprime_sqrt(num, den) or (None, None))))
     return VerificationReport(
         tuple(rows), all(n != 0 for n, _ in parts), len(set(parts)) == len(parts)
     )

@@ -55,11 +55,16 @@ def test_generate_t6_closed_form(capsys, t6_printed):
     assert data["elements"] == [str(e) for e in t6_printed]
 
 
-@pytest.mark.parametrize("t", ["6", "-17/13"])
+@pytest.mark.parametrize("t", ["6", "-17/13", "2", "9/8", "-5/3"])
 def test_generate_closed_form_record_carries_family_triple(capsys, t):
     code, out, _ = run_cli(capsys, "generate", f"--t={t}", "--route", "closed-form")
     assert code == 0
-    assert json.loads(out)["triple"] == family_triple(Fraction(t)).to_json_dict()
+    record = json.loads(out)
+    triple = family_triple(Fraction(t))
+    assert (record["t"], record["m"], record["triple"]) == (t, 2, triple.to_json_dict())
+    # its witnesses are the certificate's roots of the pairs (1, 2), (1, 3), (2, 3)
+    roots = [pair["square_root"] for pair in record["verification"]["pairs"] if pair["j"] <= 3]
+    assert roots == [record["triple"][key] for key in ("rho_ab", "rho_ac", "rho_bc")]
 
 
 def test_generate_t2_three_negatives(capsys):
@@ -477,6 +482,9 @@ GOLDEN_CLI_DIGESTS = [
      "597499615e644910cf717d9bd4e821196bfb4064269eb5528e0526271d94a28f"),
     (("generate", "--t", "6", "--m", "2", "--n", "1", "--route", "closed-form"), 0,
      "c13309c35cf8886963adcf9458fdf432eb9dcbe9d350ca71fd94f171b8eac576"),
+    # m = 3: one isogeny preimage has x = v, where w takes the tangent slope
+    (("generate", "--t", "6", "--m", "3", "--n", "2"), 0,
+     "57b55764666fd4e66bec25f40cd33dea7d9b5e1668f465a8a955aa56ce12022b"),
     (("generate", "--t=5/3", "--m", "4", "--n", "3"), 0,
      "10e7ff9f3b2fd7d5ae92d560735f4ff8b4acf307bdca4123983e94d517ab5345"),
     (("triple", "--t", "2", "--m", "2"), 0,
@@ -618,6 +626,9 @@ PARSE_CORPUS = [
     ("verify", "--", "--", "1"),
     ("verify", "--", "1", "3", "--out"), ("family", "--", "--t", "6"), ("family", "--t", "6", "--"),
     ("family", "--t", "--", "6"), ("catalog", "--"),
+    # "--" as the value after "=": an option given no value, on every interpreter
+    ("family", "--t=--"), ("generate", "--t", "6", "--m=--"), ("lemmas", "--t", "3", "--p=--"),
+    ("reduce", "--t=--", "--x", "1", "--y", "1"), ("catalog", "--out=--"),
 ]
 
 
@@ -719,6 +730,32 @@ def test_table_parse_agrees_with_argparse(argv):
     leaves every other to argparse: either way it gives what
     ``build_parser().parse_args`` gives."""
     assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+#: Every option of every command given as ``--opt=--``, after the
+#: command's other required options.
+DASH_VALUES = [
+    (command, *(f"{other}={value}" for other, value in options.items() if other != name
+                and (other in REQUIRED or (command, other) == ("lemmas", "--p"))), f"{name}=--")
+    for command, options in OPTIONS.items() for name in options
+]
+
+
+@pytest.mark.parametrize("argv", DASH_VALUES, ids=" ".join)
+def test_dash_dash_after_equals_is_a_missing_value(capsys, monkeypatch, tmp_path, argv):
+    """``--opt=--`` exits 2 with the command's usage and one error line,
+    and writes no file: argparse before CPython 3.13 drops the ``--`` and
+    stores [], and 3.13 reads ``--`` as the value."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    command, option = argv[0], argv[-1].removesuffix("=--")
+    assert (info.value.code, out) == (2, "")
+    assert err.startswith(f"usage: dioph6 {command} [-h]")
+    assert err.endswith(f"\ndioph6 {command}: error: argument {option}: expected one argument\n")
+    assert err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 #: One command line of each shape the benchmark runs.

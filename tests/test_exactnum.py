@@ -362,13 +362,13 @@ def test_trial_division_with_the_table_unbuilt_traversed_and_built(monkeypatch, 
 
 
 @pytest.mark.parametrize("n, asked, walked", [
-    (5 * 100000000003, [100000000003], 0),  # prime: no full-size block walked
-    (5 * 100003 * 999983, [100003 * 999983], 4),  # composite: walked up to 100003
-    (7 * (10**12 + 39), [10**12 + 39], 60),  # above bound^2: asked only after the table
+    (5 * 100000000003, [], 17),  # prime below bound^2: walked to its square root
+    (5 * 100003 * 999983, [], 4),  # composite: walked up to 100003
+    (7 * (10**12 + 39), [10**12 + 39], 60),  # above bound^2: asked once, after the table
 ])
 def test_cofactor_below_bound_squared_asked_once(monkeypatch, n, asked, walked):
-    """From the first full-size block on, a cofactor m <= bound^2 is asked
-    is_prime once; a prime one ends the division there."""
+    """A cofactor is certified in one place, after the table: one at or
+    below bound^2 is never asked is_prime, and one above it is asked once."""
     table = exactnum._PrimeTable()
     monkeypatch.setattr(exactnum, "_PRIMES", table)
     calls = []

@@ -10,11 +10,11 @@ from dioph6.exactnum import sqrt_exact
 from dioph6.family import (
     TripleABC,
     _w_pair,
-    _w_value,
     require_param,
     triple_from_multiple,
 )
 from dioph6.identities import (
+    _w_value,
     curve_E,
     curve_Epp,
     curve_Estar,
@@ -430,6 +430,20 @@ def test_w_pair_matches_rational_w(t, k, j):
             _w_pair(p, q, pt, star)
         return
     assert _w_pair(p, q, pt, star) == (want.numerator, want.denominator)
+
+
+@given(_WIDE_PARAMS)
+def test_w_pair_at_x_equal_v_matches_rational_w(t):
+    """The two points of E*(t) with x = v: (v, -s) takes the identities'
+    tangent-slope value and (v, s) is the pole, for every t."""
+    star = curve_Estar(t)
+    v, r, s = map_w_constants(t)
+    removable, pole = Point(v, -s), Point(v, s)
+    assert star.contains(removable) and star.contains(pole)
+    want = _w_value(removable, star, v, r, s)
+    assert _w_pair(t.numerator, t.denominator, removable, star) == (want.numerator, want.denominator)
+    with pytest.raises(DegeneracyError, match="pole of the w map"):
+        _w_pair(t.numerator, t.denominator, pole, star)
 
 
 def test_w_pair_at_the_removable_point_and_the_pole():

@@ -21,7 +21,7 @@ MOVED = {
         "quartic_condition", "map_w", "map_X", "map_u", "plane_curve_value",
         "curve_E", "point_R", "curve_Estar", "point_Tstar", "point_Pstar", "curve_Epp",
         "map_w_constants", "sigma3", "sigma1_from_x", "sigma2_from",
-        "three_torsion_value", "three_torsion_condition",
+        "three_torsion_value", "three_torsion_condition", "_w_value", "_map_w_constants",
     ),
     "sextuple_engine": (
         "_rho_witnesses", "point_Sprime", "point_half", "order3_check",
@@ -41,6 +41,7 @@ MOVED = {
 #: Names deleted outright, by the module that held them.
 DELETED = {
     "family": ("SigmaTriple", "sigma_triple_from_x"),
+    "paramfam": ("FamilyPoint.triple",),
     "weierstrass": ("point", "Curve.neg", "Curve.rhs", "Curve._std"),
     "exactnum": ("isqrt", "is_square", "_PrimeTable.traversed"),
     "sextuple_engine": (

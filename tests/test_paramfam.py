@@ -207,8 +207,12 @@ def test_family_triple_carries_provenance():
 
 @pytest.mark.parametrize("t", [F(6), F(2), F(-17, 13), F(9, 8), F(-5, 3)])
 def test_family_point_triple_is_family_triple(t):
-    # the witnesses of pairs (1, 2), (1, 3), (2, 3) come from the certificate
-    assert family_point(t).triple() == family_triple(t)
+    # family_point's certificate holds family_triple's elements and, as the
+    # roots of the pairs (1, 2), (1, 3) and (2, 3), its witnesses
+    point, triple = family_point(t), family_triple(t)
+    assert point.elements[:3] == triple.elements
+    roots = [w.square_root for w in point.report.pair_results if w.j <= 3]
+    assert roots == [triple.rho_ab, triple.rho_ac, triple.rho_bc]
 
 
 def test_family_soundness_random_sample():
