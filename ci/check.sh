@@ -95,3 +95,16 @@ test "$code" -eq 2
 code=0; err=$(dioph6 reduce --t 21 --x=47258069343691701/8210172100 --y=-10790725316327890280638199/743923693981000 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 printf '%s\n' "$err" | grep -q 'unfactorable at desk scale (bound 1000000)$'
+# a cell the README calls in range whose certificate crosses CPython's
+# int/str digit limit (4300, the default), and a large sextuple's
+# certificate under a limit lowered to 2000: exit 2 with the interpreter's
+# one error line and no traceback
+for line in "4300 generate --t 6 --m 8 --n 5" \
+    "2000 verify --file tests/data/sextuple_t-9_8_m5_n4.json"; do
+  # shellcheck disable=SC2086  # the line is split into its words on purpose
+  code=0; err=$(PYTHONINTMAXSTRDIGITS=${line%% *} dioph6 ${line#* } 2>&1 >/dev/null) || code=$?
+  test "$code" -eq 2
+  case $err in *Traceback*) exit 1 ;; esac
+  test "$(printf '%s\n' "$err" | grep -c 'error: ')" -eq 1
+  printf '%s\n' "$err" | grep -qF 'Exceeds the limit'
+done

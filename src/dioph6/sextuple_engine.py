@@ -13,9 +13,14 @@ each product + 1 comes out in lowest terms without a gcd of its own, and
 its witness is the pair of exact integer square roots that
 ``exactnum._coprime_sqrt``, the package's one root test, gives for them.
 The report's field is the certificate as integer rows, which the verdict
-reads and the JSON form writes with ``exactnum._format_coprime``, the text
-rule of every other rational; the :class:`PairWitness` objects are built
-from the rows on each read of ``VerificationReport.pair_results``.
+reads and the JSON form writes: a passing row's square and root with
+``exactnum._format_square``, which writes the square from the root's
+digits, and a failing row's product + 1 with ``exactnum._format_coprime``,
+the text rule of every other rational.  A product + 1 past the
+interpreter's int/str digit limit refuses the JSON form, and a sextuple's,
+before any of its text is written (``exactnum._refuse_past_limit``).  The
+:class:`PairWitness` objects are built from the rows on each read of
+``VerificationReport.pair_results``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .exactnum import (
     _coprime,
     _coprime_sqrt,
     _format_coprime,
+    _format_square,
     _over_common_denominator,
+    _refuse_past_limit,
     _Value,
     format_rat,
 )
@@ -89,21 +96,24 @@ class VerificationReport(_Value):
         return tuple((row[0], row[1]) for row in self.rows if row[4] is None)
 
     def to_json_dict(self, elements: Sequence[Rat] | None = None) -> dict:
+        rows = self.rows
+        # the largest positive part of a product + 1: past the int/str digit
+        # limit it refuses the certificate before any text is written (a
+        # failing row's negative numerator is left to str())
+        _refuse_past_limit(max([n if n > d else d for _, _, n, d, _, _ in rows], default=1))
         out: dict = {}
         if elements is not None:
             out["elements"] = [format_rat(e) for e in elements]
         out["all_pass"] = self.all_pass
         out["nonzero"] = self.nonzero
         out["distinct"] = self.distinct
-        out["pairs"] = [
-            {
-                "i": i,
-                "j": j,
-                "product_plus_one": _format_coprime(num, den),
-                "square_root": None if rn is None else _format_coprime(rn, rd),
-            }
-            for i, j, num, den, rn, rd in self.rows
-        ]
+        pairs = out["pairs"] = []
+        for i, j, num, den, rn, rd in rows:
+            if rn is None:
+                square, root = _format_coprime(num, den), None
+            else:
+                square, root = _format_square(num, den, rn, rd)
+            pairs.append({"i": i, "j": j, "product_plus_one": square, "square_root": root})
         return out
 
 
@@ -200,6 +210,8 @@ class SextupleRecord(_Value):
         return (*self.triple.elements, self.d, self.e, self.f)
 
     def to_json_dict(self, route: str | None = None) -> dict:
+        # the certificate first: it refuses before any text is written
+        verification = self.report.to_json_dict()
         out: dict = {
             "t": None if self.t is None else format_rat(self.t),
             "m": self.m,
@@ -214,7 +226,7 @@ class SextupleRecord(_Value):
         out["d"] = d
         out["e"] = e
         out["f"] = f
-        out["verification"] = self.report.to_json_dict()
+        out["verification"] = verification
         return out
 
 

@@ -475,6 +475,15 @@ LARGE_SEXTUPLE = tuple(
 )
 
 
+#: The digest of ``generate --t 6 --m 8 --n 5``'s refusal, CPython's int/str
+#: digit-limit error, which 3.10 words "limit (4300)" and 3.11 on "limit
+#: (4300 digits)".
+_T6_M8_N5_REFUSAL = (
+    "c397b8162457a6d4a551ba6de893c842e6a2c3ddfb2c49eb6eb31c442e614743"
+    if sys.version_info < (3, 11)
+    else "1132317b5f48e6921441bed3ae25f262a4a8b505cd54166c0df9acefe2573bd1"
+)
+
 #: (argv, exit code, sha256 of stdout) for the README commands; pins every
 #: byte of the JSON so that refactors cannot drift the output format.
 GOLDEN_CLI_DIGESTS = [
@@ -528,6 +537,12 @@ GOLDEN_CLI_DIGESTS = [
      "a797f7f8db8e9bf9640f861a36efc197122e9a35ea9636a7bbd4ff9714f299fa"),
     (("verify", "--", *LARGE_SEXTUPLE), 0,
      "79d3364d7dcf2a76960514fe32ac7e71e1f89be469d9ba7e0048170367270cf5"),
+    # certificate squares of up to 4,260 digits, just under the int/str
+    # digit limit; a cell in the caps whose certificate crosses the limit
+    # (ROADMAP item 1), a refusal digested on stderr
+    (("generate", "--t=-9/8", "--m", "6", "--n", "4"), 0,
+     "dc03f2d0960269022df635297ff288c598059c0bc13c777561629e556f855725"),
+    (("generate", "--t", "6", "--m", "8", "--n", "5"), 2, _T6_M8_N5_REFUSAL),
 ]
 
 
@@ -809,3 +824,22 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["negatives"] == 0
+
+
+def test_lowered_digit_limit_refuses_the_certificate():
+    """Under ``-X int_max_str_digits=2000`` the large sextuple's elements
+    (up to 1,382 digits) are read, but its certificate's products + 1 are
+    past the limit: the command refuses with the interpreter's own message,
+    as ``str()`` does, however its squares are written."""
+    limit = ["-X", "int_max_str_digits=2000"]
+    probe = subprocess.run(
+        [sys.executable, *limit, "-c", "str(10**2000)"], capture_output=True, text=True
+    )
+    message = probe.stderr.strip().splitlines()[-1].removeprefix("ValueError: ")
+    assert message.startswith("Exceeds the limit (2000")
+    result = subprocess.run(
+        [sys.executable, *limit, "-m", "dioph6.cli", "verify", "--", *LARGE_SEXTUPLE],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")

@@ -9,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from dioph6 import exactnum, identities
 from dioph6.errors import UnfactorableError
 from dioph6.exactnum import (
+    _format_coprime,
+    _format_square,
     _int_vp,
     _rat_vp,
+    _refuse_past_limit,
     _trial_divide,
     factorize,
     format_rat,
@@ -547,6 +550,110 @@ def test_format_rat_is_str_of_fraction(q):
     assert format_rat(q) == str(F(q))
     if isinstance(q, int):
         assert format_rat(F(q)) == format_rat(q)
+
+
+# ---------------------------------------------------------------------------
+# certificate squares written from their roots' digits
+# ---------------------------------------------------------------------------
+
+def _text_outcome(write):
+    """What ``write()`` returns, or the text of the ValueError it raises (a
+    number past the interpreter's int/str digit limit)."""
+    try:
+        return write()
+    except ValueError as exc:
+        return str(exc)
+
+
+#: roots of 0 to 2,200 digits, with 10^k - 1, 10^k and 10^k + 1: the squares
+#: reach past the default 4,300-digit limit
+root_parts = st.one_of(
+    st.just(0),
+    st.integers(1, 2200).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    st.builds(lambda k, s: 10**k + s, st.integers(1, 2200), st.sampled_from((-1, 0, 1))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(root_parts, st.one_of(st.just(1), root_parts.filter(bool)))
+# both sides of the decimal crossover, for the numerator and the denominator
+@example(2**999 - 1, 1)
+@example(2**999, 1)
+@example(3, 2**999 - 1)
+@example(3, 2**999)
+# squares of 4,299, 4,300 and 4,301 digits
+@example(10**2149 * 4, 1)
+@example(10**2150 - 1, 7)
+@example(10**2150, 7)
+def test_format_square_is_format_coprime_of_the_square(rn, rd):
+    """A square within the live limit is written as ``_format_coprime``
+    writes it; one past the limit is refused first, with the same error."""
+    g = math.gcd(rn, rd)
+    rn, rd = rn // g, rd // g
+    num, den = rn * rn, rd * rd
+    want = _text_outcome(lambda: (_format_coprime(num, den), _format_coprime(rn, rd)))
+    refusal = _text_outcome(lambda: _refuse_past_limit(max(num, den)))
+    assert (_format_square(num, den, rn, rd) if refusal is None else refusal) == want
+
+
+def _square_of_ten_power_plus_one(k):
+    """The text of (10^k + 1)^2 = 10^2k + 2 10^k + 1, written out."""
+    zeros = "0" * (k - 1)
+    return f"1{zeros}2{zeros}1"
+
+
+@pytest.mark.parametrize(
+    "k, rd, squared_in_decimal",
+    [
+        (299, 1, 0),  # below the crossover
+        (1000, 1, 1),
+        (1000, 3, 2),  # both parts of the root's text
+        (2500, 1, 1),  # past the default limit: the caller refuses first
+    ],
+)
+def test_format_square_squares_the_root_text(monkeypatch, k, rd, squared_in_decimal):
+    """From the crossover on, each part of the root's text is squared in
+    decimal; the square has the digits of ``str()`` of the square."""
+    squared = []
+    exact = exactnum._EXACT
+
+    class Counted:
+        def multiply(self, x, y):
+            squared.append(x)
+            return exact.multiply(x, y)
+
+    monkeypatch.setattr(exactnum, "_EXACT", Counted())
+    root = 10**k + 1
+    root_text = f"1{'0' * (k - 1)}1"
+    want = (_square_of_ten_power_plus_one(k), root_text)
+    if rd != 1:
+        want = (f"{want[0]}/{rd * rd}", f"{root_text}/{rd}")
+    assert _format_square(root * root, rd * rd, root, rd) == want
+    assert len(squared) == squared_in_decimal
+
+
+@pytest.mark.parametrize(
+    "limit, n, converted",
+    [
+        (0, 10**5000, False),  # no limit
+        (4300, 10**4299 - 1, False),  # 4,299 digits
+        (4300, 10**4299, False),  # 4,300 digits, 14,281 bits
+        (4300, 2**14284, True),  # 4,300 digits, but may have 4,301
+        (4300, 10**4300, True),
+        (2000, 10**1999 * 5, False),
+        (2000, 10**2000, True),
+    ],
+    ids=["none", "4299", "4300", "4300-14285-bits", "4301", "2000", "2001"],
+)
+def test_refuse_past_limit_reads_the_live_limit(monkeypatch, limit, n, converted):
+    """The limit is read on each call, 0 meaning none, and a number is
+    converted, which raises past the interpreter's limit, only when its bit
+    length allows more digits than the limit."""
+    seen = []
+    monkeypatch.setattr(exactnum, "_max_str_digits", lambda: limit)
+    monkeypatch.setattr(exactnum, "str", seen.append, raising=False)
+    _refuse_past_limit(n)
+    assert seen == ([n] if converted else [])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import json
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dioph6 import family, sextuple_engine
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import format_rat, sqrt_exact
 from dioph6.family import triple_from_multiple
@@ -248,6 +250,71 @@ def test_certificate_rows_match_reference_witnesses(elements):
     twin = pickle.loads(pickle.dumps(verify_tuple(elements)))
     assert twin == want and hash(twin) == hash(want)
     assert all(type(w) is PairWitness for w in twin.pair_results)
+
+
+@st.composite
+def triples_with_strays(draw):
+    """The Diophantine triple {k - 1, k + 1, 4k} for a rational k of up to
+    2,200 digits a side, whose three products + 1 are the squares k^2,
+    (2k - 1)^2 and (2k + 1)^2, shuffled among up to three other elements."""
+    part = st.integers(0, 2200).flatmap(lambda d: st.integers(1, 10**d))
+    k = F(draw(part), draw(part)) * draw(st.sampled_from((1, -1)))
+    strays = draw(st.lists(st.one_of(SMALL, st.builds(F, part, part)), max_size=3))
+    return draw(st.permutations([k - 1, k + 1, 4 * k, *strays]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(triples_with_strays())
+# k = 10^2160 + 3: the square k^2 of 4,321 digits is past the default limit
+@example([F(10**2160 + 2), F(10**2160 + 4), F(4 * 10**2160 + 12), F(1, 3)])
+def test_certificate_json_matches_row_text(elements):
+    """Passing rows, whose squares are written from their roots, and failing
+    rows print as ``format_rat`` writes each witness, or refuse alike."""
+    report = verify_tuple(elements)
+    assert sum(row[4] is not None for row in report.rows) >= 3
+    assert _json_outcome(lambda: report.to_json_dict(elements)) == _json_outcome(
+        lambda: _reference_json(report, elements)
+    )
+
+
+_WIDE_TRIPLE = [F(10**2160 + 2), F(10**2160 + 4), F(4 * 10**2160 + 12)]
+#: (1 - D)/D * (1 + D)/D + 1 = 1/D^2: only the denominator is past the limit
+_WIDE_DENOMINATOR = [F(1 - 10**2200, 10**2200), F(1 + 10**2200, 10**2200)]
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        # a certificate row past the limit, with elements of up to 2,161 digits
+        (lambda: verify_tuple(_WIDE_TRIPLE), (_WIDE_TRIPLE,)),
+        (lambda: verify_tuple(_WIDE_DENOMINATOR), (_WIDE_DENOMINATOR,)),
+        # a cell in the caps whose elements are within the limit but whose
+        # certificate is not (ROADMAP item 1)
+        (lambda: extend_to_sextuple(triple_from_multiple(F(6), 8), 5), ("isogeny",)),
+    ],
+    ids=["verify", "verify-denominator", "generate"],
+)
+def test_square_past_the_limit_refuses_before_any_text(monkeypatch, build, args):
+    """A certificate square past the int/str digit limit refuses the JSON
+    form with ``str()``'s own error before any rational is written."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int/str digit limit in this interpreter")
+    value = build()
+    with pytest.raises(ValueError) as want:
+        str(10**limit)
+    written = []
+    for module, name in [
+        (sextuple_engine, "format_rat"),
+        (sextuple_engine, "_format_coprime"),
+        (sextuple_engine, "_format_square"),
+        (family, "format_rat"),
+    ]:
+        monkeypatch.setattr(module, name, lambda *_, name=name: written.append(name))
+    with pytest.raises(ValueError) as got:
+        value.to_json_dict(*args)
+    assert str(got.value) == str(want.value)
+    assert written == []
 
 
 def test_verify_tuple_reference_cases():
