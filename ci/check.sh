@@ -22,6 +22,24 @@ fi
 PYTHONPATH=src "$PY" -S -c "import dioph6, dioph6.cli, dioph6.identities"
 # the command's import path loads no dataclasses, inspect, typing or threading
 PYTHONPATH=src "$PY" -S -c "import sys, dioph6, dioph6.cli; loaded = [m for m in ('dataclasses', 'inspect', 'typing', 'threading') if m in sys.modules]; assert not loaded, loaded"
+# the exact root test, as numerator and as denominator, and the recursive
+# root under it agree with math.isqrt on r^2 - 1, r^2, r^2 + 1 and r^2 + 2r
+# of 300 digits (below the recursion's crossover) and of 1,000 to 40,000
+# digits (above it): a check of the kernel that runs where Tier-1 cannot
+PYTHONPATH=src "$PY" -S -c "
+import math
+from dioph6.exactnum import _SQRTREM_BITS, _coprime_sqrt, _sqrtrem
+sizes = set()
+for digits in (300, 1000, 2000, 4400, 8800, 15500, 40000):
+    r = 3 ** (digits * 1048 // 1000) + digits  # about digits / 2 digits
+    for n in (r * r - 1, r * r, r * r + 1, r * r + 2 * r):
+        s = math.isqrt(n)
+        want = (s, 1) if s * s == n else None
+        assert _sqrtrem(n) == (s, n - s * s), digits
+        assert _coprime_sqrt(n, 1) == want and _coprime_sqrt(1, n) == (want and want[::-1]), digits
+        sizes.add(n.bit_length() >= _SQRTREM_BITS)
+assert sizes == {False, True}
+"
 
 # -- console script ------------------------------------------------------------
 dioph6 family --t 6

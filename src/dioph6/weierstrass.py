@@ -12,8 +12,9 @@ law returns lie on the curve by construction, so code that keeps computing
 with them uses ``add_unchecked`` and, when only x is needed,
 ``add_x_unchecked``; these trust their inputs.  When both x(p + q) and
 x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part once
-over the integers.  ``contains`` is an exact integer test without fraction
-reduction.
+over the integers and reduces the two at full size once: x(p + q) usually
+needs only a half-size gcd after an exact division.  ``contains`` is an
+exact integer test without fraction reduction.
 
 The chord-and-tangent rule runs on the numerators and denominators of the
 coordinates, with the cancelling gcds of Fraction's own operators
@@ -24,6 +25,7 @@ is the Fraction that operator arithmetic would give.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .exactnum import (
     Rat,
@@ -219,9 +221,17 @@ class Curve(_Value):
         S = (d X1 X2 + A4 D1 D2)(X1 D2 + X2 D1) + 2 A2 X1 X2 D1 D2 + 2 A6 D1^2 D2^2
         and j = d D1^2 D2^2 / (E1 E2).  On the curve E_i^2 divides d D_i^3, so
         j^2 = D1 D2 (d D1^3 / E1^2)(d D2^3 / E2^2) is an integer, and hence so
-        is j.  The shared part is computed once and each result is normalized
-        once; when x1 = x2 (q = +-p) or a point is O, this falls back to
-        :meth:`add_x_unchecked`.
+        is j.  The shared part is computed once; when x1 = x2 (q = +-p) or a
+        point is O, this falls back to :meth:`add_x_unchecked`.
+
+        Only x(p - q) is reduced by a gcd with the full denominator D, leaving
+        the denominator D_-.  The two results usually split D between their
+        denominators, so that D_- divides x(p + q)'s numerator over D: then
+        one exact division leaves x(p + q) over D / D_-, about half the size
+        of D, and a gcd at that size reduces it.  On the induced curves of the
+        family the division was exact in every cell measured; on other
+        curves, where it leaves a remainder, x(p + q) is reduced by a gcd
+        with D as well.  Both results are in lowest terms either way.
         """
         if p.is_infinity or q.is_infinity or p.x == q.x:
             return self.add_x_unchecked(p, q), self.add_x_unchecked(p, -q)
@@ -234,7 +244,15 @@ class Curve(_Value):
         cross = 2 * (d * dd2 // (p.y.denominator * q.y.denominator)) * p.y.numerator * q.y.numerator
         gap = xn1 * xd2 - xn2 * xd1
         den = d * gap * gap
-        return Fraction(shared - cross, den), Fraction(shared + cross, den)
+        plus, minus = shared - cross, shared + cross
+        g = gcd(minus, den)
+        minus_den = den // g
+        num, rem = divmod(plus, minus_den)
+        plus_den = g
+        if rem:
+            num, plus_den = plus, den
+        h = gcd(num, plus_den)
+        return _coprime(num // h, plus_den // h), _coprime(minus // g, minus_den)
 
     def add(self, p: Point, q: Point) -> Point:
         """Group sum of two points on this curve."""

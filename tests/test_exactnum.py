@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from dioph6.exactnum import (
     vp,
 )
 from dioph6.identities import is_squarefree, mod_p
+from dioph6.sextuple_engine import verify_tuple
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -31,7 +34,9 @@ small_primes = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 37])
 
 
 # ---------------------------------------------------------------------------
-# integer square roots: math.isqrt is the square test under sqrt_exact
+# integer square roots: math.isqrt below exactnum._SQRTREM_BITS and the
+# recursive exactnum._sqrtrem from there on propose the root under
+# sqrt_exact, and squaring it back certifies it
 # ---------------------------------------------------------------------------
 
 def test_isqrt_examples():
@@ -54,6 +59,85 @@ def test_isqrt_floor_property(n):
     root = math.isqrt(n)
     assert root * root <= n < (root + 1) * (root + 1)
     assert sqrt_exact(n) == (root if root * root == n else None)
+
+
+#: bit lengths 4a to 4a + 3 for each anchor 4a: all four residues mod 4 of
+#: the normalizing shift, below the crossover, at it and up to 130,000 bits
+_ROOT_BIT_ANCHORS = (
+    8, 1000, exactnum._SQRTREM_BITS - 4, exactnum._SQRTREM_BITS, 2 * exactnum._SQRTREM_BITS,
+    4 * exactnum._SQRTREM_BITS, 33_000, 130_000,
+)
+
+
+@st.composite
+def sqrtrem_inputs(draw):
+    """r*r, r*r - 1, r*r + 1 and r*r + 2r (the largest n with root r) for a
+    random r of about half the drawn bit length, or a random n of exactly
+    that bit length."""
+    bits = draw(st.sampled_from(_ROOT_BIT_ANCHORS)) + draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("r*r", "r*r - 1", "r*r + 1", "r*r + 2r", "random")))
+    if kind == "random":
+        return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+    half = (bits + 1) // 2
+    r = rng.getrandbits(half - 1) | 1 << (half - 1)
+    return r * r + {"r*r": 0, "r*r - 1": -1, "r*r + 1": 1, "r*r + 2r": 2 * r}[kind]
+
+
+# 200 inputs up to 130,000 bits: about 1 s on a 2-vCPU host
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sqrtrem_inputs())
+@example(0)
+@example(1)
+@example((1 << exactnum._SQRTREM_BITS) - 1)
+@example(1 << exactnum._SQRTREM_BITS)
+def test_sqrtrem_matches_math_isqrt(n):
+    s, r = exactnum._sqrtrem(n)
+    assert s == math.isqrt(n)
+    assert r == n - s * s
+
+
+def _large_certificate():
+    """The elements of the sextuple at (t, m, n) = (-9/8, 5, 4): 24 of the
+    30 parts of its products + 1 have 3,000 bits or more, up to 2,760
+    digits."""
+    data = Path(__file__).parent / "data" / "sextuple_t-9_8_m5_n4.json"
+    return [F(e) for e in json.loads(data.read_text())]
+
+
+def test_large_certificate_rows_take_the_recursive_root(monkeypatch):
+    """Every part of a product + 1 from the crossover on gets its root from
+    _sqrtrem, and the rows still pass."""
+    asked = []
+    kernel = exactnum._sqrtrem
+
+    def counted(n):
+        asked.append(n)
+        return kernel(n)
+
+    report = verify_tuple(_large_certificate())
+    large = [
+        part
+        for _, _, num, den, _, _ in report.rows
+        for part in (num, den)
+        if part.bit_length() >= exactnum._SQRTREM_BITS
+    ]
+    monkeypatch.setattr(exactnum, "_sqrtrem", counted)
+    assert verify_tuple(_large_certificate()) == report
+    assert report.all_pass and len(large) >= 10
+    assert set(large) <= set(asked)
+
+
+def test_a_proposed_root_is_never_trusted_unsquared(monkeypatch):
+    """A kernel that proposes root + 1 makes every square from the
+    crossover on fail the test, and the certificate with it."""
+    kernel = exactnum._sqrtrem
+    monkeypatch.setattr(exactnum, "_sqrtrem", lambda n: (kernel(n)[0] + 1, 0))
+    big = 3**2000 + 1
+    assert exactnum._coprime_sqrt(big * big, 1) is None
+    assert exactnum._coprime_sqrt(1, big * big) is None
+    assert exactnum._coprime_sqrt(49, 4) == (7, 2)  # below the crossover
+    assert not verify_tuple(_large_certificate()).all_pass
 
 
 # ---------------------------------------------------------------------------

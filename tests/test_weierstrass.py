@@ -1,9 +1,13 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dioph6 import weierstrass
 from dioph6.family import triple_from_multiple
 from dioph6.identities import (
     StdQuantities,
@@ -149,33 +153,63 @@ def test_unchecked_sums_match_add():
             assert REMARK_CURVE.add_x_unchecked(p, q) == total.x
 
 
-@st.composite
-def _curve_and_two_points(draw):
-    """Two points [k1]G, [k2]G and, on induced curves, the order-3 point S'
-    beside them: G is P' on the induced curve of a family triple (m = 2..5)
-    or the image of the seed under curve_E(t).scale(u)."""
-    t = draw(_PARAMS)
-    if draw(st.booleans()):
-        a, b, c = triple_from_multiple(t, draw(st.integers(min_value=2, max_value=5))).elements
-        curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)
-        extra = [point_Sprime(a, b, c)]
+def _two_points(kind, t, m_or_u, k1, k2):
+    """(kind, curve, [[k1]G, [k2]G, ...]): on the "induced" curve of the
+    family triple at (t, m), G is P' and the order-3 point S' comes after the
+    two multiples; on the "scaled" curve, curve_E(t).scale(u), G is the
+    image of the seed."""
+    if kind == "induced":
+        a, b, c = triple_from_multiple(t, m_or_u).elements
+        curve, gen, extra = induced_curve(a, b, c), point_Pprime(a, b, c), [point_Sprime(a, b, c)]
     else:
-        u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
-        curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
-        extra = []
-    k1, k2 = (draw(st.integers(min_value=-5, max_value=5)) for _ in range(2))
-    return curve, [curve.mul(k1, gen), curve.mul(k2, gen), *extra]
+        curve, gen, extra = curve_E(t).scale(m_or_u), curve_E(t).scale_point(point_R(t), m_or_u), []
+    return kind, curve, [curve.mul(k1, gen), curve.mul(k2, gen), *extra]
 
 
-@settings(max_examples=30, deadline=None)
-@given(_curve_and_two_points())
-def test_add_sub_x_matches_add_x(curve_and_points):
-    curve, pts = curve_and_points
-    p = pts[0]
-    for q in (*pts, p, -p, INFINITY):
-        expected = (curve.add_x_unchecked(p, q), curve.add_x_unchecked(p, -q))
-        assert curve.add_sub_x_unchecked(p, q) == expected, (curve, p, q)
-        assert curve.add_sub_x_unchecked(q, p) == (expected[0], curve.add_x_unchecked(q, -p))
+_MULTIPLES = st.integers(min_value=-5, max_value=5)
+_curve_and_two_points = st.one_of(
+    st.builds(_two_points, st.just("induced"), _PARAMS, st.integers(2, 5), _MULTIPLES, _MULTIPLES),
+    st.builds(
+        _two_points, st.just("scaled"), _PARAMS,
+        st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool),
+        _MULTIPLES, _MULTIPLES,
+    ),
+)
+
+
+def test_add_sub_x_matches_add_x():
+    """Both x-coordinates equal add_x_unchecked's, in lowest terms, along
+    both reductions of x(p + q): the exact division by x(p - q)'s
+    denominator, which the induced curves take, and the full-size gcd after
+    a division that leaves a remainder, which some scaled curves take."""
+    branches = Counter()
+
+    def counted_divmod(a, b):
+        quotient, remainder = divmod(a, b)
+        branches[kind, "fallback" if remainder else "exact"] += 1
+        return quotient, remainder
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_curve_and_two_points)
+    @example(_two_points("induced", F(2), 2, 3, 1))
+    @example(_two_points("scaled", F(2), F(2), 1, 3))  # a division with a remainder
+    def check(drawn):
+        nonlocal kind
+        kind, curve, pts = drawn
+        p = pts[0]
+        with mock.patch.object(weierstrass, "divmod", counted_divmod, create=True):
+            for q in (*pts, p, -p, INFINITY):
+                expected = (curve.add_x_unchecked(p, q), curve.add_x_unchecked(p, -q))
+                for got, want in zip(curve.add_sub_x_unchecked(p, q), expected):
+                    assert got == want, (curve, p, q)
+                    assert got is None or math.gcd(got.numerator, got.denominator) == 1
+                swapped = (expected[0], curve.add_x_unchecked(q, -p))
+                assert curve.add_sub_x_unchecked(q, p) == swapped, (curve, q, p)
+
+    kind = None
+    check()
+    assert branches["induced", "exact"] and not branches["induced", "fallback"], branches
+    assert branches["scaled", "fallback"], branches
 
 
 def _x2R_closed(t):
