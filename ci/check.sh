@@ -40,6 +40,49 @@ for digits in (300, 1000, 2000, 4400, 8800, 15500, 40000):
         sizes.add(n.bit_length() >= _SQRTREM_BITS)
 assert sizes == {False, True}
 "
+# the certificate anchored on its smallest element (a, b and c of about 120
+# bits beside d, e and f of about 14,700) agrees row by row with cross gcds,
+# math.isqrt and squaring, on the (-9/8, 6, 6) sextuple and on a copy with
+# its smallest element bent, whose rows through it fail; its half-size gcd
+# agrees with math.gcd where s holds more of a prime than c*s shares with n,
+# and a wrong root proposed for a denominator is not taken
+PYTHONPATH=src "$PY" -S -c "
+import math
+from fractions import Fraction
+from dioph6.exactnum import _coprime_sqrt
+from dioph6.family import triple_from_multiple
+from dioph6.sextuple_engine import _anchor, _gcd_times_square, extend_to_sextuple, verify_tuple
+
+for n, c, s in ((2**9 * 3, 1, 2**3), (-(5**7), 5, 25), (0, 3, 4), (7**5 * 11, 7, 7**2 * 11)):
+    assert _gcd_times_square(n, c, s) == math.gcd(n, c * s * s), (n, c, s)
+assert _coprime_sqrt(49, 4, 3) == (7, 2) and _coprime_sqrt(49, 4, None) == (7, 2)
+
+def root(n):
+    s = math.isqrt(n) if n >= 0 else -1
+    return s if s * s == n else None
+
+def naive(elements):
+    parts = [(e.numerator, e.denominator) for e in elements]
+    rows = []
+    for i, (ni, di) in enumerate(parts):
+        for j, (nj, dj) in enumerate(parts[i + 1:], i + 1):
+            g1, g2 = math.gcd(ni, dj), math.gcd(nj, di)
+            den = di // g2 * (dj // g1)
+            num = ni // g1 * (nj // g2) + den
+            rn, rd = root(num), root(den)
+            ok = rn is not None and rd is not None
+            rows.append((i + 1, j + 1, num, den, rn if ok else None, rd if ok else None))
+    return tuple(rows)
+
+sextuple = list(extend_to_sextuple(triple_from_multiple(Fraction(-9, 8), 6), 6).elements)
+k = _anchor([(e.numerator, e.denominator) for e in sextuple])
+assert k is not None
+bent = list(sextuple)
+bent[k] += 1
+for elements in (sextuple, bent):
+    assert verify_tuple(elements).rows == naive(elements)
+assert verify_tuple(sextuple).all_pass and not verify_tuple(bent).all_pass
+"
 
 # -- console script ------------------------------------------------------------
 dioph6 family --t 6

@@ -11,9 +11,9 @@
 # so could Tier-1 where pytest and Hypothesis do not import.  SITE, a
 # directory that holds both, goes on PYTHONPATH for the Tier-1 leg of an
 # interpreter that has none of its own.  ci/check.sh cross-checks the exact
-# root kernel against math.isqrt with the standard library alone, so an
-# interpreter where Tier-1 could not run still checks it.  Exits 1 if a
-# leg failed.
+# root kernel against math.isqrt, and the anchored certificate against a
+# row-by-row one, with the standard library alone, so an interpreter where
+# Tier-1 could not run still checks both.  Exits 1 if a leg failed.
 set -u
 cd "$(dirname "$0")/.."
 prefix=${1:?usage: ci/legs.sh PREFIX [SITE]}

@@ -115,7 +115,7 @@ def sqrt_exact(q: Rat | int) -> Rat | None:
     return None if roots is None else _coprime(*roots)
 
 
-def _coprime_sqrt(num: int, den: int) -> tuple[int, int] | None:
+def _coprime_sqrt(num: int, den: int, den_root: int | None = None) -> tuple[int, int] | None:
     """The square root of num/den, for coprime num and den > 0, as the
     coprime pair (root_num, root_den), or None: the package's one exact
     root test, which :func:`sqrt_exact`, the certificate and the triple
@@ -123,12 +123,16 @@ def _coprime_sqrt(num: int, den: int) -> tuple[int, int] | None:
 
     Each part's candidate root is ``math.isqrt`` of it below
     _SQRTREM_BITS and the recursive :func:`_sqrtrem` from there on; either
-    way the candidate only proposes, and squaring it back certifies."""
+    way the candidate only proposes, and squaring it back certifies.  A
+    caller may propose den's root as ``den_root``; it is squared back like
+    any other candidate, and den's root is taken as above when it fails."""
     if num < 0:
         return None
     r = math.isqrt(num) if num.bit_length() < _SQRTREM_BITS else _sqrtrem(num)[0]
     if r * r != num:
         return None
+    if den_root is not None and den_root * den_root == den:
+        return r, den_root
     s = math.isqrt(den) if den.bit_length() < _SQRTREM_BITS else _sqrtrem(den)[0]
     return (r, s) if s * s == den else None
 

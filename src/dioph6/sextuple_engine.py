@@ -12,6 +12,14 @@ The certificate works on the numerators and denominators of the elements:
 each product + 1 comes out in lowest terms without a gcd of its own, and
 its witness is the pair of exact integer square roots that
 ``exactnum._coprime_sqrt``, the package's one root test, gives for them.
+When one element's denominator is much smaller than the largest, as a, b
+and c are beside d, e and f, the rows are anchored on it: its rows come
+first, and each passing one, with d_k d_j = s^2 G (s the denominator's root,
+G the two cross gcds), gives every other row (i, j) its cross gcds against
+a half-size G s (:func:`_gcd_times_square`) and a proposed
+denominator root s_ki s_kj sqrt(G_ki G_kj G_ij) / (d_k G_ij).  Both are
+exact: d_j divides G s^2, and the proposal is squared back like any other
+candidate root.
 The report's field is the certificate as integer rows, which the verdict
 reads and the JSON form writes: a passing row's square and root with
 ``exactnum._format_square``, which writes the square from the root's
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import ConsistencyError, DegeneracyError
 from .exactnum import (
@@ -117,6 +125,16 @@ class VerificationReport(_Value):
         return out
 
 
+#: verify_tuple anchors the certificate on one element (:func:`_anchor`)
+#: when the largest denominator has at least _ANCHOR_BITS bits and at least
+#: _ANCHOR_RATIO times as many as the anchor's.  Constructed sextuples past
+#: 6,000 bits have them 37x or more apart.  On regular quadruples, about 6x
+#: apart, the half-size gcd does not pay, and below 6,000 bits it saves
+#: under 0.4% of a construct pass (ROADMAP.md, "Measured and dropped").
+_ANCHOR_BITS = 6000
+_ANCHOR_RATIO = 16
+
+
 def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     """Exhaustively check the defining property of a Diophantine tuple.
 
@@ -126,18 +144,91 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     # numerators and denominators of the elements in lowest terms; equal
     # rationals have equal pairs, so the flags need no Fraction hashing
     parts = [(q.numerator, q.denominator) for q in map(_as_rat, elements)]
-    rows = []
-    for i, (ni, di) in enumerate(parts, 1):
-        for j, (nj, dj) in enumerate(parts[i:], i + 1):
-            # cancelling g1 and g2 leaves the product in lowest terms, and
-            # num/den + 1 = (num + den)/den keeps them coprime
-            g1, g2 = gcd(ni, dj), gcd(nj, di)
-            den = (di // g2) * (dj // g1)
-            num = (ni // g1) * (nj // g2) + den
-            rows.append((i, j, num, den, *(_coprime_sqrt(num, den) or (None, None))))
+    k = _anchor(parts)
+    if k is not None:
+        rows = _anchored_rows(parts, k)
+    else:
+        rows = []
+        for i, (ni, di) in enumerate(parts, 1):
+            for j, (nj, dj) in enumerate(parts[i:], i + 1):
+                # cancelling g1 and g2 leaves the product in lowest terms, and
+                # num/den + 1 = (num + den)/den keeps them coprime; _row's body,
+                # inline so that the family rows' small tuples pay no call per row
+                g1, g2 = gcd(ni, dj), gcd(nj, di)
+                den = (di // g2) * (dj // g1)
+                num = (ni // g1) * (nj // g2) + den
+                rows.append((i, j, num, den, *(_coprime_sqrt(num, den) or (None, None))))
     return VerificationReport(
         tuple(rows), all(n != 0 for n, _ in parts), len(set(parts)) == len(parts)
     )
+
+
+def _anchor(parts: list[tuple[int, int]]) -> int | None:
+    """The index of the nonzero element with the smallest denominator, when
+    the certificate is worth anchoring on it; else None.  (A zero anchor
+    would give G s = d_j, no smaller than a direct gcd's operand.)"""
+    for _, d in parts:
+        if d.bit_length() >= _ANCHOR_BITS:
+            break
+    else:
+        return None  # every small tuple leaves here: family and scan rows pay one loop
+    top = max(d.bit_length() for _, d in parts)
+    k = min(range(len(parts)), key=lambda i: (parts[i][0] == 0, parts[i][1].bit_length()))
+    return k if top >= _ANCHOR_RATIO * parts[k][1].bit_length() else None
+
+
+def _anchored_rows(parts: list[tuple[int, int]], k: int) -> list[tuple]:
+    """verify_tuple's rows, with element k's rows taken first.
+
+    A passing row (k, j) gives d_k d_j = s_kj^2 G_kj, with s_kj its
+    denominator's root and G_kj its two cross gcds.  The row (i, j) then
+    takes gcd(n_i, d_j) as gcd(gcd(n_i, G_kj s_kj^2), d_j), since d_j
+    divides d_k d_j, and its denominator d_i d_j / G_ij is
+    (s_ki s_kj / d_k)^2 G_ki G_kj / G_ij, whose root
+    s_ki s_kj sqrt(G_ki G_kj G_ij) / (d_k G_ij) it proposes to
+    ``_coprime_sqrt``, which squares it back."""
+    nk, dk = parts[k]
+    anchor = {}  # j: the row (k, j)
+    roots = {}  # j: (s_kj, G_kj) of a passing row (k, j)
+    for j, (nj, dj) in enumerate(parts):
+        if j != k:
+            g1, g2 = gcd(nk, dj), gcd(nj, dk)
+            anchor[j] = row = _row(nk, dk, nj, dj, g1, g2)
+            if row[2] is not None:
+                roots[j] = row[3], g1 * g2
+    rows = []
+    for i, (ni, di) in enumerate(parts):
+        for j, (nj, dj) in enumerate(parts[i + 1 :], i + 1):
+            if k == i or k == j:
+                row = anchor[i + j - k]
+            elif i in roots and j in roots:
+                (si, ci), (sj, cj) = roots[i], roots[j]
+                g1 = gcd(_gcd_times_square(ni, cj, sj), dj)
+                g2 = gcd(_gcd_times_square(nj, ci, si), di)
+                g = g1 * g2
+                row = _row(ni, di, nj, dj, g1, g2, si * sj * isqrt(ci * cj * g) // (dk * g))
+            else:
+                row = _row(ni, di, nj, dj, gcd(ni, dj), gcd(nj, di))
+            rows.append((i + 1, j + 1, *row))
+    return rows
+
+
+def _gcd_times_square(n: int, c: int, s: int) -> int:
+    """``gcd(n, c*s*s)`` for c, s > 0, as u * gcd(n/u, gcd(u, s)) with
+    u = gcd(n, c*s): a prime p with p^a in n and p^b in c*s has
+    p^min(a, b + v_p(s)) in both.  The one gcd against a full-size n takes
+    c*s, of about half the size of c*s*s when c is small."""
+    u = gcd(n, c * s)
+    v = gcd(u, s)
+    return u if v == 1 else u * gcd(n // u, v)
+
+
+def _row(ni: int, di: int, nj: int, dj: int, g1: int, g2: int, den_root: int | None = None):
+    """(num, den, root_num, root_den) of ni/di * nj/dj + 1, given the cross
+    gcds g1 = gcd(ni, dj) and g2 = gcd(nj, di)."""
+    den = (di // g2) * (dj // g1)
+    num = (ni // g1) * (nj // g2) + den
+    return num, den, *(_coprime_sqrt(num, den, den_root) or (None, None))
 
 
 # ---------------------------------------------------------------------------

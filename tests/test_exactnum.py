@@ -140,6 +140,18 @@ def test_a_proposed_root_is_never_trusted_unsquared(monkeypatch):
     assert not verify_tuple(_large_certificate()).all_pass
 
 
+def test_a_proposed_denominator_root_is_squared_back():
+    """A caller's denominator root is taken only when it squares to the
+    denominator; otherwise the root test takes the root itself."""
+    big = 3**2000 + 1
+    assert exactnum._coprime_sqrt(49, 4, 2) == (7, 2)
+    assert exactnum._coprime_sqrt(49, 4, 3) == (7, 2)
+    assert exactnum._coprime_sqrt(49, 5, 2) is None
+    assert exactnum._coprime_sqrt(1, big * big, big - 1) == (1, big)
+    assert exactnum._coprime_sqrt(1, big * big + 2, big) is None
+    assert exactnum._coprime_sqrt(2, 9, 3) is None  # the numerator decides first
+
+
 # ---------------------------------------------------------------------------
 # sqrt_exact
 # ---------------------------------------------------------------------------

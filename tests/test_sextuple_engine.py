@@ -158,23 +158,43 @@ def _canonical_parts(q):
     return q.numerator, q.denominator
 
 
+@contextlib.contextmanager
+def _anchored(on=True):
+    """With ``on``, every nonempty tuple anchors its certificate (the
+    crossover at 0); without it, none does."""
+    saved = sextuple_engine._ANCHOR_BITS, sextuple_engine._ANCHOR_RATIO
+    sextuple_engine._ANCHOR_BITS, sextuple_engine._ANCHOR_RATIO = (0, 0) if on else (math.inf, 0)
+    try:
+        yield
+    finally:
+        sextuple_engine._ANCHOR_BITS, sextuple_engine._ANCHOR_RATIO = saved
+
+
+#: each certificate test runs on the rows as built by default, by the loop
+#: over all pairs, and anchored on the nonzero element of least denominator
+PATHS = (contextlib.nullcontext, functools.partial(_anchored, False), _anchored)
+
+
 @settings(max_examples=200, deadline=None)
 @given(certificate_inputs())
 def test_verify_tuple_matches_reference(elements):
-    got, want = verify_tuple(elements), _reference_verify_tuple(elements)
-    assert (got.all_pass, got.nonzero, got.distinct) == (
-        want.all_pass,
-        want.nonzero,
-        want.distinct,
-    )
-    assert len(got.pair_results) == len(want.pair_results)
-    for g, w in zip(got.pair_results, want.pair_results):
-        assert (g.i, g.j) == (w.i, w.j)
-        assert _canonical_parts(g.product_plus_one) == _canonical_parts(w.product_plus_one)
-        if w.square_root is None:
-            assert g.square_root is None
-        else:
-            assert _canonical_parts(g.square_root) == _canonical_parts(w.square_root)
+    want = _reference_verify_tuple(elements)
+    for path in PATHS:
+        with path():
+            got = verify_tuple(elements)
+        assert (got.all_pass, got.nonzero, got.distinct) == (
+            want.all_pass,
+            want.nonzero,
+            want.distinct,
+        )
+        assert len(got.pair_results) == len(want.pair_results)
+        for g, w in zip(got.pair_results, want.pair_results):
+            assert (g.i, g.j) == (w.i, w.j)
+            assert _canonical_parts(g.product_plus_one) == _canonical_parts(w.product_plus_one)
+            if w.square_root is None:
+                assert g.square_root is None
+            else:
+                assert _canonical_parts(g.square_root) == _canonical_parts(w.square_root)
 
 
 @contextlib.contextmanager
@@ -230,26 +250,32 @@ def test_certificate_rows_match_reference_witnesses(elements):
     built agree with the reference witnesses, and such a report compares,
     hashes and pickles like the report built from those witnesses."""
     want = _reference_verify_tuple(elements)
-    with _counted_witnesses() as built:
-        fresh = verify_tuple(elements)
-        all_pass, failing, got_json = (
-            fresh.all_pass, fresh.failing_pairs, _json_outcome(lambda: fresh.to_json_dict(elements))
+    for path in PATHS:
+        with path(), _counted_witnesses() as built:
+            fresh = verify_tuple(elements)
+            all_pass, failing, got_json = (
+                fresh.all_pass,
+                fresh.failing_pairs,
+                _json_outcome(lambda: fresh.to_json_dict(elements)),
+            )
+        assert built == []  # nothing above built a witness
+        assert all_pass == (
+            want.nonzero and want.distinct and all(w.ok for w in want.pair_results)
         )
-    assert built == []  # nothing above built a witness
-    assert all_pass == (want.nonzero and want.distinct and all(w.ok for w in want.pair_results))
-    assert failing == tuple((w.i, w.j) for w in want.pair_results if not w.ok)
-    assert got_json == _json_outcome(lambda: _reference_json(want, elements))
-    with _counted_witnesses() as built:
-        first, second = fresh.pair_results, fresh.pair_results
-    # each read builds one witness per row
-    assert first == second == want.pair_results
-    assert built == [row[:2] for row in fresh.rows] * 2
+        assert failing == tuple((w.i, w.j) for w in want.pair_results if not w.ok)
+        assert got_json == _json_outcome(lambda: _reference_json(want, elements))
+        with _counted_witnesses() as built:
+            first, second = fresh.pair_results, fresh.pair_results
+        # each read builds one witness per row
+        assert first == second == want.pair_results
+        assert built == [row[:2] for row in fresh.rows] * 2
 
-    assert verify_tuple(elements) == want
-    assert hash(verify_tuple(elements)) == hash(want)
-    twin = pickle.loads(pickle.dumps(verify_tuple(elements)))
-    assert twin == want and hash(twin) == hash(want)
-    assert all(type(w) is PairWitness for w in twin.pair_results)
+        with path():
+            assert verify_tuple(elements) == want
+            assert hash(verify_tuple(elements)) == hash(want)
+            twin = pickle.loads(pickle.dumps(verify_tuple(elements)))
+        assert twin == want and hash(twin) == hash(want)
+        assert all(type(w) is PairWitness for w in twin.pair_results)
 
 
 @st.composite
@@ -324,6 +350,91 @@ def test_verify_tuple_reference_cases():
     values = [(w.product_plus_one, w.square_root) for w in report.pair_results]
     assert values == [(0, 0), (1, 1), (5, None), (1, 1), (0, 0), (1, 1)]
     for elements in ([F(-3, 7), F(7, 3)], [0, 0], _real_tuples()[4]):
+        assert verify_tuple(elements) == _reference_verify_tuple(elements)
+
+
+def _parts(elements):
+    return [(F(e).numerator, F(e).denominator) for e in elements]
+
+
+def _regular_quadruple(a, r):
+    """{a, b, c, d} from ab + 1 = r^2: c = a + b + 2r and
+    d = a + b + c + 2abc + 2rst with s = a + r and t = b + r."""
+    b = (r * r - 1) / a
+    c = a + b + 2 * r
+    return [a, b, c, a + b + c + 2 * a * b * c + 2 * r * (a + r) * (b + r)]
+
+
+def test_only_tuples_with_a_much_smaller_denominator_are_anchored():
+    """The sextuple at (-9/8, 6, 4) anchors on one of a, b, c (parts of
+    about 120 bits against 7,078); the one at (-9/8, 5, 4) is below
+    _ANCHOR_BITS, and a regular quadruple of about 4,000 digits, whose
+    denominators are 6x apart in size, is below _ANCHOR_RATIO."""
+    assert sextuple_engine._anchor(_parts(_real_tuples()[4])) in (0, 1, 2)
+    assert sextuple_engine._anchor(_parts(_real_tuples()[3])) is None
+    quadruple = _regular_quadruple(F(3**1200 + 1, 7**680), F(5**820, 3**1190 + 2))
+    assert verify_tuple(quadruple).all_pass
+    parts = _parts(quadruple)
+    assert max(d for _, d in parts).bit_length() >= sextuple_engine._ANCHOR_BITS
+    assert sextuple_engine._anchor(parts) is None
+    assert sextuple_engine._anchor(_parts(GIBBS)) is None
+    assert sextuple_engine._anchor([]) is None
+
+
+#: prime powers that n, c and s share or not
+_prime_powers = st.lists(st.sampled_from([1, 2, 3, 4, 8, 9, 27, 5, 25, 7, 11]), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**20),
+    st.integers(1, 10**20),
+    _prime_powers,
+    _prime_powers,
+    _prime_powers,
+)
+@example(0, 1, 1, [], [], [])
+@example(0, 3, 4, [], [], [])
+@example(-(2**10), 2, 2**3, [], [], [])
+def test_gcd_times_square_matches_math_gcd(n, c, s, pn, pc, ps):
+    n *= math.prod(pn)
+    c *= math.prod(pc)
+    s *= math.prod(ps)
+    assert sextuple_engine._gcd_times_square(n, c, s) == math.gcd(n, c * s * s)
+
+
+def _bent(elements, k):
+    return [e + 1 if i == k else e for i, e in enumerate(elements)]
+
+
+@pytest.mark.parametrize(
+    "change", [None, lambda s: s + 1, lambda s: None], ids=["exact", "off-by-one", "missing"]
+)
+def test_a_derived_denominator_root_is_never_trusted_unsquared(monkeypatch, change):
+    """An anchored certificate proposes the denominator root of each row off
+    the anchor; a proposal that is off by one, or missing, changes no row,
+    because the root test squares every proposal back and otherwise takes
+    the root itself.  Copies with the anchor, or another element, bent
+    fail the rows through it and take those rows' roots directly."""
+    sextuple = _real_tuples()[4]
+    k = sextuple_engine._anchor(_parts(sextuple))
+    proposed = []
+    row = sextuple_engine._row
+
+    def patched(*args):
+        if len(args) == 7:
+            proposed.append(args[6])
+            if change is not None:
+                args = (*args[:6], change(args[6]))
+        return row(*args)
+
+    monkeypatch.setattr(sextuple_engine, "_row", patched)
+    report = verify_tuple(sextuple)
+    assert report == _reference_verify_tuple(sextuple) and report.all_pass
+    # the 10 rows off the anchor had a proposal, and it was their root
+    assert proposed == [r[5] for r in report.rows if k + 1 not in r[:2]]
+    for elements in (_bent(sextuple, k), _bent(sextuple, 5)):
         assert verify_tuple(elements) == _reference_verify_tuple(elements)
 
 
