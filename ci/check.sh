@@ -83,6 +83,30 @@ for elements in (sextuple, bent):
     assert verify_tuple(elements).rows == naive(elements)
 assert verify_tuple(sextuple).all_pass and not verify_tuple(bent).all_pass
 "
+# the lemma tables' x-sum valuations, read off unreduced integers with no
+# gcd, agree with the valuations of the reduced sums: s in R, [2]R, [3]R and
+# q = [4m]R (or [m][3]R at p = 3), m = 1..6, on the base curve at fixed
+# (t, p) and on a u-scaled copy of it (coefficients with d > 1)
+PYTHONPATH=src "$PY" -S -c "
+from fractions import Fraction
+from dioph6.exactnum import _rat_vp
+from dioph6.family import _curve_E, _point_R
+from dioph6.reduction_lab import _sum_vp
+from dioph6.weierstrass import INFINITY
+
+u = Fraction(2, 15)
+for t, p in ((3, 5), (8, 13), (31, 37), (17, 29), (2, 3), (7, 3)):
+    base, seed = _curve_E(t, 1), _point_R(t, 1)
+    for curve, r in ((base, seed), (base.scale(u), base.scale_point(seed, u))):
+        rs = [r]
+        while len(rs) < 4:
+            rs.append(curve.add(rs[-1], r))
+        step, q = rs[2 if p == 3 else 3], INFINITY
+        for m in range(1, 7):
+            q = curve.add(q, step)
+            for s in rs[:3]:
+                assert _sum_vp(curve, s, q, p) == _rat_vp(curve.add_x_unchecked(s, q), p), (t, p, m)
+"
 
 # -- console script ------------------------------------------------------------
 dioph6 family --t 6

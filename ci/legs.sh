@@ -11,9 +11,21 @@
 # so could Tier-1 where pytest and Hypothesis do not import.  SITE, a
 # directory that holds both, goes on PYTHONPATH for the Tier-1 leg of an
 # interpreter that has none of its own.  ci/check.sh cross-checks the exact
-# root kernel against math.isqrt, and the anchored certificate against a
-# row-by-row one, with the standard library alone, so an interpreter where
-# Tier-1 could not run still checks both.  Exits 1 if a leg failed.
+# root kernel against math.isqrt, the anchored certificate against a
+# row-by-row one and the lemma tables' valuations against reduced sums, with
+# the standard library alone, so an interpreter where Tier-1 could not run
+# still checks them.  Exits 1 if a leg failed.
+#
+# pytest needs exception groups, builtin from 3.11 and from the
+# exceptiongroup backport before that, and tomli before 3.11.  On an
+# interpreter with neither the builtin groups nor the backport, the Tier-1
+# leg gets ci/standin/ on its path, and its line says "(exceptiongroup
+# stand-in)".  ci/standin/exceptiongroup.py is not the backport: it carries
+# only what pytest and Hypothesis call and formats no group's sub-exceptions,
+# so a failure that only the real group's report shows could be missed
+# there.  ci/standin/tomli.py re-exports the tomli that the interpreter's own
+# pip vendors.  CI installs the real backport and never uses either; its 3.10
+# leg stays the reference.
 set -u
 cd "$(dirname "$0")/.."
 prefix=${1:?usage: ci/legs.sh PREFIX [SITE]}
@@ -26,10 +38,10 @@ leg() {  # leg NAME LOG COMMAND...: run the command, print one line
   local name=$1 log=$2
   shift 2
   if "$@" > "$log" 2>&1; then
-    echo "$name: passed"
+    echo "$name: passed$note"
     rm -f "$log"
   else
-    echo "$name: failed (log: $log)"
+    echo "$name: failed$note (log: $log)"
     failed=1
   fi
 }
@@ -42,11 +54,17 @@ for py in "$prefix"/*/bin/python; do
     done
     continue
   fi
+  note=
   leg "$version check.sh" "$logs/$version-check.log" bash ci/check.sh "$py"
   leg "$version bench" "$logs/$version-bench.log" "$py" bench/test_bench.py
   path=src${PYTHONPATH:+:$PYTHONPATH}
-  if ! "$py" -c 'import pytest, hypothesis' 2>/dev/null; then
-    if [ -n "$site" ] && PYTHONPATH=$site "$py" -c 'import pytest, hypothesis' 2>/dev/null; then
+  if ! "$py" -c 'BaseExceptionGroup' 2>/dev/null \
+      && ! PYTHONPATH=$path${site:+:$site} "$py" -c 'import exceptiongroup' 2>/dev/null; then
+    path=$path:$PWD/ci/standin
+    note=" (exceptiongroup stand-in)"
+  fi
+  if ! PYTHONPATH=$path "$py" -c 'import pytest, hypothesis' 2>/dev/null; then
+    if [ -n "$site" ] && PYTHONPATH=$path:$site "$py" -c 'import pytest, hypothesis' 2>/dev/null; then
       path=$path:$site
     else
       echo "$version Tier-1: could not run (pytest and Hypothesis do not import)"

@@ -140,9 +140,11 @@ def cmd_scan(args) -> int:
     t = start
     while t <= stop:  # ascending, so the rows stay sorted
         try:
-            row = _family_row(t)
-        except ValueError as exc:  # inadmissible parameter; log and move on
+            fam.require_param(t)
+        except ValueError as exc:  # t = -1, 0 or 1; log and move on
             row = {"t": format_rat(t), "skipped": str(exc)}
+        else:  # any other error is the command's and reaches main
+            row = _family_row(t)
         lines.append(json.dumps(row))
         t += step
     _write("\n".join(lines) + "\n", args.out)

@@ -18,6 +18,10 @@ it is classified at.  The bad-prime scan's report has as its field one
 row (p, type, v_delta, v_c4, scaling_exponent) per classified prime; a
 :class:`ReductionReport` is built only by :func:`classify`, or from a row
 on each read of ``BadPrimesReport.entries``.
+
+The valuation tables need a sum s + q of multiples of R only for its
+valuation: v(num) - v(den) of the unreduced integers ``Curve._sum_x_parts``
+gives, the formula that ``Curve.add_sub_x_unchecked`` reduces, with no gcd.
 """
 
 from __future__ import annotations
@@ -289,13 +293,23 @@ def _seed_multiples(t: Rat, k: int) -> tuple[Curve, list[Point]]:
     return base, multiples
 
 
+def _sum_vp(curve: Curve, s: Point, q: Point, p: int) -> int:
+    """v_p(x(s + q)) for points of the curve, off unreduced integers; where
+    x(s) = x(q) (or a point is O), off the reduced sum."""
+    if s.is_infinity or q.is_infinity or s.x == q.x:
+        return _rat_vp(curve.add_x_unchecked(s, q), p)
+    num, _, den = curve._sum_x_parts(s, q)
+    return _int_vp(num, p) - _int_vp(den, p)
+
+
 def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[ValuationRow]:
     """Predicted vs observed p-adic valuations for seed-point multiples.
 
     Requires an odd prime that exactly divides t^2 + 1.  The predictions:
     v(x([2]R)) = 0, v(x([3]R)) = 4, v(x([4]R)) = -2, v(y([4]R)) = -3, and
     for each m:  v(x([4m]R)) = -2 v_p(m) - 2,  v(x(R+[m][4]R)) = 4 + v_p(m),
-    v(x([2]R+[m][4]R)) = 0,  v(x([3]R+[m][4]R)) = 4 + v_p(m+1).
+    v(x([2]R+[m][4]R)) = 0,  v(x([3]R+[m][4]R)) = 4 + v_p(m+1).  The sums'
+    valuations come from their unreduced integers (:func:`_sum_vp`).
     """
     require_odd_prime(p)
     tq = _check_table_args(t, m_max)
@@ -312,22 +326,20 @@ def valuation_table(t: int, p: int, m_max: int = DEFAULT_TABLE_MAX) -> list[Valu
         ValuationRow(4, -2, _rat_vp(r4.x, p), "v(x([4]R))"),
         ValuationRow(4, -3, _rat_vp(r4.y, p), "v(y([4]R))"),
     ]
-    sum_x = base.add_x_unchecked
     q = INFINITY
     for m in range(1, m_max + 1):
         q = base.add_unchecked(q, r4)
         vm = _int_vp(m, p)
         rows.append(ValuationRow(m, -2 * vm - 2, _rat_vp(q.x, p), "v(x([4m]R))"))
-        rows.append(ValuationRow(m, 4 + vm, _rat_vp(sum_x(seed, q), p), "v(x(R+[m][4]R))"))
-        rows.append(ValuationRow(m, 0, _rat_vp(sum_x(r2, q), p), "v(x([2]R+[m][4]R))"))
+        rows.append(ValuationRow(m, 4 + vm, _sum_vp(base, seed, q, p), "v(x(R+[m][4]R))"))
+        rows.append(ValuationRow(m, 0, _sum_vp(base, r2, q, p), "v(x([2]R+[m][4]R))"))
         rows.append(
-            ValuationRow(m, 4 + _int_vp(m + 1, p), _rat_vp(sum_x(r3, q), p), "v(x([3]R+[m][4]R))")
+            ValuationRow(m, 4 + _int_vp(m + 1, p), _sum_vp(base, r3, q, p), "v(x([3]R+[m][4]R))")
         )
     return rows
 
 
-def _valuation_sign(value: Rat, p: int) -> int:
-    v = _rat_vp(value, p)
+def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
@@ -335,21 +347,17 @@ def mod3_sign_table(t: int, m_max: int = DEFAULT_TABLE_MAX) -> list[ValuationRow
     """Signs of 3-adic valuations along multiples of [3]R.
 
     Predictions: v_3(x([m][3]R)) < 0, v_3(x(R+[m][3]R)) > 0 and
-    v_3(x([2]R+[m][3]R)) > 0; rows carry the signs (-1 / +1).
+    v_3(x([2]R+[m][3]R)) > 0; rows carry the signs (-1 / +1), the sums'
+    from their unreduced integers (:func:`_sum_vp`).
     """
     base, (seed, r2, r3) = _seed_multiples(_check_table_args(t, m_max), 3)
-    sum_x = base.add_x_unchecked
     rows = []
     q = INFINITY
     for m in range(1, m_max + 1):
         q = base.add_unchecked(q, r3)
-        rows.append(ValuationRow(m, -1, _valuation_sign(q.x, 3), "sign v3(x([m][3]R))"))
-        rows.append(
-            ValuationRow(m, 1, _valuation_sign(sum_x(seed, q), 3), "sign v3(x(R+[m][3]R))")
-        )
-        rows.append(
-            ValuationRow(m, 1, _valuation_sign(sum_x(r2, q), 3), "sign v3(x([2]R+[m][3]R))")
-        )
+        rows.append(ValuationRow(m, -1, _sign(_rat_vp(q.x, 3)), "sign v3(x([m][3]R))"))
+        rows.append(ValuationRow(m, 1, _sign(_sum_vp(base, seed, q, 3)), "sign v3(x(R+[m][3]R))"))
+        rows.append(ValuationRow(m, 1, _sign(_sum_vp(base, r2, q, 3)), "sign v3(x([2]R+[m][3]R))"))
     return rows
 
 

@@ -12,9 +12,10 @@ law returns lie on the curve by construction, so code that keeps computing
 with them uses ``add_unchecked`` and, when only x is needed,
 ``add_x_unchecked``; these trust their inputs.  When both x(p + q) and
 x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part once
-over the integers and reduces the two at full size once: x(p + q) usually
-needs only a half-size gcd after an exact division.  ``contains`` is an
-exact integer test without fraction reduction.
+over the integers (``_sum_x_parts``) and reduces the two at full size once:
+x(p + q) usually needs only a half-size gcd after an exact division.  A
+valuation needs no reduction, so the lemma tables read it off those unreduced
+integers.  ``contains`` is an exact integer test without fraction reduction.
 
 The chord-and-tangent rule runs on the numerators and denominators of the
 coordinates, with the cancelling gcds of Fraction's own operators
@@ -209,6 +210,20 @@ class Curve(_Value):
         chord = self._chord(p, q)
         return None if chord is None else _coprime(chord[2], chord[3])
 
+    def _sum_x_parts(self, p: Point, q: Point) -> tuple[int, int, int]:
+        """(S - 2 j Y1 Y2, S + 2 j Y1 Y2, d (X1 D2 - X2 D1)^2) of
+        :meth:`add_sub_x_unchecked`: x(p + q) and x(p - q) over one
+        denominator, unreduced, for affine points of this curve with x1 != x2."""
+        d, c2, c4, c6 = self._cleared
+        xn1, xd1, xn2, xd2 = p.x.numerator, p.x.denominator, q.x.numerator, q.x.denominator
+        xx = xn1 * xn2
+        dd = xd1 * xd2
+        dd2 = dd * dd
+        shared = (d * xx + c4 * dd) * (xn1 * xd2 + xn2 * xd1) + 2 * (c2 * xx * dd + c6 * dd2)
+        cross = 2 * (d * dd2 // (p.y.denominator * q.y.denominator)) * p.y.numerator * q.y.numerator
+        gap = xn1 * xd2 - xn2 * xd1
+        return shared - cross, shared + cross, d * gap * gap
+
     def add_sub_x_unchecked(self, p: Point, q: Point) -> tuple[Rat | None, Rat | None]:
         """(x(p + q), x(p - q)) for points the caller knows to lie on this
         curve, each None when that sum is O.
@@ -235,16 +250,7 @@ class Curve(_Value):
         """
         if p.is_infinity or q.is_infinity or p.x == q.x:
             return self.add_x_unchecked(p, q), self.add_x_unchecked(p, -q)
-        d, c2, c4, c6 = self._cleared
-        xn1, xd1, xn2, xd2 = p.x.numerator, p.x.denominator, q.x.numerator, q.x.denominator
-        xx = xn1 * xn2
-        dd = xd1 * xd2
-        dd2 = dd * dd
-        shared = (d * xx + c4 * dd) * (xn1 * xd2 + xn2 * xd1) + 2 * (c2 * xx * dd + c6 * dd2)
-        cross = 2 * (d * dd2 // (p.y.denominator * q.y.denominator)) * p.y.numerator * q.y.numerator
-        gap = xn1 * xd2 - xn2 * xd1
-        den = d * gap * gap
-        plus, minus = shared - cross, shared + cross
+        plus, minus, den = self._sum_x_parts(p, q)
         g = gcd(minus, den)
         minus_den = den // g
         num, rem = divmod(plus, minus_den)

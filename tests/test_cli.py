@@ -228,6 +228,17 @@ def test_scan_rows_sorted_and_skip_logged(capsys):
     assert "negatives" in rows[0] and "negatives" in rows[2]
 
 
+def test_scan_skips_only_excluded_parameters(capsys):
+    """A row that fails for any reason but an excluded t is the command's
+    error: at t = 10^130 + 7 the elements cross CPython's int/str digit
+    limit, and scan exits 2 with the line family prints, no skipped row."""
+    t = str(10**130 + 7)
+    code, out, err = run_cli(capsys, "scan", "--from", t, "--to", t, "--step", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+    assert run_cli(capsys, "family", "--t", t) == (code, out, err)
+
+
 def test_scan_empty_range(capsys):
     assert_bad_input(capsys, "empty scan range", "scan", "--from", "3", "--to", "2", "--step", "1")
 

@@ -8,13 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dioph6.errors import ConsistencyError, UnfactorableError
 from dioph6.exactnum import DEFAULT_FACTOR_BOUND, _rat_vp, is_prime, odd_prime_divisors, vp
-from dioph6.family import require_param
+from dioph6.family import require_param, triple_from_multiple
 from dioph6.reduction_lab import (
     ADDITIVE,
     GOOD,
     MULTIPLICATIVE,
     BadPrimesReport,
     ReductionReport,
+    ValuationRow,
+    _sum_vp,
     bad_primes_epp,
     classify,
     mod3_sign_table,
@@ -25,6 +27,7 @@ from dioph6.reduction_lab import (
     valuation_table,
 )
 from dioph6.identities import curve_E, curve_Epp, epp_invariants, point_R, std_quantities
+from dioph6.sextuple_engine import induced_curve, point_Pprime
 from dioph6.weierstrass import INFINITY, Curve, Point
 
 T31_POINT = Point(-150072, 682327360)
@@ -524,6 +527,134 @@ def test_mod3_sign_table_t3_witness():
     rows = mod3_sign_table(3, m_max=1)
     first = {row.lemma_part: row for row in rows}
     assert first["sign v3(x([m][3]R))"].observed == -1
+
+
+_SMALL_ODD_PRIMES = [p for p in range(3, 200) if is_prime(p)]
+
+
+@st.composite
+def _sum_case(draw):
+    """(curve, s, q, p): s = [i]G and q = [j]G on a curve with integral
+    coefficients (the base curve at an integer t), a u-scaled one or an
+    induced one (d > 1), with j free, j = i (x1 = x2), j = 0 (q = O) or
+    i + j = 1 (the sum is R, whose x is 0), and p = 3, a prime of x(s + q)'s
+    denominator or numerator, or a small prime."""
+    kind = draw(st.sampled_from(["integral", "scaled", "induced"]))
+    if kind == "integral":
+        t = draw(st.integers(min_value=2, max_value=40))
+        curve, gen = curve_E(t), point_R(t)
+    else:
+        t = draw(st.fractions(min_value=-12, max_value=12, max_denominator=6).filter(
+            lambda t: t not in (-1, 0, 1)))
+        if kind == "scaled":
+            u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
+            curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
+        else:
+            a, b, c = triple_from_multiple(t, 2).elements
+            curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)
+    i = draw(st.integers(min_value=-5, max_value=5).filter(bool))
+    relation = draw(st.sampled_from(["free", "same", "infinity", "zero"]))
+    j = {"free": draw(st.integers(min_value=-5, max_value=5)), "same": i, "infinity": 0,
+         "zero": 1 - i}[relation]
+    s, q = curve.mul(i, gen), curve.mul(j, gen)
+    x = curve.add_x_unchecked(s, q)
+    assume(x is not None)
+    primes = [3, 5, 7]
+    if x:
+        primes += [p for p in _SMALL_ODD_PRIMES if (x.numerator * x.denominator) % p == 0]
+    return curve, s, q, draw(st.sampled_from(primes))
+
+
+def test_sum_valuation_matches_reduced_sum():
+    """The valuation of x(s + q) read off its unreduced integers equals that
+    of the reduced Fraction, on integral curves and curves with d > 1, at
+    primes of the denominator (v < 0) and at p = 3; the x1 = x2 fallback
+    and a zero sum (the same error) are met too."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_sum_case())
+    def check(case):
+        curve, s, q, p = case
+        seen.add("d > 1" if curve._cleared[0] > 1 else "d = 1")
+        if q.is_infinity or s.x == q.x:
+            seen.add("fallback")
+        else:
+            plus, minus, den = curve._sum_x_parts(s, q)
+            assert (F(plus, den), F(minus, den)) == curve.add_sub_x_unchecked(s, q)
+        try:
+            want = _rat_vp(curve.add_x_unchecked(s, q), p)
+        except ValueError as exc:
+            seen.add("zero")
+            with pytest.raises(ValueError) as info:
+                _sum_vp(curve, s, q, p)
+            assert str(info.value) == str(exc) == "valuation of 0 is undefined"
+            return
+        assert _sum_vp(curve, s, q, p) == want, (curve, s, q, p)
+        seen.update(["v < 0"] * (want < 0) + ["p = 3"] * (p == 3))
+
+    check()
+    assert seen == {"d = 1", "d > 1", "fallback", "zero", "v < 0", "p = 3"}, seen
+
+
+def _reference_tables(t: int, p: int, m_max: int) -> list[ValuationRow]:
+    """The lemma table at (t, p) as the reduced Fraction path builds it: each
+    sum by the checked group law on the identities' base curve, its
+    valuation by vp of the reduced x."""
+    curve, seed = curve_E(t), point_R(t)
+    step = 3 if p == 3 else 4
+    multiples = [INFINITY]
+    for _ in range(step):
+        multiples.append(curve.add(multiples[-1], seed))
+
+    def x_vp(s, q):
+        return vp(curve.add(s, q).x, p)
+
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    rows = []
+    if p != 3:
+        r2, r3, r4 = multiples[2:]
+        rows += [
+            ValuationRow(2, 0, vp(r2.x, p), "v(x([2]R))"),
+            ValuationRow(3, 4, vp(r3.x, p), "v(x([3]R))"),
+            ValuationRow(4, -2, vp(r4.x, p), "v(x([4]R))"),
+            ValuationRow(4, -3, vp(r4.y, p), "v(y([4]R))"),
+        ]
+    q = INFINITY
+    for m in range(1, m_max + 1):
+        q = curve.add(q, multiples[step])
+        if p == 3:
+            rows += [
+                ValuationRow(m, -1, sign(vp(q.x, 3)), "sign v3(x([m][3]R))"),
+                ValuationRow(m, 1, sign(x_vp(seed, q)), "sign v3(x(R+[m][3]R))"),
+                ValuationRow(m, 1, sign(x_vp(multiples[2], q)), "sign v3(x([2]R+[m][3]R))"),
+            ]
+            continue
+        vm = vp(m, p)
+        rows += [
+            ValuationRow(m, -2 * vm - 2, vp(q.x, p), "v(x([4m]R))"),
+            ValuationRow(m, 4 + vm, x_vp(seed, q), "v(x(R+[m][4]R))"),
+            ValuationRow(m, 0, x_vp(multiples[2], q), "v(x([2]R+[m][4]R))"),
+            ValuationRow(m, 4 + vp(m + 1, p), x_vp(multiples[3], q), "v(x([3]R+[m][4]R))"),
+        ]
+    return rows
+
+
+def test_lemma_tables_match_reduced_reference_for_t_to_60():
+    """Every integer t in 2..60 at m_max = 6: the mod-3 sign table, and the
+    valuation table at every odd prime that exactly divides t^2 + 1, equal
+    the reference row for row, JSON form included."""
+    tables = 0
+    for t in range(2, 61):
+        exact = [p for p in odd_prime_divisors(t * t + 1) if vp(t * t + 1, p) == 1]
+        for p, table in [(3, mod3_sign_table(t, 6))] + [(p, valuation_table(t, p, 6)) for p in exact]:
+            want = _reference_tables(t, p, 6)
+            assert table == want, (t, p)
+            assert [row.to_json_dict() for row in table] == [row.to_json_dict() for row in want]
+            tables += 1
+    assert tables > 59
 
 
 @pytest.mark.parametrize("table", [valuation_table, nonsingular_residues])
