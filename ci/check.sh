@@ -107,6 +107,15 @@ for t, p in ((3, 5), (8, 13), (31, 37), (17, 29), (2, 3), (7, 3)):
             for s in rs[:3]:
                 assert _sum_vp(curve, s, q, p) == _rat_vp(curve.add_x_unchecked(s, q), p), (t, p, m)
 "
+# the closed-form family proved once in Q(t) (tests/test_family_proof.py):
+# its 15 products + 1 are squares of rational functions, the numerators,
+# denominators and differences of its elements vanish only at t = -1, 0, 1,
+# and the roots at sampled t are family_point's certificate witnesses
+PYTHONPATH=src:tests "$PY" -S -c "
+import test_family_proof as proof
+proof.test_family_is_a_sextuple_in_qt()
+proof.test_roots_are_the_certificate_witnesses()
+"
 
 # -- console script ------------------------------------------------------------
 dioph6 family --t 6

@@ -46,7 +46,7 @@ from .family import (
     require_param,
     triple_from_multiple,
 )
-from .paramfam import _abc, _def
+from .paramfam import _elements
 from .reduction_lab import require_base_point
 from .sextuple_engine import induced_curve
 from .weierstrass import Curve, Point
@@ -446,13 +446,13 @@ def reconstruct_product34_triple() -> TripleABC:
 def abc_closed_form(t) -> tuple[Rat, Rat, Rat]:
     """The triple attached to [2]R, as rational functions of t."""
     t = require_param(t)
-    return _abc(t.numerator, t.denominator)
+    return tuple(Fraction(n, d) for n, d in _elements(t.numerator, t.denominator))[:3]
 
 
 def def_closed_form(t) -> tuple[Rat, Rat, Rat]:
     """The extension elements attached to [3]P', [3]P'+S', [3]P'-S'."""
     t = require_param(t)
-    return _def(t.numerator, t.denominator)
+    return tuple(Fraction(n, d) for n, d in _elements(t.numerator, t.denominator))[3:]
 
 
 def rank_curve_membership(t) -> list[tuple[Rat, bool]]:

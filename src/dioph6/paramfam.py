@@ -3,46 +3,45 @@ classification and the catalog of named examples.
 
 Each polynomial factor of the closed forms is a tuple of integer
 coefficients, highest degree first.  With t = p/q in lowest terms, a factor
-f of degree k is evaluated homogeneously as the integer q^k f(p/q), and each
-element is assembled from these integers with a single reduction to lowest
-terms.  The tuples are transcribed once and locked by the t = 6 golden test
-(a single transcription error breaks an exact multi-hundred-digit string
-comparison), by a comparison with the plain rational-function form, and by
-a symbolic check of every tuple.
+f of degree k is evaluated homogeneously as F(p, q) = q^k f(p/q) by one
+Horner pass over each half of its table (every other coefficient) in
+(p^2, q^2), which also gives F(p, -q), its partner at -t; a factor of even
+powers takes its even half alone.  f = -e(1/t) is e with its E factors at
+(q, p).  The elements come out as coprime integer pairs, which the
+certificate takes as they are.  The tables are locked by the t = 6 golden
+test, a plain rational-function reference, a symbolic check of each factor
+as evaluated, and ``tests/test_family_proof.py``, which proves in Q(t) that
+the family is a sextuple at every t :func:`require_param` accepts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 from .errors import ConsistencyError
-from .exactnum import Rat, _Value, format_rat, sqrt_exact
+from .exactnum import Rat, _coprime, _Value, format_rat, sqrt_exact
 from .family import TripleABC, require_param
-from .sextuple_engine import VerificationReport, verify_tuple
+from .sextuple_engine import VerificationReport, _certify, verify_tuple
 
-# Factors of the closed forms, as coefficients of t, highest degree first.
-_DOWN = (1, -6, 1)  # t^2 - 6t + 1
-_UP = (1, 6, 1)  # t^2 + 6t + 1
+# Factors of the closed forms, as coefficients of t, highest degree first;
+# a partner at -t comes from _pm, and f's factors are E factors at (q, p).
+_DOWN = (1, -6, 1)  # t^2 - 6t + 1, with its partner t^2 + 6t + 1
 _D1_FACTORS = (
-    (8, 27, 24, -54, 24, 27, 8),
-    (8, -27, 24, 54, 24, -27, 8),
+    (8, 27, 24, -54, 24, 27, 8),  # with its partner
     (1, 0, 22, 0, -174, 0, 22, 0, 1),
 )
 _D2_ROOT = (37, 0, -885, 0, 9735, 0, -13678, 0, 9735, 0, -885, 0, 37)
-#: The quadratics that divide both e1 and f1.
-_EF_QUADRATICS = ((1, 3, -2), (1, -3, -2), (2, 3, -1), (2, -3, -1), (1, 0, 7), (7, 0, 1))
+#: The quadratics that divide both e1 and f1: two with their partners, and
+#: t^2 + 7 with 7t^2 + 1, its value at (q, p).
+_EF_QUADRATICS = ((1, 3, -2), (2, 3, -1), (1, 0, 7))
 _E1_FACTORS = (
     (4, 0, -111, 0, 18, 0, 25),
-    (3, 14, -42, 30, 51, 18, -12, 2),
-    (3, -14, -42, -30, 51, -18, -12, -2),
+    (3, 14, -42, 30, 51, 18, -12, 2),  # with its partner
 )
 _E2_ROOT = (16, 0, 141, 0, -1500, 0, 7586, 0, -2724, 0, 165, 0, 424, 0, -12)
-_F1_FACTORS = (
-    (25, 0, 18, 0, -111, 0, 4),
-    (2, -12, 18, 51, 30, -42, 14, 3),
-    (2, 12, 18, -51, 30, 42, 14, -3),
-)
-_F2_ROOT = (12, 0, -424, 0, -165, 0, 2724, 0, -7586, 0, 1500, 0, -141, 0, -16)
 
 
 def _hom(coeffs: tuple[int, ...], p: int, q: int) -> int:
@@ -55,56 +54,55 @@ def _hom(coeffs: tuple[int, ...], p: int, q: int) -> int:
     return acc
 
 
-def _prod_hom(factors, p: int, q: int) -> int:
-    acc = 1
-    for coeffs in factors:
-        acc *= _hom(coeffs, p, q)
-    return acc
+def _pm(coeffs: tuple[int, ...], p: int, q: int, pp: int, qq: int) -> tuple[int, int]:
+    """F(p, q) and F(p, -q) = (-1)^k q^k f(-p/q) for F(p, q) = q^k f(p/q),
+    from one :func:`_hom` of each half of the table in (pp, qq) = (p^2, q^2)."""
+    even, odd = _hom(coeffs[::2], pp, qq), _hom(coeffs[1::2], pp, qq)
+    if len(coeffs) % 2:  # k even: the odd powers of t carry p q
+        odd *= p * q
+    else:
+        even, odd = even * p, odd * q
+    return even + odd, even - odd
 
 
-def _vanishes(p: int, q: int) -> ValueError:
-    return ValueError(f"family denominator vanishes at t = {Fraction(p, q)}")
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, the denominator positive."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
-def _abc(p: int, q: int) -> tuple[Rat, Rat, Rat]:
-    """a, b, c at t = p/q (lowest terms, q > 0, t not in {-1, 0, 1})."""
-    minus, plus = p - q, p + q
-    down, up = _hom(_DOWN, p, q), _hom(_UP, p, q)
-    if down == 0 or up == 0:
-        raise _vanishes(p, q)
-    pq = p * q
-    return (
-        Fraction(18 * pq * minus * plus, down * up),
-        Fraction(minus * up * up, 6 * pq * plus * down),
-        Fraction(plus * down * down, 6 * pq * minus * up),
-    )
-
-
-def _def(p: int, q: int) -> tuple[Rat, Rat, Rat]:
-    """d, e, f at t = p/q (lowest terms, q > 0, t not in {-1, 0, 1}).
-
-    d = d1/d2 with deg d1 = 26 and deg d2 = 25, so d is d1/(q d2) in the
-    homogenized integers; e = e1/e2 and f = f1/f2 have degrees 33 over 34,
-    so e is q e1/e2 and f is q f1/f2.
-    """
-    # (t - 1)(t + 1)(t^2 - 6t + 1)(t^2 + 6t + 1), shared by d1, e2 and f2
-    core = (p - q) * (p + q) * _hom(_DOWN, p, q) * _hom(_UP, p, q)
-    d1 = 6 * core * _prod_hom(_D1_FACTORS, p, q)
-    d2 = p * _hom(_D2_ROOT, p, q) ** 2
-    quadratics = _prod_hom(_EF_QUADRATICS, p, q)
-    e1 = -2 * p * _prod_hom(_E1_FACTORS, p, q) * quadratics
-    e2 = 3 * core * _hom(_E2_ROOT, p, q) ** 2
-    f1 = 2 * p * _prod_hom(_F1_FACTORS, p, q) * quadratics
-    f2 = 3 * core * _hom(_F2_ROOT, p, q) ** 2
-    if d2 == 0 or e2 == 0 or f2 == 0:
-        raise _vanishes(p, q)
-    return Fraction(d1, q * d2), Fraction(e1 * q, e2), Fraction(f1 * q, f2)
+def _elements(p: int, q: int) -> Iterator[tuple[int, int]]:
+    """a, b, c, then d, e, f at t = p/q (lowest terms, q > 0, t not in
+    {-1, 0, 1}) as :func:`_lowest` pairs, so that the triple stops after
+    three.  Homogenized, d is d1/(q d2) (degrees 26 over 25) and e is
+    q e1/e2 (33 over 34).  f = -e(1/t) is e's formula with its E factors at
+    (q, p): -2pq and the quadratics' product are the same there, and the
+    core's change of sign takes up the minus."""
+    pp, qq, pq = p * p, q * q, p * q
+    down, up = _pm(_DOWN, p, q, pp, qq)
+    yield _lowest(18 * pq * (pp - qq), down * up)
+    yield _lowest((p - q) * up * up, 6 * pq * (p + q) * down)
+    yield _lowest((p + q) * down * down, 6 * pq * (p - q) * up)
+    core = (pp - qq) * down * up  # (t^2 - 1)(t^2 - 6t + 1)(t^2 + 6t + 1)
+    d1a, d1b = _pm(_D1_FACTORS[0], p, q, pp, qq)
+    d2 = _hom(_D2_ROOT[::2], pp, qq)
+    yield _lowest(6 * core * d1a * d1b * _hom(_D1_FACTORS[1][::2], pp, qq), pq * d2 * d2)
+    (u, v), (w, x) = (_pm(c, p, q, pp, qq) for c in _EF_QUADRATICS[:2])
+    seven = _EF_QUADRATICS[2][::2]
+    shared = -2 * pq * u * v * w * x * _hom(seven, pp, qq) * _hom(seven, qq, pp)
+    e1a, e2 = _E1_FACTORS[0][::2], _E2_ROOT[::2]
+    e1b, e1c = _pm(_E1_FACTORS[1], p, q, pp, qq)
+    root = _hom(e2, pp, qq)
+    yield _lowest(shared * _hom(e1a, pp, qq) * e1b * e1c, 3 * core * root * root)
+    f1b, f1c = _pm(_E1_FACTORS[1], q, p, qq, pp)
+    root = _hom(e2, qq, pp)
+    yield _lowest(shared * _hom(e1a, qq, pp) * f1b * f1c, 3 * core * root * root)
 
 
 def family_triple(t) -> TripleABC:
     """The closed-form triple as a validated :class:`TripleABC` (m = 2)."""
     t = require_param(t)
-    a, b, c = _abc(t.numerator, t.denominator)
+    a, b, c = (_coprime(*pair) for pair in islice(_elements(t.numerator, t.denominator), 3))
     roots = tuple(sqrt_exact(p + 1) for p in (a * b, a * c, b * c))
     if None in roots:
         raise ConsistencyError(f"closed-form triple at t = {t} is not Diophantine")
@@ -132,14 +130,12 @@ class FamilyPoint(_Value):
 
 def family_point(t) -> FamilyPoint:
     t = require_param(t)
-    p, q = t.numerator, t.denominator
-    elements = _abc(p, q) + _def(p, q)
-    a, b, c, d, e, f = elements
-    report = verify_tuple(elements)
+    parts = list(_elements(t.numerator, t.denominator))
+    report = _certify(parts)
     if not report.all_pass:
         raise ConsistencyError(f"closed-form family values at t = {t} failed to verify")
     return FamilyPoint(
-        t, a, b, c, d, e, f, sum(1 for x in elements if x.numerator < 0), report
+        t, *[_coprime(n, d) for n, d in parts], sum(1 for n, _ in parts if n < 0), report
     )
 
 

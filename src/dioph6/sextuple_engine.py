@@ -141,9 +141,12 @@ def verify_tuple(elements: Iterable[Rat | int | str]) -> VerificationReport:
     Failures are reported as data, never raised: the report carries one
     integer row per pair plus nonzero/distinct flags.
     """
-    # numerators and denominators of the elements in lowest terms; equal
-    # rationals have equal pairs, so the flags need no Fraction hashing
-    parts = [(q.numerator, q.denominator) for q in map(_as_rat, elements)]
+    return _certify([(q.numerator, q.denominator) for q in map(_as_rat, elements)])
+
+
+def _certify(parts: list[tuple[int, int]]) -> VerificationReport:
+    """:func:`verify_tuple`'s report from the elements' coprime (numerator,
+    denominator > 0) pairs: equal pairs are equal rationals, unhashed."""
     k = _anchor(parts)
     if k is not None:
         rows = _anchored_rows(parts, k)

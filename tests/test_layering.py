@@ -4,6 +4,7 @@ module of the standard library that the pipeline does not use; and every
 public function of the pipeline is one the pipeline runs."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -41,7 +42,10 @@ MOVED = {
 #: Names deleted outright, by the module that held them.
 DELETED = {
     "family": ("SigmaTriple", "sigma_triple_from_x"),
-    "paramfam": ("FamilyPoint.triple",),
+    "paramfam": (
+        "FamilyPoint.triple", "_UP", "_F1_FACTORS", "_F2_ROOT", "_prod_hom", "_vanishes",
+        "_abc", "_def",
+    ),
     "weierstrass": ("point", "Curve.neg", "Curve.rhs", "Curve._std"),
     "exactnum": ("isqrt", "is_square", "_PrimeTable.traversed"),
     "sextuple_engine": (
@@ -51,6 +55,13 @@ DELETED = {
         "BadPrimesReport._from_rows", "BadPrimesReport._store", "BadPrimesReport._rows",
         "BadPrimesReport._entries",
     ),
+}
+#: Coefficient tables deleted from a tuple that stays, by the tuple: each
+#: was another entry's partner at -t (or, for 7t^2 + 1, its value at (q, p)).
+DELETED_ENTRIES = {
+    "paramfam._D1_FACTORS": ((8, -27, 24, 54, 24, -27, 8),),
+    "paramfam._EF_QUADRATICS": ((1, -3, -2), (2, -3, -1), (7, 0, 1)),
+    "paramfam._E1_FACTORS": ((3, -14, -42, -30, 51, -18, -12, -2),),
 }
 #: Names the top-level namespace no longer exports.
 NOT_EXPORTED = tuple(
@@ -132,6 +143,13 @@ def test_identities_stay_off_the_import_path():
     for names in MOVED.values():
         for name in names:
             assert hasattr(identities, name.rpartition(".")[2]), name
+
+
+def test_deleted_table_entries_stay_gone():
+    for dotted, entries in DELETED_ENTRIES.items():
+        mod, _, name = dotted.partition(".")
+        table = getattr(importlib.import_module("dioph6." + mod), name)
+        assert not set(entries) & set(table), dotted
 
 
 def _public_and_references(path: Path) -> tuple[list[str], list[tuple[str | None, str]]]:

@@ -118,6 +118,14 @@ def _reference_def_closed_form(t) -> tuple[Rat, Rat, Rat]:
 @example(6, 1)
 @example(-17, 13)
 @example(-10**30, 10**30 - 1)
+# the sign of p through f = -e(1/t): |p| < q, |p| > q, q = 1, large heights
+@example(-3, 7)
+@example(-44, 35)
+@example(-5, 1)
+@example(5, 1)
+@example(-(10**30) + 7, 10**29 + 3)
+@example(-3, 10**30 - 1)
+@example(10**30 - 1, 10**30 - 3)
 def test_closed_forms_match_reference(p, q):
     t = F(p, q)
     for fast, reference in (
@@ -149,47 +157,66 @@ def sympy():
     return pytest.importorskip("sympy")
 
 
-# Each coefficient tuple beside its factor as written in the reference above.
+# Each factor as paramfam evaluates it, a form in (p, q), beside the factor
+# as written in the reference above: a tabled factor from the halves of its
+# tuple (and the tuple itself), its partner at -t from the same halves, and
+# f's factors as E factors at (q, p).
+def _even(coeffs):
+    return lambda p, q: paramfam._hom(coeffs[::2], p * p, q * q)
+
+
+def _pair(coeffs, side):
+    return lambda p, q: paramfam._pm(coeffs, p, q, p * p, q * q)[side]
+
+
+def _at_qp(form, sign=1):
+    return lambda p, q: sign * form(q, p)
+
+
+_D1, _QUAD, _E1 = paramfam._D1_FACTORS, paramfam._EF_QUADRATICS, paramfam._E1_FACTORS
 _TRANSCRIBED_FACTORS = [
-    (paramfam._DOWN, "t**2 - 6 * t + 1"),
-    (paramfam._UP, "t**2 + 6 * t + 1"),
-    (paramfam._D1_FACTORS[0], "8 * t**6 + 27 * t**5 + 24 * t**4 - 54 * t**3 + 24 * t**2 + 27 * t + 8"),
-    (paramfam._D1_FACTORS[1], "8 * t**6 - 27 * t**5 + 24 * t**4 + 54 * t**3 + 24 * t**2 - 27 * t + 8"),
-    (paramfam._D1_FACTORS[2], "t**8 + 22 * t**6 - 174 * t**4 + 22 * t**2 + 1"),
-    (paramfam._D2_ROOT,
+    (_pair(paramfam._DOWN, 0), paramfam._DOWN, "t**2 - 6 * t + 1"),
+    (_pair(paramfam._DOWN, 1), None, "t**2 + 6 * t + 1"),
+    (_pair(_D1[0], 0), _D1[0], "8 * t**6 + 27 * t**5 + 24 * t**4 - 54 * t**3 + 24 * t**2 + 27 * t + 8"),
+    (_pair(_D1[0], 1), None, "8 * t**6 - 27 * t**5 + 24 * t**4 + 54 * t**3 + 24 * t**2 - 27 * t + 8"),
+    (_even(_D1[1]), _D1[1], "t**8 + 22 * t**6 - 174 * t**4 + 22 * t**2 + 1"),
+    (_even(paramfam._D2_ROOT), paramfam._D2_ROOT,
      "37 * t**12 - 885 * t**10 + 9735 * t**8 - 13678 * t**6 + 9735 * t**4 - 885 * t**2 + 37"),
-    (paramfam._EF_QUADRATICS[0], "t**2 + 3 * t - 2"),
-    (paramfam._EF_QUADRATICS[1], "t**2 - 3 * t - 2"),
-    (paramfam._EF_QUADRATICS[2], "2 * t**2 + 3 * t - 1"),
-    (paramfam._EF_QUADRATICS[3], "2 * t**2 - 3 * t - 1"),
-    (paramfam._EF_QUADRATICS[4], "t**2 + 7"),
-    (paramfam._EF_QUADRATICS[5], "7 * t**2 + 1"),
-    (paramfam._E1_FACTORS[0], "4 * t**6 - 111 * t**4 + 18 * t**2 + 25"),
-    (paramfam._E1_FACTORS[1],
+    (_pair(_QUAD[0], 0), _QUAD[0], "t**2 + 3 * t - 2"),
+    (_pair(_QUAD[0], 1), None, "t**2 - 3 * t - 2"),
+    (_pair(_QUAD[1], 0), _QUAD[1], "2 * t**2 + 3 * t - 1"),
+    (_pair(_QUAD[1], 1), None, "2 * t**2 - 3 * t - 1"),
+    (_even(_QUAD[2]), _QUAD[2], "t**2 + 7"),
+    (_at_qp(_even(_QUAD[2])), None, "7 * t**2 + 1"),
+    (_even(_E1[0]), _E1[0], "4 * t**6 - 111 * t**4 + 18 * t**2 + 25"),
+    (_pair(_E1[1], 0), _E1[1],
      "3 * t**7 + 14 * t**6 - 42 * t**5 + 30 * t**4 + 51 * t**3 + 18 * t**2 - 12 * t + 2"),
-    (paramfam._E1_FACTORS[2],
+    (_pair(_E1[1], 1), None,
      "3 * t**7 - 14 * t**6 - 42 * t**5 - 30 * t**4 + 51 * t**3 - 18 * t**2 - 12 * t - 2"),
-    (paramfam._E2_ROOT,
+    (_even(paramfam._E2_ROOT), paramfam._E2_ROOT,
      "16 * t**14 + 141 * t**12 - 1500 * t**10 + 7586 * t**8 - 2724 * t**6 + 165 * t**4 + 424 * t**2 - 12"),
-    (paramfam._F1_FACTORS[0], "25 * t**6 + 18 * t**4 - 111 * t**2 + 4"),
-    (paramfam._F1_FACTORS[1],
+    # f1's factors and f2's root are e1's and e2's at (q, p), up to sign
+    (_at_qp(_even(_E1[0])), None, "25 * t**6 + 18 * t**4 - 111 * t**2 + 4"),
+    (_at_qp(_pair(_E1[1], 0)), None,
      "2 * t**7 - 12 * t**6 + 18 * t**5 + 51 * t**4 + 30 * t**3 - 42 * t**2 + 14 * t + 3"),
-    (paramfam._F1_FACTORS[2],
+    (_at_qp(_pair(_E1[1], 1), -1), None,
      "2 * t**7 + 12 * t**6 + 18 * t**5 - 51 * t**4 + 30 * t**3 + 42 * t**2 + 14 * t - 3"),
-    (paramfam._F2_ROOT,
+    (_at_qp(_even(paramfam._E2_ROOT), -1), None,
      "12 * t**14 - 424 * t**12 - 165 * t**10 + 2724 * t**8 - 7586 * t**6 + 1500 * t**4 - 141 * t**2 - 16"),
 ]
 
 
 @pytest.mark.parametrize(
-    "coeffs, text", _TRANSCRIBED_FACTORS, ids=[text for _, text in _TRANSCRIBED_FACTORS]
+    "form, coeffs, text", _TRANSCRIBED_FACTORS, ids=[text for _, _, text in _TRANSCRIBED_FACTORS]
 )
-def test_coefficient_tuple_matches_sympy(sympy, coeffs, text):
+def test_coefficient_tuple_matches_sympy(sympy, form, coeffs, text):
     t, p, q = sympy.symbols("t p q")
     poly = sympy.Poly(sympy.sympify(text, locals={"t": t}), t)
-    assert tuple(poly.all_coeffs()) == coeffs
+    if coeffs is not None:
+        assert tuple(poly.all_coeffs()) == coeffs
+        assert sympy.expand(paramfam._hom(coeffs, p, q) - form(p, q)) == 0
     homogenized = sympy.expand(q ** poly.degree() * poly.as_expr().subs(t, p / q))
-    assert sympy.expand(paramfam._hom(coeffs, p, q) - homogenized) == 0
+    assert sympy.expand(form(p, q) - homogenized) == 0
 
 
 def test_family_point_verifies():
