@@ -134,6 +134,43 @@ trap 'rm -rf "$tmp"' EXIT
 dioph6 generate --t 6 --m 3 --n 2 --out "$tmp/g.json"
 "$PY" -c "import json, sys; json.dump(json.load(open(sys.argv[1]))['elements'], open(sys.argv[2], 'w'))" "$tmp/g.json" "$tmp/elements.json"
 dioph6 verify --file "$tmp/elements.json"
+# every rational the commands print is canonical: each "num/den" string
+# is str(Fraction) of itself.  The triple, the closed forms and the
+# certificate build their Fractions with exactnum._coprime, which skips
+# normalization, so a part left unreduced would show here as printed
+i=0
+for line in "generate --t=-39/2 --m 3 --n 1" "generate --t=-39/4 --route closed-form" \
+    "triple --t=-39/4 --m 2" "triple --t=-9/8 --m 3" "family --t=-39/4" \
+    "scan --from=-10 --to=-19/2 --step 1/4" "catalog" \
+    "verify 11/192 35/192 155/27 512/27 1235/48 180873/16"; do
+  i=$((i + 1))
+  # shellcheck disable=SC2086  # the line is split into its words on purpose
+  dioph6 $line > "$tmp/canonical_$i.json"
+done
+"$PY" -S -c "
+import json, re, sys
+from fractions import Fraction
+
+def rationals(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from rationals(v)
+    elif isinstance(x, str) and re.fullmatch(r'-?[0-9]+/[0-9]+', x):
+        yield x
+
+for path in sys.argv[1:]:
+    text = open(path).read()
+    try:
+        docs = [json.loads(text)]
+    except ValueError:  # JSONL
+        docs = [json.loads(line) for line in text.splitlines()]
+    found = list(rationals(docs))
+    assert found, path
+    for s in found:
+        assert str(Fraction(s)) == s, (path, s)
+" "$tmp"/canonical_*.json
 # a command line read from the option table prints what argparse's
 # reading of an equivalent one prints: an abbreviation, the other
 # value form, and a repeated option (the last one wins)

@@ -21,7 +21,6 @@ from .exactnum import (
     Rat,
     _as_rat,
     _coprime,
-    _coprime_sqrt,
     _over_common_denominator,
     _q_div,
     _q_mul,
@@ -289,11 +288,13 @@ def triple_from_multiple(t, m: int) -> TripleABC:
     """Recover the triple attached to the multiple [m]R of the seed point.
 
     The three preimages of [m]R under the 3-isogeny are [m-1]P*, [m-1]P*+T*
-    and [m-1]P*+2T*; their w values give the three shifted, scaled pair
-    products X1 = ab, X2 = ac, X3 = bc, from which
-    a = sqrt(X1 X2 / X3), b = sqrt(X1 X3 / X2), c = sqrt(X2 X3 / X1).
-    Square-root signs are fixed by the products themselves, up to one
-    global flip resolved by abc = sigma3(t).
+    and [m-1]P*+2T*.  Each preimage's w value gives a witness
+    rho = |w|/(2|t|) and the pair product rho^2 - 1: X1 = ab, X2 = ac and
+    X3 = bc, the roots of the two-torsion cubic of the induced curve.  By
+    Vieta their product is sigma3(t)^2, which is checked once; then
+    a = sigma3/X3, b = sigma3/X2 and c = sigma3/X1, so that abc = sigma3.
+    No square root is taken: :class:`TripleABC` squares the witnesses back
+    and checks the order-3 condition.
 
     t is validated once; everything after works on t = p/q, the rationals
     as (num, den) pairs in lowest terms.
@@ -311,68 +312,44 @@ def triple_from_multiple(t, m: int) -> TripleABC:
     second = star.add_unchecked(base, kernel)
     third = star.add_unchecked(second, kernel)
     # the pair product is -lam^2 X(w) - 1 with lam = (t^2+1)/t, and
-    # -lam^2 X(w) = w^2 lam^2 / (4(t^2+1)^2) = w^2 / (4t^2)
+    # -lam^2 X(w) = w^2 lam^2 / (4(t^2+1)^2) = w^2 / (4t^2).  1/(2|t|) is
+    # in lowest terms once both parts are halved when q is even, so each
+    # witness is, and rho^2 - 1 over its denominator squared is too
     g = gcd(q, 2)
-    scale = (q * q // (g * g), 4 * p * p // (g * g))
-    products = []
+    inv2t = (q // g, 2 * abs(p) // g)
+    rhos, products = [], []
     for pt in (base, second, third):
         if pt.is_infinity:
             raise DegeneracyError(f"isogeny preimage of [{m}]R is at infinity")
         wn, wd = _w_pair(p, q, pt, star)
-        num, den = _q_mul(wn * wn, wd * wd, *scale)
-        products.append((num - den, den))
+        rn, rd = _q_mul(abs(wn), wd, *inv2t)
+        rhos.append((rn, rd))
+        products.append((rn * rn - rd * rd, rd * rd))
     x_ab, x_ac, x_bc = products
     if any(num == 0 for num, _ in products):
         raise DegeneracyError(f"degenerate pair product for (t, m) = ({t}, {m})")
 
-    mags = (
-        _coprime_sqrt(*_q_div(*_q_mul(*x_ab, *x_ac), *x_bc)),
-        _coprime_sqrt(*_q_div(*_q_mul(*x_ab, *x_bc), *x_ac)),
-        _coprime_sqrt(*_q_div(*_q_mul(*x_ac, *x_bc), *x_ab)),
-    )
-    if None in mags:
-        raise ConsistencyError(
-            f"non-square ratio extracting the triple at (t, m) = ({t}, {m}); "
-            "the construction guarantees rational roots for multiples of the seed"
-        )
-    a, b, c = mags
-    if x_ab[0] < 0:
-        b = (-b[0], b[1])
-    if x_ac[0] < 0:
-        c = (-c[0], c[1])
     s3 = Fraction(*_sigma3(p, q))
-    s3 = (s3.numerator, s3.denominator)
-    if _q_mul(*_q_mul(*a, *b), *c) != s3:
-        a, b, c = ((-n, d) for n, d in (a, b, c))
-    if (
-        _q_mul(*_q_mul(*a, *b), *c) != s3
-        or _q_mul(*a, *b) != x_ab or _q_mul(*a, *c) != x_ac or _q_mul(*b, *c) != x_bc
-    ):
+    n3, d3 = s3.numerator, s3.denominator
+    if x_ab[0] * x_ac[0] * x_bc[0] * d3 * d3 != n3 * n3 * x_ab[1] * x_ac[1] * x_bc[1]:
         raise ConsistencyError(
-            f"sign assignment failed at (t, m) = ({t}, {m}): products do not match"
+            f"pair products at (t, m) = ({t}, {m}) do not multiply to sigma3^2"
         )
-
-    # a pair product num/den + 1 is (num + den)/den, again in lowest terms
-    rhos = tuple(_coprime_sqrt(num + den, den) for num, den in products)
-    if None in rhos:
-        raise ConsistencyError(
-            f"pair product + 1 is not a square at (t, m) = ({t}, {m})"
-        )
+    a, b, c = (_q_div(n3, d3, *x) for x in (x_bc, x_ac, x_ab))
     if len({a, b, c}) != 3:
         raise DegeneracyError(f"triple elements collide at (t, m) = ({t}, {m})")
     triple = TripleABC(*(_coprime(*x) for x in (a, b, c, *rhos)), t=t, m=m)
 
-    # cross-check the sigma algebra against the base-curve side: with the
-    # triple over its common denominator, compare by cross-multiplication
+    # cross-check sigma1 and sigma2 against the base-curve side (abc =
+    # sigma3 holds by construction): with the triple over its common
+    # denominator, compare by cross-multiplication
     x_m = _curve_E(p, q).mul(m, _point_R(p, q)).x
     n1, d1 = _sigma1(p, q, x_m.numerator, x_m.denominator)
-    n3, d3 = _sigma3(p, q)
     n2, d2 = _sigma2(n1, d1, n3, d3)
     den, na, nb, nc = triple._cleared
     if (
         (na + nb + nc) * d1 != n1 * den
         or (na * nb + na * nc + nb * nc) * d2 != n2 * den * den
-        or na * nb * nc * d3 != n3 * den**3
     ):
         raise ConsistencyError(
             f"triple at (t, m) = ({t}, {m}) disagrees with its symmetric functions"

@@ -341,8 +341,8 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
         raise ValueError(f"n = {n} exceeds the desk-scale cap {DEFAULT_MAX_ODD_INDEX}")
     a, b, c = triple.elements
     curve = induced_curve(a, b, c)
-    abc = a * b * c
     base = point_Pprime(a, b, c)
+    abc = base.y
     # the marked point S' = [1, rho_ab rho_ac rho_bc] from the witnesses the
     # triple already carries; negating a root only swaps S' with -S'
     marked = Point(Fraction(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)

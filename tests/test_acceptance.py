@@ -195,7 +195,7 @@ def test_criterion_08_squarefree_family_property():
             base = curve_E(t)
             seed = point_R(t)
             for m in (2, 3, 4):
-                tri = triple_from_multiple(t, m)  # raises on non-square ratios
+                tri = triple_from_multiple(t, m)  # raises if the construction's checks fail
                 for prod in (tri.a * tri.b, tri.a * tri.c, tri.b * tri.c):
                     assert sqrt_exact(prod + 1) is not None
                 x = base.mul(m, seed).x

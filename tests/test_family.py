@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dioph6 import family
 from dioph6.errors import ConsistencyError, DegeneracyError
@@ -331,6 +332,55 @@ def test_triple_invariants_random_sample():
         done += 1
 
 
+def _rational_roots(s1, s2, s3):
+    """The rational roots of z^3 - s1 z^2 + s2 z - s3 by sympy, or None
+    where sympy is not installed."""
+    try:
+        import sympy
+    except ImportError:
+        return None
+    z = sympy.Symbol("z")
+    s1, s2, s3 = (sympy.Rational(x.numerator, x.denominator) for x in (s1, s2, s3))
+    roots = sympy.Poly(z**3 - s1 * z**2 + s2 * z - s3, z).ground_roots()
+    return {F(int(r.p), int(r.q)): k for r, k in roots.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=-10**4, max_value=10**4),
+    st.integers(min_value=1, max_value=10**3),
+    st.integers(min_value=2, max_value=6),
+)
+@example(-39, 4, 2)
+@example(-8, 5, 3)
+def test_triple_labels_match_the_rational_preimages(p, q, m):
+    """Each pair product is w^2/(4t^2) - 1 of its own preimage, in the
+    order (ab, ac, bc), and each witness is |w|/(2|t|) in lowest terms."""
+    t = F(p, q)
+    assume(t not in (-1, 0, 1))
+    star, kernel = curve_Estar(t), point_Tstar(t)
+    base = star.mul(m - 1, point_Pstar(t))
+    second = star.add(base, kernel)
+    preimages = (base, second, star.add(second, kernel))
+    try:
+        ws = [map_w(t, pt) for pt in preimages]
+    except DegeneracyError:
+        with pytest.raises(DegeneracyError):
+            triple_from_multiple(t, m)
+        return
+    tri = triple_from_multiple(t, m)
+    a, b, c = tri.elements
+    assert (a * b, a * c, b * c) == tuple(w * w / (4 * t * t) - 1 for w in ws)
+    rhos = (tri.rho_ab, tri.rho_ac, tri.rho_bc)
+    assert rhos == tuple(abs(w) / (2 * abs(t)) for w in ws)
+    for x in (a, b, c, *rhos):
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+    s1 = sigma1_from_x(t, curve_E(t).mul(m, point_R(t)).x)
+    s3 = sigma3(t)
+    roots = _rational_roots(s1, sigma2_from(s1, s3), s3)
+    assert roots is None or roots == {a: 1, b: 1, c: 1}
+
+
 # ---------------------------------------------------------------------------
 # the integer forms against the rational-function bodies
 # ---------------------------------------------------------------------------
@@ -475,4 +525,10 @@ def test_triple_sigma_cross_check_still_fires(monkeypatch):
     sigma1 = family._sigma1
     monkeypatch.setattr(family, "_sigma1", lambda p, q, xn, xd: sigma1(p, q, xn + xd, xd))
     with pytest.raises(ConsistencyError, match="disagrees with its symmetric functions"):
+        triple_from_multiple(F(9, 8), 3)
+
+
+def test_triple_vieta_check_still_fires(monkeypatch):
+    monkeypatch.setattr(family, "_sigma3", lambda p, q: (p * p - q * q, p * q))
+    with pytest.raises(ConsistencyError, match="do not multiply to sigma3"):
         triple_from_multiple(F(9, 8), 3)

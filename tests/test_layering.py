@@ -41,7 +41,7 @@ MOVED = {
 }
 #: Names deleted outright, by the module that held them.
 DELETED = {
-    "family": ("SigmaTriple", "sigma_triple_from_x"),
+    "family": ("SigmaTriple", "sigma_triple_from_x", "_coprime_sqrt"),
     "paramfam": (
         "FamilyPoint.triple", "_UP", "_F1_FACTORS", "_F2_ROOT", "_prod_hom", "_vanishes",
         "_abc", "_def",
