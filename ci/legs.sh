@@ -12,11 +12,12 @@
 # directory that holds both, goes on PYTHONPATH for the Tier-1 leg of an
 # interpreter that has none of its own.  ci/check.sh cross-checks the exact
 # root kernel against math.isqrt, the anchored certificate against a
-# row-by-row one and the lemma tables' valuations against reduced sums,
-# proves the closed-form family in Q(t), and checks that every rational the
-# commands print is canonical (str(Fraction(s)) == s), with the standard
-# library alone, so an interpreter where Tier-1 could not run still checks
-# them.  Exits 1 if a leg failed.
+# row-by-row one, the lemma tables' valuations against reduced sums, and
+# reduce's base-point identity and cleared two-torsion model against the
+# Curve path, proves the closed-form family in Q(t), and checks that every
+# rational the commands print is canonical (str(Fraction(s)) == s), with the
+# standard library alone, so an interpreter where Tier-1 could not run still
+# checks them.  Exits 1 if a leg failed.
 #
 # pytest needs exception groups, builtin from 3.11 and from the
 # exceptiongroup backport before that, and tomli before 3.11.  On an

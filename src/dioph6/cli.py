@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .exactnum import DEFAULT_FACTOR_BOUND, format_rat, parse_rat
+from .exactnum import DEFAULT_FACTOR_BOUND, _coprime, format_rat, parse_rat
 from . import family as fam
 from . import paramfam
 from . import reduction_lab as red
@@ -58,8 +58,8 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-#: ``json.dumps(payload, indent=2)`` without building an encoder per call.
-_ENCODER = json.JSONEncoder(indent=2)
+#: ``json.dumps(payload, indent=2)`` built once; the payloads are acyclic.
+_ENCODER = json.JSONEncoder(indent=2, check_circular=False)
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -72,7 +72,9 @@ def cmd_generate(args) -> int:
         if args.m != 2 or args.n != 1:
             raise ValueError("the closed-form route is only defined for m = 2, n = 1")
         point = paramfam.family_point(t)
-        triple = paramfam.family_triple(t)
+        # rows (1, 2), (1, 3) and (2, 3) hold the roots of ab + 1, ac + 1, bc + 1
+        roots = [_coprime(*point.report.rows[k][4:]) for k in (0, 1, 5)]
+        triple = fam.TripleABC(point.a, point.b, point.c, *roots, t=t, m=2)
         record = engine.SextupleRecord(t, 2, 1, triple, point.d, point.e, point.f, point.report)
     else:
         triple = fam.triple_from_multiple(t, args.m)
@@ -157,7 +159,9 @@ def cmd_reduce(args) -> int:
         payload = red.bad_primes_epp(args.t, point, bound=args.factor_bound).to_json_dict()
     else:
         red.require_base_point(args.t, point)
-        report = red.classify(fam._curve_Epp(args.t, 1, point.x), args.p)
+        model = fam._cleared_Epp(args.t, 1, point.x)
+        red.require_odd_prime(args.p)
+        report = red.ReductionReport(*next(red._classified(model, (args.p,))))
         payload = {
             "t": args.t,
             "x": format_rat(point.x),

@@ -27,7 +27,7 @@ from .exactnum import (
     _Value,
     format_rat,
 )
-from .weierstrass import Curve, Point, _affine
+from .weierstrass import Curve, Point, _affine, _cleared_discriminant
 
 #: Multiples beyond this make coordinate digit counts (which grow
 #: quadratically in m) unpleasant at desk scale.
@@ -64,6 +64,19 @@ def _curve_E(p: int, q: int) -> Curve:
         Fraction(3 * s**4, q4 * q4),
         Fraction(s**6, q4**3),
     )
+
+
+def _on_curve_E(p: int, q: int, pt: Point) -> bool:
+    """Whether the affine point pt lies on E(t), t = p/q: with x = X/D and
+    y = Y/E in lowest terms and s = p^2 + q^2,
+    y^2 = (x + (t^2+1)^2)^3 - 27 t^2 x^2 reads
+    q^12 D^3 Y^2 = E^2 ((q^4 X + s^2 D)^3 - 27 p^2 q^10 X^2 D)."""
+    xn, xd = pt.x.numerator, pt.x.denominator
+    yn, yd = pt.y.numerator, pt.y.denominator
+    pp, qq = p * p, q * q
+    q4 = qq * qq
+    shifted = q4 * xn + (pp + qq) ** 2 * xd
+    return q4**3 * xd**3 * yn * yn == yd * yd * (shifted**3 - 27 * pp * q4 * q4 * qq * xn * xn * xd)
 
 
 def _point_R(p: int, q: int) -> Point:
@@ -189,21 +202,21 @@ def _w_pair(p: int, q: int, pt: Point, star: Curve) -> tuple[int, int]:
     return (num // g, -den // g) if den < 0 else (-num // g, den // g)
 
 
-def _curve_Epp(p: int, q: int, x: Rat) -> Curve:
-    """The two-torsion model at t = p/q for a nonzero x = X/D: with
-    k = s^2 D + q^4 X its coefficients are k^2/(4 q^8 X^2),
-    p^2 D k/(2 q^6 X^2) and p^4 D^2/(4 q^4 X^2)."""
+def _cleared_Epp(p: int, q: int, x: Rat) -> tuple[int, int, int, int, int]:
+    """The two-torsion model at t = p/q for a nonzero x = X/D as integers
+    (d, c2, c4, c6, disc): a_i = c_i/d over d = 4 q^8 X^2 (not always the
+    least common denominator) with s = p^2 + q^2, k = s^2 D + q^4 X, c2 = k^2,
+    c4 = 2 q^2 p^2 D k, c6 = q^4 p^4 D^2, and disc = d^4 times the cubic's
+    discriminant.  A singular model raises :class:`Curve`'s own error."""
     xn, xd = x.numerator, x.denominator
     pp, qq = p * p, q * q
     q4 = qq * qq
-    s = pp + qq
-    k = s * s * xd + q4 * xn
-    xx = xn * xn
-    return Curve(
-        Fraction(k * k, 4 * q4 * q4 * xx),
-        Fraction(pp * xd * k, 2 * q4 * qq * xx),
-        Fraction(pp * pp * xd * xd, 4 * q4 * xx),
-    )
+    k = (pp + qq) ** 2 * xd + q4 * xn
+    d, c2, c4, c6 = 4 * q4 * q4 * xn * xn, k * k, 2 * qq * pp * xd * k, q4 * (pp * xd) ** 2
+    disc = _cleared_discriminant(d, c2, c4, c6)
+    if disc == 0:  # the Curve of these coefficients names them in its error
+        Curve(Fraction(c2, d), Fraction(c4, d), Fraction(c6, d))
+    return d, c2, c4, c6, disc
 
 
 # ---------------------------------------------------------------------------

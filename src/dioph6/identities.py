@@ -32,8 +32,8 @@ from .exactnum import (
 )
 from .family import (
     TripleABC,
+    _cleared_Epp,
     _curve_E,
-    _curve_Epp,
     _curve_Estar,
     _order3,
     _point_Pstar,
@@ -129,7 +129,10 @@ def curve_Epp(t, x) -> Curve:
     x = Fraction(x)
     if x == 0:
         raise ValueError("the two-torsion model needs x != 0")
-    return _curve_Epp(t.numerator, t.denominator, x)
+    # the Curve of the pipeline's integers, the reference for its
+    # classification from them
+    d, c2, c4, c6, _ = _cleared_Epp(t.numerator, t.denominator, x)
+    return Curve(Fraction(c2, d), Fraction(c4, d), Fraction(c6, d))
 
 
 def sigma3(t) -> Rat:

@@ -9,15 +9,19 @@ be translated can be reported as additive at a prime of good or
 multiplicative reduction, for p >= 5 as well as p = 3.  p = 2 is out of
 scope and rejected everywhere.
 
-The valuations come from the integers a :class:`Curve` already holds, its
-coefficients a_i = c_i/d over their least common denominator and its
-cleared discriminant D = ``Curve._disc``: at odd p, where 16 is a unit,
-delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.  No Fraction invariant is
-built on the way, and a curve's integers are taken once for all the primes
-it is classified at.  The bad-prime scan's report has as its field one
-row (p, type, v_delta, v_c4, scaling_exponent) per classified prime; a
-:class:`ReductionReport` is built only by :func:`classify`, or from a row
-on each read of ``BadPrimesReport.entries``.
+The valuations come from a model's cleared integers (d, c2, c4, c6, D):
+its coefficients a_i = c_i/d over any common denominator d, and D = d^4
+times the discriminant of its cubic.  At odd p, where 16 is a unit,
+delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2, whose valuations no
+common factor of d and the c_i moves.  A :class:`Curve` holds these
+integers; the bad-prime scan and ``reduce --p`` take the two-torsion
+model's from the point (:func:`dioph6.family._cleared_Epp`) once E(t)'s
+integer identity has checked it, and build no Curve.  A model's integers
+are taken once for all the primes it is classified at.  The bad-prime
+scan's report has as its field one row (p, type, v_delta, v_c4,
+scaling_exponent) per classified prime; a :class:`ReductionReport` is
+built only by :func:`classify`, ``reduce --p``, or from a row on each read
+of ``BadPrimesReport.entries``.
 
 The valuation tables need a sum s + q of multiples of R only for its
 valuation: v(num) - v(den) of the unreduced integers ``Curve._sum_x_parts``
@@ -40,7 +44,7 @@ from .exactnum import (
     format_rat,
     odd_prime_divisors,
 )
-from .family import _curve_E, _curve_Epp, _point_R, require_param
+from .family import _cleared_Epp, _curve_E, _on_curve_E, _point_R, require_param
 from .weierstrass import Curve, INFINITY, Point
 
 #: Coordinate digit counts grow quadratically in the multiple index; tables
@@ -107,7 +111,7 @@ def require_base_point(t, pt: Point) -> None:
     curve at t: the point at infinity, a point with x = 0, or a point off
     the base curve E(t)."""
     t = require_param(t)
-    if pt.is_infinity or pt.x == 0 or not _curve_E(t.numerator, t.denominator).contains(pt):
+    if pt.is_infinity or pt.x == 0 or not _on_curve_E(t.numerator, t.denominator, pt):
         raise ValueError("point is not an admissible base-curve point")
 
 
@@ -122,7 +126,7 @@ def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
     which has good reduction there.
     """
     require_odd_prime(p)
-    k = next(_classified(curve, (p,)))[4]
+    k = next(_classified((*curve._cleared, curve._disc), (p,)))[4]
     return (curve.scale(Fraction(p) ** k) if k else curve), k
 
 
@@ -136,19 +140,19 @@ def classify(curve: Curve, p: int) -> ReductionReport:
     ``curve._disc``, delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.
     """
     require_odd_prime(p)
-    return ReductionReport(*next(_classified(curve, (p,))))
+    return ReductionReport(*next(_classified((*curve._cleared, curve._disc), (p,))))
 
 
-def _classified(curve: Curve, primes: Iterable[int]) -> Iterator[tuple]:
+def _classified(model: tuple[int, int, int, int, int], primes: Iterable[int]) -> Iterator[tuple]:
     """The fields (p, type, v_delta, v_c4, scaling_exponent) of
     :func:`classify` at each of the odd primes, which the caller has
-    checked, with the curve's invariants taken once.
+    checked, for a model (d, c2, c4, c6, D) with a_i = c_i/d over any
+    common denominator d and D = ``_cleared_discriminant(d, c2, c4, c6)``.
 
-    With v_d = v_p(d), v_p(a_i) = v_p(c_i) - v_d on the cleared
-    coefficients a_i = c_i/d, which gives the k of :func:`p_minimal_model`.
+    With v_d = v_p(d), v_p(a_i) = v_p(c_i) - v_d, which gives the k of
+    :func:`p_minimal_model`.
     """
-    d, c2, c4, c6 = curve._cleared
-    disc = curve._disc
+    d, c2, c4, c6, disc = model
     c4_cleared = c2 * c2 - 3 * d * c4
     coeffs = [(i, c) for i, c in ((2, c2), (4, c4), (6, c6)) if c]
     for p in primes:
@@ -226,7 +230,7 @@ def bad_primes_epp(
         raise ValueError("integer parameter required for the bad-prime scan")
     require_base_point(t, pt)
     x, y = pt.x, pt.y
-    model = _curve_Epp(t, 1, x)
+    model = _cleared_Epp(t, 1, x)
 
     candidates = tuple(odd_prime_divisors(t * (t * t + 1), bound))
     # on the integral model x = X/e^2 and y = Y/e^3: y's denominator has the

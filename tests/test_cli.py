@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6 import cli, exactnum
+from dioph6 import cli, exactnum, paramfam, weierstrass
 from dioph6.cli import build_parser, main
 from dioph6.paramfam import family_triple
 from dioph6.reduction_lab import ReductionReport, bad_primes_epp
@@ -65,6 +65,18 @@ def test_generate_closed_form_record_carries_family_triple(capsys, t):
     # its witnesses are the certificate's roots of the pairs (1, 2), (1, 3), (2, 3)
     roots = [pair["square_root"] for pair in record["verification"]["pairs"] if pair["j"] <= 3]
     assert roots == [record["triple"][key] for key in ("rho_ab", "rho_ac", "rho_bc")]
+
+
+def test_generate_closed_form_does_not_call_family_triple(capsys, monkeypatch):
+    # the route takes its triple from family_point's a, b, c and certificate
+    argv = ("generate", "--t=-44/35", "--route", "closed-form")
+    expected = run_cli(capsys, *argv)
+
+    def refuse(t):
+        raise AssertionError("family_triple called")
+
+    monkeypatch.setattr(paramfam, "family_triple", refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_generate_t2_three_negatives(capsys):
@@ -291,6 +303,32 @@ def test_reduce_rejects_off_curve_point(capsys):
                 "point is not an admissible base-curve point",
                 "reduce", "--t", "31", "--x", x, "--y", y, *one_prime,
             )
+
+
+def test_reduce_builds_no_curve(capsys, monkeypatch):
+    # the base point is checked by E(t)'s integer identity and the model is
+    # classified from its cleared integers
+    base = ("reduce", "--t", "31", "--x", "-150072", "--y", "682327360")
+    off_curve = ("reduce", "--t", "31", "--x", "1", "--y", "1")
+    lines = (base, (*base, "--p", "13"), (*base, "--p", "5"), off_curve)
+    expected = [run_cli(capsys, *argv) for argv in lines]
+
+    def refuse(self, *args):
+        raise AssertionError("Curve built")
+
+    monkeypatch.setattr(weierstrass.Curve, "__init__", refuse)
+    assert [run_cli(capsys, *argv) for argv in lines] == expected
+
+
+def test_reduce_singular_model_keeps_curve_text(capsys):
+    # (-2197, 0) has order 2 on E(8), where the two-torsion model is
+    # singular: the model is refused after the base point and before --p
+    for one_prime in ((), ("--p", "2"), ("--p", "13")):
+        assert_bad_input(
+            capsys,
+            "singular curve: y^2 = x^3 + (36/169)x^2 + (384/28561)x + (1024/4826809)",
+            "reduce", "--t", "8", "--x", "-2197", "--y", "0", *one_prime,
+        )
 
 
 def test_lemmas_valuation_table(capsys):

@@ -41,7 +41,7 @@ MOVED = {
 }
 #: Names deleted outright, by the module that held them.
 DELETED = {
-    "family": ("SigmaTriple", "sigma_triple_from_x", "_coprime_sqrt"),
+    "family": ("SigmaTriple", "sigma_triple_from_x", "_coprime_sqrt", "_curve_Epp"),
     "paramfam": (
         "FamilyPoint.triple", "_UP", "_F1_FACTORS", "_F2_ROOT", "_prod_hom", "_vanishes",
         "_abc", "_def",
@@ -77,6 +77,9 @@ KEPT = {
     "weierstrass.Curve.scale_point": "the point map of Curve.scale, for model-independence checks",
     "paramfam.catalog_entry": "public lookup of a named catalog example",
     "reduction_lab.p_minimal_model": "public model API: the p-minimal u-scaling of a curve",
+    "reduction_lab.classify": "public model API: the reduction type of a curve; the "
+    "pipeline classifies the two-torsion model from its cleared integers, and the "
+    "tests take this as their reference",
     "exactnum.vp": "the public valuation of a rational, which checks its prime; the "
     "pipeline checks p once and takes valuations through exactnum._rat_vp",
 }

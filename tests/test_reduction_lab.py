@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dioph6.errors import ConsistencyError, UnfactorableError
 from dioph6.exactnum import DEFAULT_FACTOR_BOUND, _rat_vp, is_prime, odd_prime_divisors, vp
-from dioph6.family import require_param, triple_from_multiple
+from dioph6.family import _cleared_Epp, _on_curve_E, require_param, triple_from_multiple
 from dioph6.reduction_lab import (
     ADDITIVE,
     GOOD,
@@ -16,6 +16,7 @@ from dioph6.reduction_lab import (
     BadPrimesReport,
     ReductionReport,
     ValuationRow,
+    _classified,
     _sum_vp,
     bad_primes_epp,
     classify,
@@ -28,7 +29,7 @@ from dioph6.reduction_lab import (
 )
 from dioph6.identities import curve_E, curve_Epp, epp_invariants, point_R, std_quantities
 from dioph6.sextuple_engine import induced_curve, point_Pprime
-from dioph6.weierstrass import INFINITY, Curve, Point
+from dioph6.weierstrass import INFINITY, Curve, Point, _cleared_discriminant
 
 T31_POINT = Point(-150072, 682327360)
 T17_POINT = Point(35000, 40986000)
@@ -69,6 +70,57 @@ def test_one_base_point_check():
             with pytest.raises(ValueError, match="^point is not an admissible base-curve point$"):
                 check(3, pt)
     assert require_base_point(3, curve_E(3).mul(2, point_R(3))) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(min_value=-40, max_value=40, max_denominator=40).filter(
+        lambda t: t.denominator > 1
+    ),
+    st.integers(1, 4),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+def test_base_curve_identity_matches_contains(t, m, negate, dx, dy):
+    # E(t)'s integer identity against Curve.contains at rational t, on
+    # [m]R and -[m]R and off the curve at copies moved in x or y
+    base = curve_E(t)
+    pt = base.mul(m, point_R(t))
+    pt = -pt if negate else pt
+    for moved in (pt, Point(pt.x + dx, pt.y), Point(pt.x, pt.y + dy)):
+        assert _on_curve_E(t.numerator, t.denominator, moved) is base.contains(moved)
+    assert _on_curve_E(t.numerator, t.denominator, pt)
+
+
+#: Points (x, 0) of order 2 on E(t), where the two-torsion model is
+#: singular: t = +-8 and +-27 and their values at 1/t.
+SINGULAR_POINTS = (
+    (F(8), F(-2197)), (F(-8), F(-2197)), (F(27), F(-389017)), (F(-27), F(-389017)),
+    (F(1, 8), F(-2197, 4096)), (F(-1, 8), F(-2197, 4096)),
+    (F(27, 8), F(-226981, 4096)), (F(-27, 8), F(-226981, 4096)),
+)
+
+
+@given(st.sampled_from(SINGULAR_POINTS))
+def test_singular_model_keeps_curve_text(point):
+    # the cleared model of an order-2 point refuses with the text of the
+    # Curve its coefficients make, the rational formula's
+    t, x = point
+    pt = Point(x, 0)
+    require_base_point(t, pt)
+    tt = t * t
+    aa = (tt + 1) ** 2
+    coeffs = ((aa / x + 1) ** 2 / 4, tt * (aa / (x * x) + 1 / x) / 2, tt * tt / (4 * x * x))
+    with pytest.raises(ValueError) as expected:
+        Curve(*coeffs)
+    assert str(expected.value).startswith("singular curve: y^2 = x^3 + (")
+    with pytest.raises(ValueError) as got:
+        _cleared_Epp(t.numerator, t.denominator, x)
+    assert str(got.value) == str(expected.value)
+    if t.denominator == 1:
+        with pytest.raises(ValueError, match=r"^singular curve: "):
+            bad_primes_epp(t.numerator, pt)
 
 
 def test_require_odd_prime():
@@ -233,6 +285,35 @@ def test_classify_matches_reference(t, m, data, u):
     for curve in (model, model.scale(u), model.scale(u * F(p) ** j)):
         assert classify(curve, p) == _reference_scaled_classify(curve, p)
         assert p_minimal_model(curve, p) == _reference_p_minimal_model(curve, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(2, 5), st.booleans())
+def test_classified_from_cleared_model_matches_classify(t, m, negate):
+    # the pipeline's rows, from the integers of the point's model, against
+    # classify on the model as a Curve at every bad prime of [m]R
+    model, primes = _epp_at_multiple(t, m)
+    pt = curve_E(t).mul(m, point_R(t))
+    sign = -1 if negate else 1
+    rows = list(_classified(_cleared_Epp(sign * t, 1, pt.x), primes))
+    assert [ReductionReport(*row) for row in rows] == [classify(model, p) for p in primes]
+    assert [ReductionReport(*row) for row in rows] == [
+        classify(curve_Epp(F(sign * t), pt.x), p) for p in primes
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(2, 5), st.data())
+def test_classified_ignores_a_common_factor(t, m, data):
+    # any common denominator gives the same rows: scale d and every c_i by
+    # g, a product of bad primes and one more integer
+    _, primes = _epp_at_multiple(t, m)
+    d, c2, c4, c6, disc = model = _cleared_Epp(t, 1, curve_E(t).mul(m, point_R(t)).x)
+    powers = data.draw(st.lists(st.tuples(st.sampled_from(primes), st.integers(1, 6)), max_size=3))
+    g = math.prod(p**e for p, e in powers) * data.draw(st.integers(1, 10**6))
+    scaled = (g * d, g * c2, g * c4, g * c6)
+    assert _cleared_discriminant(*scaled) == g**4 * disc
+    assert list(_classified((*scaled, g**4 * disc), primes)) == list(_classified(model, primes))
 
 
 def _reference_classify(curve: Curve, p: int) -> ReductionReport:
