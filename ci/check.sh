@@ -107,35 +107,38 @@ for t, p in ((3, 5), (8, 13), (31, 37), (17, 29), (2, 3), (7, 3)):
             for s in rs[:3]:
                 assert _sum_vp(curve, s, q, p) == _rat_vp(curve.add_x_unchecked(s, q), p), (t, p, m)
 "
-# reduce's integers against the Curve path at t = 31, -9/8 and 27/8: E(t)'s
-# integer identity against Curve.contains on R, [m]R and -[m]R (m = 2..4)
-# and on copies moved off the curve, and the rows classified from the
-# two-torsion model's cleared integers against classify on the model built
-# as a Curve from its rational formula, at every odd prime below 1000
+# reduce's integers against independent paths at t = 31, -9/8, 2/3 and 27/8:
+# the membership test on E(t)'s cleared integers against E(t)'s equation
+# evaluated in Fractions on R, [m]R and -[m]R (m = 2..4) and on copies moved
+# off the curve, and the rows classified from the two-torsion model's cleared
+# integers against classify on the model built as a Curve from its rational
+# formula, at every odd prime below 1000
 PYTHONPATH=src "$PY" -S -c "
 from fractions import Fraction
-from dioph6.family import _cleared_Epp, _curve_E, _on_curve_E, _point_R
+from dioph6.family import _cleared_E, _cleared_Epp, _curve_E, _point_R
 from dioph6.reduction_lab import _classified, classify
-from dioph6.weierstrass import Curve, Point
+from dioph6.weierstrass import Curve, Point, _on_model
 
 primes = [p for p in range(3, 1000, 2) if all(p % r for r in range(3, p, 2))]
 checked = 0
-for t in (Fraction(31), Fraction(-9, 8), Fraction(27, 8)):
+for t in (Fraction(31), Fraction(-9, 8), Fraction(2, 3), Fraction(27, 8)):
     p, q = t.numerator, t.denominator
-    base, r = _curve_E(p, q), _point_R(p, q)
+    base, r, tt = _curve_E(p, q), _point_R(p, q), t * t
+    a2, a4, a6 = 3 * (tt - 3 * t + 1) * (tt + 3 * t + 1), 3 * (tt + 1) ** 4, (tt + 1) ** 6
     points = [r] + [base.mul(m, r) for m in (2, 3, 4)]
     for pt in points + [-pt for pt in points]:
         for moved in (pt, Point(pt.x, pt.y + 1), Point(pt.x + Fraction(1, 3), pt.y)):
-            assert _on_curve_E(p, q, moved) is base.contains(moved), (t, moved)
-            checked += base.contains(moved)
+            x = moved.x
+            on_curve = moved.y ** 2 == ((x + a2) * x + a4) * x + a6
+            assert _on_model(_cleared_E(p, q), moved) is on_curve, (t, moved)
+            checked += on_curve
         if pt.x == 0:
             continue
-        x, tt = pt.x, t * t
-        aa = (tt + 1) ** 2
+        x, aa = pt.x, (tt + 1) ** 2
         curve = Curve((aa / x + 1) ** 2 / 4, tt * (aa / (x * x) + 1 / x) / 2, tt * tt / (4 * x * x))
         rows = list(_classified(_cleared_Epp(p, q, x), primes))
         assert rows == [tuple(classify(curve, ell)._values()) for ell in primes], (t, x)
-assert checked == 3 * 2 * 4, checked
+assert checked == 4 * 2 * 4, checked
 "
 # the closed-form family proved once in Q(t) (tests/test_family_proof.py):
 # its 15 products + 1 are squares of rational functions, the numerators,

@@ -12,9 +12,10 @@
 # directory that holds both, goes on PYTHONPATH for the Tier-1 leg of an
 # interpreter that has none of its own.  ci/check.sh cross-checks the exact
 # root kernel against math.isqrt, the anchored certificate against a
-# row-by-row one, the lemma tables' valuations against reduced sums, and
-# reduce's base-point identity and cleared two-torsion model against the
-# Curve path, proves the closed-form family in Q(t), and checks that every
+# row-by-row one, the lemma tables' valuations against reduced sums, the
+# membership test on E(t)'s cleared integers against E(t)'s equation in
+# Fractions and reduce's cleared two-torsion model against the Curve path,
+# proves the closed-form family in Q(t), and checks that every
 # rational the commands print is canonical (str(Fraction(s)) == s), with the
 # standard library alone, so an interpreter where Tier-1 could not run still
 # checks them.  Exits 1 if a leg failed.

@@ -11,12 +11,11 @@ exact arithmetic; no floating point is used anywhere.  The one decimal
 computation, squaring a large root's digits in ``_format_square``, runs in
 a context that traps any rounding.
 
-The one exact root test, ``_coprime_sqrt``, serves ``sqrt_exact`` (and
-through it the closed-form triple) and the certificate; the isogeny triple
-takes no root.  It takes the root of a part of at least ``_SQRTREM_BITS``
-bits by Zimmermann's recursive square root (``_sqrtrem``) instead of
-``math.isqrt``, and certifies it by squaring it back, as it does the root of
-a smaller part.
+The one exact root test, ``_coprime_sqrt``, serves ``sqrt_exact`` and the
+certificate; the isogeny triple takes no root.  It takes the root of a part
+of at least ``_SQRTREM_BITS`` bits by Zimmermann's recursive square root
+(``_sqrtrem``) instead of ``math.isqrt``, and certifies it by squaring it
+back, as it does the root of a smaller part.
 """
 
 from __future__ import annotations
@@ -120,8 +119,7 @@ def sqrt_exact(q: Rat | int) -> Rat | None:
 def _coprime_sqrt(num: int, den: int, den_root: int | None = None) -> tuple[int, int] | None:
     """The square root of num/den, for coprime num and den > 0, as the
     coprime pair (root_num, root_den), or None: the package's one exact
-    root test, which :func:`sqrt_exact` (and through it the closed-form
-    triple) and the certificate share.
+    root test, which :func:`sqrt_exact` and the certificate share.
 
     Each part's candidate root is ``math.isqrt`` of it below
     _SQRTREM_BITS and the recursive :func:`_sqrtrem` from there on; either

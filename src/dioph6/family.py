@@ -51,32 +51,24 @@ def require_param(t) -> Rat:
 # :mod:`dioph6.paramfam`.  The helpers below take (p, q) of a parameter that
 # :func:`require_param` has accepted and build each value from those
 # integers with one reduction; the pipeline checks t once and calls them.
+# E(t) is written once, as :func:`_cleared_E`'s integers, which build
+# :func:`_curve_E` and against which ``reduce`` tests its base point.
 # :mod:`dioph6.identities` states each value as a function of t, with its
 # formula.  Throughout, s = p^2 + q^2 is the form of t^2 + 1.
 
-def _curve_E(p: int, q: int) -> Curve:
+def _cleared_E(p: int, q: int) -> tuple[int, int, int, int]:
+    """E(t) as the integers (d, c2, c4, c6) over d = q^12:
+    c2 = 3 q^8 (s^2 - 9 p^2 q^2), c4 = 3 q^4 s^4, c6 = s^6."""
     pp, qq = p * p, q * q
-    s = pp + qq
+    ss = (pp + qq) ** 2
     q4 = qq * qq
     # (t^2 - 3t + 1)(t^2 + 3t + 1) = (t^2 + 1)^2 - 9t^2
-    return Curve(
-        Fraction(3 * (s * s - 9 * pp * qq), q4),
-        Fraction(3 * s**4, q4 * q4),
-        Fraction(s**6, q4**3),
-    )
+    return q4**3, 3 * q4 * q4 * (ss - 9 * pp * qq), 3 * q4 * ss * ss, ss**3
 
 
-def _on_curve_E(p: int, q: int, pt: Point) -> bool:
-    """Whether the affine point pt lies on E(t), t = p/q: with x = X/D and
-    y = Y/E in lowest terms and s = p^2 + q^2,
-    y^2 = (x + (t^2+1)^2)^3 - 27 t^2 x^2 reads
-    q^12 D^3 Y^2 = E^2 ((q^4 X + s^2 D)^3 - 27 p^2 q^10 X^2 D)."""
-    xn, xd = pt.x.numerator, pt.x.denominator
-    yn, yd = pt.y.numerator, pt.y.denominator
-    pp, qq = p * p, q * q
-    q4 = qq * qq
-    shifted = q4 * xn + (pp + qq) ** 2 * xd
-    return q4**3 * xd**3 * yn * yn == yd * yd * (shifted**3 - 27 * pp * q4 * q4 * qq * xn * xn * xd)
+def _curve_E(p: int, q: int) -> Curve:
+    d, c2, c4, c6 = _cleared_E(p, q)
+    return Curve(Fraction(c2, d), Fraction(c4, d), Fraction(c6, d))
 
 
 def _point_R(p: int, q: int) -> Point:

@@ -22,7 +22,7 @@ from itertools import islice
 from math import gcd
 
 from .errors import ConsistencyError
-from .exactnum import Rat, _coprime, _Value, format_rat, sqrt_exact
+from .exactnum import Rat, _coprime, _Value, format_rat
 from .family import TripleABC, require_param
 from .sextuple_engine import VerificationReport, _certify, verify_tuple
 
@@ -100,13 +100,13 @@ def _elements(p: int, q: int) -> Iterator[tuple[int, int]]:
 
 
 def family_triple(t) -> TripleABC:
-    """The closed-form triple as a validated :class:`TripleABC` (m = 2)."""
+    """The closed-form triple (m = 2), witnessed by its certificate's roots."""
     t = require_param(t)
-    a, b, c = (_coprime(*pair) for pair in islice(_elements(t.numerator, t.denominator), 3))
-    roots = tuple(sqrt_exact(p + 1) for p in (a * b, a * c, b * c))
-    if None in roots:
+    parts = list(islice(_elements(t.numerator, t.denominator), 3))
+    rows = _certify(parts).rows
+    if any(row[4] is None for row in rows):
         raise ConsistencyError(f"closed-form triple at t = {t} is not Diophantine")
-    return TripleABC(a, b, c, *roots, t=t, m=2)
+    return TripleABC(*(_coprime(*x) for x in (*parts, *(row[4:] for row in rows))), t=t, m=2)
 
 
 class FamilyPoint(_Value):

@@ -15,13 +15,13 @@ times the discriminant of its cubic.  At odd p, where 16 is a unit,
 delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2, whose valuations no
 common factor of d and the c_i moves.  A :class:`Curve` holds these
 integers; the bad-prime scan and ``reduce --p`` take the two-torsion
-model's from the point (:func:`dioph6.family._cleared_Epp`) once E(t)'s
-integer identity has checked it, and build no Curve.  A model's integers
-are taken once for all the primes it is classified at.  The bad-prime
-scan's report has as its field one row (p, type, v_delta, v_c4,
-scaling_exponent) per classified prime; a :class:`ReductionReport` is
-built only by :func:`classify`, ``reduce --p``, or from a row on each read
-of ``BadPrimesReport.entries``.
+model's from the point (:func:`dioph6.family._cleared_Epp`) once the
+membership test has checked it on E(t)'s integers (``family._cleared_E``),
+and build no Curve.  A model's integers are taken once for all the primes it
+is classified at.  The bad-prime scan's report has as its field one row (p,
+type, v_delta, v_c4, scaling_exponent) per classified prime; a
+:class:`ReductionReport` is built only by :func:`classify`, ``reduce --p``,
+or from a row on each read of ``BadPrimesReport.entries``.
 
 The valuation tables need a sum s + q of multiples of R only for its
 valuation: v(num) - v(den) of the unreduced integers ``Curve._sum_x_parts``
@@ -44,8 +44,8 @@ from .exactnum import (
     format_rat,
     odd_prime_divisors,
 )
-from .family import _cleared_Epp, _curve_E, _on_curve_E, _point_R, require_param
-from .weierstrass import Curve, INFINITY, Point
+from .family import _cleared_E, _cleared_Epp, _curve_E, _point_R, require_param
+from .weierstrass import Curve, INFINITY, Point, _on_model
 
 #: Coordinate digit counts grow quadratically in the multiple index; tables
 #: beyond this are past desk scale.
@@ -111,7 +111,7 @@ def require_base_point(t, pt: Point) -> None:
     curve at t: the point at infinity, a point with x = 0, or a point off
     the base curve E(t)."""
     t = require_param(t)
-    if pt.is_infinity or pt.x == 0 or not _on_curve_E(t.numerator, t.denominator, pt):
+    if pt.is_infinity or pt.x == 0 or not _on_model(_cleared_E(t.numerator, t.denominator), pt):
         raise ValueError("point is not an admissible base-curve point")
 
 

@@ -328,6 +328,8 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     """Extend an order-3 triple to a sextuple via the odd multiple [2n+1]P'.
 
     d, e, f are x([2n+1]P')/abc, x([2n+1]P'+S')/abc, x([2n+1]P'-S')/abc.
+    S' comes from the triple's witnesses, and its order 3 is the condition
+    :class:`TripleABC` certifies, so no group-law check repeats it.
     Degenerate configurations (a point at infinity, a zero x-coordinate,
     or colliding elements) raise :class:`DegeneracyError` naming the
     offending point; a failed certificate on non-degenerate input raises
@@ -343,13 +345,15 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     curve = induced_curve(a, b, c)
     base = point_Pprime(a, b, c)
     abc = base.y
-    # the marked point S' = [1, rho_ab rho_ac rho_bc] from the witnesses the
-    # triple already carries; negating a root only swaps S' with -S'
+    # S' = [1, rho_ab rho_ac rho_bc] (a negated root swaps S' and -S') has
+    # y^2 = f(1) = (1 + ab)(1 + ac)(1 + bc), so it is on the curve.  With
+    # f(1) = 1 + s2 + s1 s3 + s3^2 and f'(1) = 3 + 2 s2 + s1 s3, the tangent
+    # rule gives x([2]S') = f'(1)^2/(4 f(1)) - s2 - 2, and f'(1)^2 -
+    # 4 f(1)(s2 + 3) is minus the order-3 polynomial TripleABC checked: so
+    # x([2]S') = 1 and [3]S' = O.  (f(1) = 0 needs a pair product -1, and the
+    # polynomial is then -f'(1)^2, zero only at a repeated pair product.)
+    # [2n+1]P' comes out of the group law: the sums skip membership checks
     marked = Point(Fraction(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)
-    if not curve.mul(3, marked).is_infinity:
-        raise ValueError("triple does not carry a point of order 3; cannot extend")
-    # S' passed the check in mul(3, S') and [2n+1]P' comes out of the group
-    # law, so the sums with +-S' skip the membership checks and stop at x
     center = curve.mul(2 * n + 1, base)
     xs = (center.x, *curve.add_sub_x_unchecked(center, marked))
     for name, x in zip((f"[{2*n+1}]P'", f"[{2*n+1}]P'+S'", f"[{2*n+1}]P'-S'"), xs):

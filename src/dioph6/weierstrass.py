@@ -15,7 +15,8 @@ x(p - q) are needed, ``add_sub_x_unchecked`` computes their shared part once
 over the integers (``_sum_x_parts``) and reduces the two at full size once:
 x(p + q) usually needs only a half-size gcd after an exact division.  A
 valuation needs no reduction, so the lemma tables read it off those unreduced
-integers.  ``contains`` is an exact integer test without fraction reduction.
+integers.  Membership is one exact integer test, ``_on_model``, on a model's
+integers over any common denominator; ``contains`` runs it on a Curve's.
 
 The chord-and-tangent rule runs on the numerators and denominators of the
 coordinates, with the cancelling gcds of Fraction's own operators
@@ -95,6 +96,25 @@ def _cleared_discriminant(d: int, c2: int, c4: int, c6: int) -> int:
     )
 
 
+def _on_model(cleared: tuple[int, int, int, int], p: Point) -> bool:
+    """True iff the affine point p lies on the model a_i = c_i/d given as
+    ``cleared`` = (d, c2, c4, c6) over any common denominator d.
+
+    With x = X/D, y = Y/E in lowest terms the cubic is N/(d D^3), where
+    N = d X^3 + c2 X^2 D + c4 X D^2 + c6 D^3; since Y^2/E^2 is in lowest
+    terms, y^2 = N/(d D^3) exactly when d D^3 = k E^2 and N = k Y^2 for an
+    integer k.  No fraction is reduced on the way."""
+    d, c2, c4, c6 = cleared
+    xn, xd = p.x.numerator, p.x.denominator
+    yn, yd = p.y.numerator, p.y.denominator
+    xd2 = xd * xd
+    xd3 = xd2 * xd
+    k, rem = divmod(d * xd3, yd * yd)
+    if rem:
+        return False
+    return ((d * xn + c2 * xd) * xn + c4 * xd2) * xn + c6 * xd3 == k * yn * yn
+
+
 class Curve(_Value):
     """Nonsingular curve y^2 = x^3 + a2 x^2 + a4 x + a6 over the rationals.
 
@@ -108,7 +128,7 @@ class Curve(_Value):
     a4: Rat
     a6: Rat
     #: (d, d a2, d a4, d a6) for the least common denominator d of the
-    #: coefficients; :meth:`contains` works with these integers.
+    #: coefficients; :func:`_on_model` works with these integers.
     _cleared: tuple[int, int, int, int]
     #: d^4 times the discriminant of the cubic (:func:`_cleared_discriminant`),
     #: so delta = 16 _disc / d^4.  Nonzero on every curve (the singularity
@@ -131,25 +151,8 @@ class Curve(_Value):
     # -- membership ------------------------------------------------------
 
     def contains(self, p: Point) -> bool:
-        """True iff p is O or y^2 equals the cubic at x.
-
-        Write x = X/D, y = Y/E in lowest terms and the coefficients over
-        their common denominator d.  The cubic is N/(d D^3) with the integer
-        N = d X^3 + A2 X^2 D + A4 X D^2 + A6 D^3, and since Y^2/E^2 is in
-        lowest terms, y^2 = N/(d D^3) exactly when d D^3 = k E^2 and
-        N = k Y^2 for an integer k.  No fraction is reduced on the way.
-        """
-        if p.is_infinity:
-            return True
-        d, c2, c4, c6 = self._cleared
-        xn, xd = p.x.numerator, p.x.denominator
-        yn, yd = p.y.numerator, p.y.denominator
-        xd2 = xd * xd
-        xd3 = xd2 * xd
-        k, rem = divmod(d * xd3, yd * yd)
-        if rem:
-            return False
-        return ((d * xn + c2 * xd) * xn + c4 * xd2) * xn + c6 * xd3 == k * yn * yn
+        """True iff p is O or y^2 equals the cubic at x (:func:`_on_model`)."""
+        return p.is_infinity or _on_model(self._cleared, p)
 
     def require_on_curve(self, p: Point) -> None:
         """Raise ValueError unless p lies on this curve."""
@@ -230,7 +233,7 @@ class Curve(_Value):
 
         For x1 != x2 both come from one expression,
         x(p +- q) = ((x1 x2 + a4)(x1 + x2) + 2 a2 x1 x2 + 2 a6 -+ 2 y1 y2) / (x1 - x2)^2,
-        evaluated over the integers as in :meth:`contains`: with x_i = X_i/D_i,
+        evaluated over the integers as in :func:`_on_model`: with x_i = X_i/D_i,
         y_i = Y_i/E_i in lowest terms and the coefficients over d, it is
         (S -+ 2 j Y1 Y2) / (d (X1 D2 - X2 D1)^2), where
         S = (d X1 X2 + A4 D1 D2)(X1 D2 + X2 D1) + 2 A2 X1 X2 D1 D2 + 2 A6 D1^2 D2^2

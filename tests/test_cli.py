@@ -306,8 +306,8 @@ def test_reduce_rejects_off_curve_point(capsys):
 
 
 def test_reduce_builds_no_curve(capsys, monkeypatch):
-    # the base point is checked by E(t)'s integer identity and the model is
-    # classified from its cleared integers
+    # the base point is checked on E(t)'s cleared integers and the model is
+    # classified from its own
     base = ("reduce", "--t", "31", "--x", "-150072", "--y", "682327360")
     off_curve = ("reduce", "--t", "31", "--x", "1", "--y", "1")
     lines = (base, (*base, "--p", "13"), (*base, "--p", "5"), off_curve)

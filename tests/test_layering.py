@@ -41,7 +41,7 @@ MOVED = {
 }
 #: Names deleted outright, by the module that held them.
 DELETED = {
-    "family": ("SigmaTriple", "sigma_triple_from_x", "_coprime_sqrt", "_curve_Epp"),
+    "family": ("SigmaTriple", "sigma_triple_from_x", "_coprime_sqrt", "_curve_Epp", "_on_curve_E"),
     "paramfam": (
         "FamilyPoint.triple", "_UP", "_F1_FACTORS", "_F2_ROOT", "_prod_hom", "_vanishes",
         "_abc", "_def",
@@ -82,6 +82,8 @@ KEPT = {
     "tests take this as their reference",
     "exactnum.vp": "the public valuation of a rational, which checks its prime; the "
     "pipeline checks p once and takes valuations through exactnum._rat_vp",
+    "exactnum.sqrt_exact": "the public exact root of a rational, and the tests' reference; "
+    "both triples take their witnesses without it",
 }
 
 _PROBE = """

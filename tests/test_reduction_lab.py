@@ -4,11 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dioph6.errors import ConsistencyError, UnfactorableError
 from dioph6.exactnum import DEFAULT_FACTOR_BOUND, _rat_vp, is_prime, odd_prime_divisors, vp
-from dioph6.family import _cleared_Epp, _on_curve_E, require_param, triple_from_multiple
+from dioph6.family import _cleared_E, _cleared_Epp, require_param, triple_from_multiple
 from dioph6.reduction_lab import (
     ADDITIVE,
     GOOD,
@@ -29,7 +29,7 @@ from dioph6.reduction_lab import (
 )
 from dioph6.identities import curve_E, curve_Epp, epp_invariants, point_R, std_quantities
 from dioph6.sextuple_engine import induced_curve, point_Pprime
-from dioph6.weierstrass import INFINITY, Curve, Point, _cleared_discriminant
+from dioph6.weierstrass import INFINITY, Curve, Point, _cleared_discriminant, _on_model
 
 T31_POINT = Point(-150072, 682327360)
 T17_POINT = Point(35000, 40986000)
@@ -72,6 +72,14 @@ def test_one_base_point_check():
     assert require_base_point(3, curve_E(3).mul(2, point_R(3))) is None
 
 
+def _on_E_in_fractions(t, pt):
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 at the affine pt, in Fractions, with the
+    coefficients of tests/test_family.py::_rational_curve_E."""
+    tt = t * t
+    a2, a4, a6 = 3 * (tt - 3 * t + 1) * (tt + 3 * t + 1), 3 * (tt + 1) ** 4, (tt + 1) ** 6
+    return pt.y * pt.y == ((pt.x + a2) * pt.x + a4) * pt.x + a6
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.fractions(min_value=-40, max_value=40, max_denominator=40).filter(
@@ -82,15 +90,28 @@ def test_one_base_point_check():
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
 )
-def test_base_curve_identity_matches_contains(t, m, negate, dx, dy):
-    # E(t)'s integer identity against Curve.contains at rational t, on
-    # [m]R and -[m]R and off the curve at copies moved in x or y
-    base = curve_E(t)
-    pt = base.mul(m, point_R(t))
+# 3 | q: a2 and a4 lose a factor 3 in lowest terms, and the test runs on the
+# integers over q^12 all the same
+@example(F(2, 3), 2, False, F(1, 3), F(0))
+@example(F(-5, 9), 3, True, F(0), F(-1, 3))
+@example(F(7, 6), 2, True, F(-2), F(1))
+def test_base_point_check_matches_fraction_equation(t, m, negate, dx, dy):
+    # require_base_point's verdict, and the membership test on E(t)'s
+    # cleared integers, against E(t)'s equation evaluated in Fractions, at
+    # rational t on [m]R and -[m]R and at copies moved off it in x or y
+    pt = curve_E(t).mul(m, point_R(t))
     pt = -pt if negate else pt
+    cleared = _cleared_E(t.numerator, t.denominator)
     for moved in (pt, Point(pt.x + dx, pt.y), Point(pt.x, pt.y + dy)):
-        assert _on_curve_E(t.numerator, t.denominator, moved) is base.contains(moved)
-    assert _on_curve_E(t.numerator, t.denominator, pt)
+        on_curve = _on_E_in_fractions(t, moved)
+        assert _on_model(cleared, moved) is on_curve, (t, moved)
+        try:
+            require_base_point(t, moved)
+            admitted = True
+        except ValueError:
+            admitted = False
+        assert admitted is (on_curve and moved.x != 0), (t, moved)
+    assert _on_E_in_fractions(t, pt)
 
 
 #: Points (x, 0) of order 2 on E(t), where the two-torsion model is

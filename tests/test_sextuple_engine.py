@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import json
 import math
 import pickle
@@ -9,12 +10,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dioph6 import family, sextuple_engine
 from dioph6.errors import DegeneracyError
 from dioph6.exactnum import format_rat, sqrt_exact
 from dioph6.family import triple_from_multiple
+from dioph6.paramfam import family_triple
 from dioph6.identities import (
     half_point_check,
     order3_check,
@@ -496,6 +498,59 @@ def test_order3_agrees_with_polynomial_condition():
     # and on a triple that fails the polynomial
     assert not three_torsion_condition(1, 3, 8)
     assert order3_check(1, 3, 8) == three_torsion_condition(1, 3, 8)
+
+
+def _order3_polynomial(s1, s2, s3):
+    return s3 * s3 * (12 + 4 * s2 - s1 * s1) + 6 * s1 * s3 + 4 * s2 + 3
+
+
+def test_order3_condition_is_the_tangent_rule_at_Sprime():
+    # extend_to_sextuple trusts S' = [1, rho_ab rho_ac rho_bc] to have order
+    # 3.  On y^2 = f(x) = x^3 + s2 x^2 + s1 s3 x + s3^2 the tangent at S'
+    # gives x([2]S') = f'(1)^2/(4 f(1)) - s2 - 2, which is x(S') = 1 exactly
+    # when f'(1)^2 - 4 f(1)(s2 + 3) = 0.  That polynomial is minus the
+    # order-3 polynomial: both sides have degree at most 2 in each of s1, s2
+    # and s3, so agreeing on a 4 x 4 x 4 grid proves it
+    for s1, s2, s3 in itertools.product(range(-1, 3), repeat=3):
+        f1 = 1 + s2 + s1 * s3 + s3 * s3
+        df1 = 3 + 2 * s2 + s1 * s3
+        assert df1 * df1 - 4 * f1 * (s2 + 3) == -_order3_polynomial(s1, s2, s3)
+    # ... and TripleABC's constructor checks den^8 times it
+    rng = random.Random(3)
+    for _ in range(200):
+        den = rng.randint(1, 10**6)
+        na, nb, nc = (rng.randint(-(10**9), 10**9) for _ in range(3))
+        s1, s2, s3 = F(na + nb + nc, den), F(na * nb + na * nc + nb * nc, den**2), F(na * nb * nc, den**3)
+        assert family._order3(den, na, nb, nc) == den**8 * _order3_polynomial(s1, s2, s3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(1, 100), st.integers(2, 5))
+@example(6, 1, 2)
+@example(-44, 35, 3)
+def test_Sprime_of_every_triple_has_order_3(p, q, m):
+    # the group-law check that extend_to_sextuple leaves to TripleABC's
+    # constructor, on the triples of both routes
+    t = F(p, q)
+    assume(t not in (-1, 0, 1))
+    triples = [family_triple(t)]
+    with contextlib.suppress(DegeneracyError):
+        triples.append(triple_from_multiple(t, m))
+    for triple in triples:
+        curve = induced_curve(*triple.elements)
+        marked = Point(F(1), triple.rho_ab * triple.rho_ac * triple.rho_bc)
+        assert curve.contains(marked)
+        assert curve.mul(3, marked) == INFINITY
+
+
+def test_extend_runs_one_group_law_multiple(monkeypatch, t2_triple):
+    # S' is trusted: [2n+1]P' is the one multiple an extension computes
+    calls = []
+    mul = Curve.mul
+    monkeypatch.setattr(Curve, "mul", lambda self, k, pt: calls.append(k) or mul(self, k, pt))
+    for n in (1, 2):
+        extend_to_sextuple(t2_triple, n)
+    assert calls == [3, 5]
 
 
 def test_half_point_fixtures(t2_triple, t6_triple):
