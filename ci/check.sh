@@ -92,12 +92,13 @@ from fractions import Fraction
 from dioph6.exactnum import _rat_vp
 from dioph6.family import _curve_E, _point_R
 from dioph6.reduction_lab import _sum_vp
-from dioph6.weierstrass import INFINITY
+from dioph6.weierstrass import INFINITY, Curve, Point
 
 u = Fraction(2, 15)
 for t, p in ((3, 5), (8, 13), (31, 37), (17, 29), (2, 3), (7, 3)):
     base, seed = _curve_E(t, 1), _point_R(t, 1)
-    for curve, r in ((base, seed), (base.scale(u), base.scale_point(seed, u))):
+    scaled = Curve(base.a2 / u**2, base.a4 / u**4, base.a6 / u**6)
+    for curve, r in ((base, seed), (scaled, Point(seed.x / u**2, seed.y / u**3))):
         rs = [r]
         while len(rs) < 4:
             rs.append(curve.add(rs[-1], r))

@@ -35,7 +35,6 @@ from .reduction_lab import (
     classify,
     mod3_sign_table,
     nonsingular_residues,
-    p_minimal_model,
     valuation_table,
 )
 from .sextuple_engine import (

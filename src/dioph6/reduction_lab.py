@@ -1,27 +1,26 @@
-"""Reduction analysis of the two-torsion model: p-integral and p-minimal
-models, good/multiplicative/additive classification at odd primes, and
-empirical tables for the p-adic valuation patterns of seed-point multiples.
+"""Reduction analysis of the two-torsion model: good/multiplicative/additive
+classification at odd primes, and empirical tables for the p-adic valuation
+patterns of seed-point multiples.
 
-Classification uses the (v_p(delta), v_p(c4)) criterion on the model
-reached by u-scaling alone.  That model is p-minimal only when no change of
-coordinates x -> x - r is needed before scaling, so a curve that must first
-be translated can be reported as additive at a prime of good or
-multiplicative reduction, for p >= 5 as well as p = 3.  p = 2 is out of
-scope and rejected everywhere.
+Classification reads the invariants c4, c6 and delta alone, so every model
+of a curve gets the same answer: their valuations give the exponent k of the
+u = p^k that takes the curve to a p-minimal model, and the type is read off
+(v_p(delta), v_p(c4)) on that model.  p = 2 is out of scope and rejected
+everywhere.
 
 The valuations come from a model's cleared integers (d, c2, c4, c6, D):
 its coefficients a_i = c_i/d over any common denominator d, and D = d^4
-times the discriminant of its cubic.  At odd p, where 16 is a unit,
-delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2, whose valuations no
-common factor of d and the c_i moves.  A :class:`Curve` holds these
-integers; the bad-prime scan and ``reduce --p`` take the two-torsion
-model's from the point (:func:`dioph6.family._cleared_Epp`) once the
-membership test has checked it on E(t)'s integers (``family._cleared_E``),
-and build no Curve.  A model's integers are taken once for all the primes it
-is classified at.  The bad-prime scan's report has as its field one row (p,
-type, v_delta, v_c4, scaling_exponent) per classified prime; a
-:class:`ReductionReport` is built only by :func:`classify`, ``reduce --p``,
-or from a row on each read of ``BadPrimesReport.entries``.
+times the discriminant of its cubic.  At odd p, where 16 and 32 are units,
+delta = 16 D/d^4, c4 = 16 (c2^2 - 3 d c4)/d^2 and
+c6 = 32 (9 d c2 c4 - 2 c2^3 - 27 d^2 c6)/d^3, whose valuations no common
+factor of d and the c_i moves.  A :class:`Curve` holds these integers; the
+bad-prime scan and ``reduce --p`` take the two-torsion model's from the
+point (:func:`dioph6.family._cleared_Epp`) once the membership test has
+checked it on E(t)'s integers (``family._cleared_E``), and build no Curve.
+A model's integers are taken once for all the primes it is classified at.
+The bad-prime scan's report has as its field one row (p, type, v_delta,
+v_c4, scaling_exponent) per classified prime; a :class:`ReductionReport` is
+built only by :func:`classify` and ``reduce --p``.
 
 The valuation tables need a sum s + q of multiples of R only for its
 valuation: v(num) - v(den) of the unreduced integers ``Curve._sum_x_parts``
@@ -31,7 +30,6 @@ gives, the formula that ``Curve.add_sub_x_unchecked`` reduces, with no gcd.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
 from .errors import ConsistencyError
 from .exactnum import (
@@ -58,11 +56,10 @@ ADDITIVE = "add"
 
 
 class ReductionReport(_Value):
-    """Reduction data of a curve at one odd prime, on the model of
-    :func:`p_minimal_model`.
+    """Reduction data of a curve at one odd prime, on a p-minimal model.
 
     ``v_c4`` is None when c4 = 0 (infinite valuation).  ``scaling_exponent``
-    is the k with u = p^k applied to reach that model.
+    is the k with u = p^k that takes the curve to a p-minimal model.
     """
 
     __slots__ = _fields = ("p", "type", "v_delta", "v_c4", "scaling_exponent")
@@ -115,29 +112,12 @@ def require_base_point(t, pt: Point) -> None:
         raise ValueError("point is not an admissible base-curve point")
 
 
-def p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
-    """Scale by u = p^k as far as p-integrality allows; return the model and k.
-
-    k is the largest exponent keeping all coefficients p-integral, i.e.
-    min over i in {2, 4, 6} of floor(v_p(a_i)/i); when k = 0 the model is
-    ``curve`` itself.  Only u-scalings are tried, so the result need not be
-    p-minimal: y^2 = x^3 + 3x^2 + (3+5^4)x + 1+5^4+5^6 stays as it is at
-    p = 5, yet x -> x - 1 followed by u = 5 turns it into y^2 = x^3 + x + 1,
-    which has good reduction there.
-    """
-    require_odd_prime(p)
-    k = next(_classified((*curve._cleared, curve._disc), (p,)))[4]
-    return (curve.scale(Fraction(p) ** k) if k else curve), k
-
-
 def classify(curve: Curve, p: int) -> ReductionReport:
-    """Reduction type of a curve at an odd prime, on the model of
-    :func:`p_minimal_model`.
+    """Reduction type of a curve at an odd prime, on a p-minimal model.
 
-    Scaling by u = p^k divides the discriminant by u^12 and c4 by u^4, so
-    their valuations on that model are read off the curve's own invariants,
-    and those off its cleared integers: with a_i = c_i/d and D =
-    ``curve._disc``, delta = 16 D/d^4 and c4 = 16 (c2^2 - 3 d c4)/d^2.
+    The answer depends on the curve alone, not on the model given: it is
+    read off the invariants c4, c6 and delta (:func:`_classified`), and
+    those off the curve's cleared integers.
     """
     require_odd_prime(p)
     return ReductionReport(*next(_classified((*curve._cleared, curve._disc), (p,))))
@@ -149,17 +129,33 @@ def _classified(model: tuple[int, int, int, int, int], primes: Iterable[int]) ->
     checked, for a model (d, c2, c4, c6, D) with a_i = c_i/d over any
     common denominator d and D = ``_cleared_discriminant(d, c2, c4, c6)``.
 
-    With v_d = v_p(d), v_p(a_i) = v_p(c_i) - v_d, which gives the k of
-    :func:`p_minimal_model`.
+    A change of coordinates x = u^2 x' + r, y = u^3 y' divides c4, c6 and
+    delta by u^4, u^6 and u^12, whatever r is.  So a p-minimal model is
+    reached with u = p^k for the largest k at which c4/u^4, c6/u^6 and
+    delta/u^12 are still the invariants of a p-integral model.  At p >= 5
+    that holds when they are p-integral, which gives
+    k = min(floor(v(delta)/12), floor(v(c4)/4), floor(v(c6)/6)) over the
+    nonzero ones.  At p = 3 Kraus's condition (Acta Arith. 54 (1989);
+    Cremona, Algorithms for Modular Elliptic Curves, 3.2) also asks for
+    v(c6/u^6) != 2, so k drops by one when v(c6) - 6k = 2.  The delta term
+    is not implied at p = 3: 1728 delta = c4^3 - c6^2 makes
+    v_3(delta) = v_3(c4^3 - c6^2) - 3, and on y^2 = x^3 + 27 the c4 and c6
+    terms alone would give k = 1.
     """
     d, c2, c4, c6, disc = model
     c4_cleared = c2 * c2 - 3 * d * c4
-    coeffs = [(i, c) for i, c in ((2, c2), (4, c4), (6, c6)) if c]
+    c6_cleared = 9 * d * c2 * c4 - 2 * c2**3 - 27 * d * d * c6
     for p in primes:
         v_d = _int_vp(d, p)
-        k = min([(_int_vp(c, p) - v_d) // i for i, c in coeffs])
-        v_delta = _int_vp(disc, p) - 4 * v_d - 12 * k
-        v_c4 = _int_vp(c4_cleared, p) - 2 * v_d - 4 * k if c4_cleared else None
+        v_delta = _int_vp(disc, p) - 4 * v_d
+        v_c4 = _int_vp(c4_cleared, p) - 2 * v_d if c4_cleared else None
+        v_c6 = _int_vp(c6_cleared, p) - 3 * v_d if c6_cleared else None
+        k = min(v // i for i, v in ((12, v_delta), (4, v_c4), (6, v_c6)) if v is not None)
+        if p == 3 and v_c6 == 6 * k + 2:
+            k -= 1
+        v_delta -= 12 * k
+        if v_c4 is not None:
+            v_c4 -= 4 * k
         if v_delta == 0:
             kind = GOOD
         elif v_c4 == 0:
@@ -181,8 +177,7 @@ class BadPrimesReport(_Value):
     v_3(y) <= 0.  ``rows`` classifies these and every other odd prime
     where the minimal discriminant has positive valuation, one row (p,
     type, v_delta, v_c4, scaling_exponent) per prime in ascending p: the
-    fields of its :class:`ReductionReport`.  The JSON form reads the rows;
-    ``entries`` builds the (p, report) pairs from them on each read.
+    fields of its :class:`ReductionReport`.  The JSON form reads the rows.
     """
 
     __slots__ = _fields = (
@@ -196,10 +191,6 @@ class BadPrimesReport(_Value):
     additive: tuple[int, ...]
     prop_applicable: bool
     prop_holds: bool | None
-
-    @property
-    def entries(self) -> tuple[tuple[int, ReductionReport], ...]:
-        return tuple((row[0], ReductionReport(*row)) for row in self.rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,6 +1,5 @@
 """Elliptic curves over the rationals in the form y^2 = x^3 + a2 x^2 + a4 x + a6,
-with the exact chord-and-tangent group law, an integer singularity check and
-u-scaling coordinate changes.
+with the exact chord-and-tangent group law and an integer singularity check.
 
 Curves and points are immutable values.  Points carry no back-reference to a
 curve, so every group operation takes the curve explicitly.
@@ -26,7 +25,6 @@ is the Fraction that operator arithmetic would give.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .exactnum import (
@@ -282,28 +280,6 @@ class Curve(_Value):
             if k:  # the doubling after the top bit would go unused
                 p = self.add_unchecked(p, p)
         return result
-
-    # -- coordinate changes ----------------------------------------------
-
-    def scale(self, u) -> "Curve":
-        """Image under (x, y) |-> (x/u^2, y/u^3).
-
-        Coefficients become a2/u^2, a4/u^4, a6/u^6; delta scales by u^-12
-        and c4 by u^-4.
-        """
-        u = Fraction(u)
-        if u == 0:
-            raise ValueError("scaling unit must be nonzero")
-        return Curve(self.a2 / u**2, self.a4 / u**4, self.a6 / u**6)
-
-    def scale_point(self, p: Point, u) -> Point:
-        """Image of a point under the same coordinate change as :meth:`scale`."""
-        u = Fraction(u)
-        if u == 0:
-            raise ValueError("scaling unit must be nonzero")
-        if p.is_infinity:
-            return INFINITY
-        return Point(p.x / u**2, p.y / u**3)
 
     def __str__(self) -> str:
         return (

@@ -612,9 +612,8 @@ def test_golden_cli_bytes(capsys, argv, code, digest):
 
 def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
     """The commands read the certificate's integer rows and the bad-prime
-    scan's rows; witnesses and reduction reports are built only when
-    pair_results or entries is read, anew on each read, and a report by
-    classify."""
+    scan's rows; witnesses are built only when pair_results is read, anew on
+    each read, and a reduction report only by classify and reduce --p."""
     built, reports = [], []
     init, report_init = PairWitness.__init__, ReductionReport.__init__
 
@@ -640,11 +639,8 @@ def test_no_command_builds_a_pair_witness(capsys, monkeypatch):
     assert built == [(1, 2), (1, 3), (2, 3)]
     assert report.pair_results == witnesses and built == [(1, 2), (1, 3), (2, 3)] * 2
     scan = bad_primes_epp(31, Point(-150072, 682327360))
+    assert [row[0] for row in scan.rows] == [3, 5, 11, 13, 31, 37]
     assert reports == [13]
-    entries = scan.entries
-    assert [p for p, _ in entries] == reports[1:] == [3, 5, 11, 13, 31, 37]
-    assert all(type(rep) is ReductionReport and rep.p == p for p, rep in entries)
-    assert scan.entries == entries and reports[7:] == reports[1:7]
 
 
 def test_parser_is_built_once():

@@ -46,14 +46,16 @@ DELETED = {
         "FamilyPoint.triple", "_UP", "_F1_FACTORS", "_F2_ROOT", "_prod_hom", "_vanishes",
         "_abc", "_def",
     ),
-    "weierstrass": ("point", "Curve.neg", "Curve.rhs", "Curve._std"),
+    "weierstrass": (
+        "point", "Curve.neg", "Curve.rhs", "Curve._std", "Curve.scale", "Curve.scale_point",
+    ),
     "exactnum": ("isqrt", "is_square", "_PrimeTable.traversed"),
     "sextuple_engine": (
         "VerificationReport._from_rows", "VerificationReport._rows", "VerificationReport._pairs",
     ),
     "reduction_lab": (
         "BadPrimesReport._from_rows", "BadPrimesReport._store", "BadPrimesReport._rows",
-        "BadPrimesReport._entries",
+        "BadPrimesReport._entries", "BadPrimesReport.entries", "p_minimal_model",
     ),
 }
 #: Coefficient tables deleted from a tuple that stays, by the tuple: each
@@ -74,9 +76,7 @@ NOT_LOADED = ("dataclasses", "inspect", "typing", "threading")
 #: Public API that no pipeline code calls, kept on purpose.
 KEPT = {
     "weierstrass.Curve.add": "the checked group law; acceptance criterion 04 adds with it",
-    "weierstrass.Curve.scale_point": "the point map of Curve.scale, for model-independence checks",
     "paramfam.catalog_entry": "public lookup of a named catalog example",
-    "reduction_lab.p_minimal_model": "public model API: the p-minimal u-scaling of a curve",
     "reduction_lab.classify": "public model API: the reduction type of a curve; the "
     "pipeline classifies the two-torsion model from its cleared integers, and the "
     "tests take this as their reference",

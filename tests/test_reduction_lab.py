@@ -22,7 +22,6 @@ from dioph6.reduction_lab import (
     classify,
     mod3_sign_table,
     nonsingular_residues,
-    p_minimal_model,
     require_base_point,
     require_odd_prime,
     valuation_table,
@@ -30,6 +29,7 @@ from dioph6.reduction_lab import (
 from dioph6.identities import curve_E, curve_Epp, epp_invariants, point_R, std_quantities
 from dioph6.sextuple_engine import induced_curve, point_Pprime
 from dioph6.weierstrass import INFINITY, Curve, Point, _cleared_discriminant, _on_model
+from model_change import change_model
 
 T31_POINT = Point(-150072, 682327360)
 T17_POINT = Point(35000, 40986000)
@@ -158,53 +158,7 @@ def test_require_odd_prime():
 # minimal models and classification
 # ---------------------------------------------------------------------------
 
-def test_p_minimal_model_already_minimal():
-    curve = Curve(0, 1512, 33588)
-    model, k = p_minimal_model(curve, 5)
-    assert k == 0 and model == curve
-
-
-def test_p_minimal_model_roundtrip():
-    # one u = p step applied to the coefficients is undone with exponent -1
-    curve = Curve(0, 1512, 33588)
-    scaled = curve.scale(7)
-    model, k = p_minimal_model(scaled, 7)
-    assert k == -1
-    assert model == curve
-    # and an inflated model is deflated with a positive exponent
-    inflated = curve.scale(F(1, 7))
-    model, k = p_minimal_model(inflated, 7)
-    assert k == 1
-    assert model == curve
-
-
-def test_p_minimal_model_copies_only_to_scale():
-    # k = 0 hands back the curve itself; k != 0 gives the same model and
-    # report as scaling by p^k and classifying from fresh invariants
-    seen = set()
-    for t, m in ((3, 2), (3, 3), (7, 3), (31, 2)):
-        model = curve_Epp(F(t), curve_E(t).mul(m, point_R(t)).x)
-        for curve in (model, model.scale(F(1, 5)), model.scale(F(1, 3))):
-            for p in (3, 5, 7, 13, 31, 37):
-                got, k = p_minimal_model(curve, p)
-                seen.add(k > 0 if k else 0)
-                if k == 0:
-                    assert got is curve
-                    continue
-                scaled = curve.scale(F(p) ** k)
-                assert got == scaled
-                fresh = std_quantities(Curve(scaled.a2, scaled.a4, scaled.a6))
-                v_c4 = vp(fresh.c4, p) if fresh.c4 else None
-                report = classify(curve, p)
-                assert (report.v_delta, report.v_c4, report.scaling_exponent) == (
-                    vp(fresh.delta, p), v_c4, k
-                )
-    assert seen == {0, True, False}
-
-
-def test_p_minimal_model_rejects_two():
-    with pytest.raises(ValueError):
-        p_minimal_model(Curve(0, 1512, 33588), 2)
+def test_classify_rejects_two():
     with pytest.raises(ValueError):
         classify(Curve(0, 1512, 33588), 2)
 
@@ -245,7 +199,7 @@ def test_classification_invariant_under_coprime_scaling():
     for p in (3, 5, 7):
         base_report = classify(model, p)
         for u in (F(2), F(11, 2), F(1, 13)):
-            scaled_report = classify(model.scale(u), p)
+            scaled_report = classify(change_model(model, u)[0], p)
             assert (base_report.type, base_report.v_delta, base_report.v_c4) == (
                 scaled_report.type,
                 scaled_report.v_delta,
@@ -253,8 +207,9 @@ def test_classification_invariant_under_coprime_scaling():
             )
 
 
-def _reference_p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
-    """The earlier p_minimal_model body, kept verbatim as the reference."""
+def _reference_u_scaling(curve: Curve, p: int) -> tuple[Curve, int]:
+    """The earlier p_minimal_model body, the u-scaling as far as
+    p-integrality allows, kept as the reference on the family's models."""
     require_odd_prime(p)
     exponents = [
         vp(coeff, p) // i
@@ -262,13 +217,13 @@ def _reference_p_minimal_model(curve: Curve, p: int) -> tuple[Curve, int]:
         if coeff != 0
     ]
     k = min(exponents)
-    return (curve.scale(F(p) ** k) if k else curve), k
+    return (change_model(curve, F(p) ** k)[0] if k else curve), k
 
 
 def _reference_scaled_classify(curve: Curve, p: int) -> ReductionReport:
-    """The earlier classify body, kept verbatim as the reference: it builds
-    the scaled model and takes the valuations of its own invariants."""
-    model, k = _reference_p_minimal_model(curve, p)
+    """The earlier classify body, kept as the reference: it builds the
+    u-scaled model and takes the valuations of its own invariants."""
+    model, k = _reference_u_scaling(curve, p)
     sq = std_quantities(model)
     v_delta = vp(sq.delta, p)
     v_c4 = vp(sq.c4, p) if sq.c4 != 0 else None
@@ -300,12 +255,13 @@ def _epp_at_multiple(t: int, m: int) -> tuple[Curve, tuple[int, ...]]:
     st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(lambda u: u != 0),
 )
 def test_classify_matches_reference(t, m, data, u):
+    # on the family's two-torsion models u-scaling alone reaches a p-minimal
+    # model, so the rows the pipeline prints are the earlier ones
     model, primes = _epp_at_multiple(t, m)
     p = data.draw(st.sampled_from(primes))
     j = data.draw(st.integers(-2, 2))
-    for curve in (model, model.scale(u), model.scale(u * F(p) ** j)):
+    for curve in (model, change_model(model, u)[0], change_model(model, u * F(p) ** j)[0]):
         assert classify(curve, p) == _reference_scaled_classify(curve, p)
-        assert p_minimal_model(curve, p) == _reference_p_minimal_model(curve, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,16 +294,18 @@ def test_classified_ignores_a_common_factor(t, m, data):
 
 
 def _reference_classify(curve: Curve, p: int) -> ReductionReport:
-    """The Fraction classify body, kept as the reference for the one on the
-    cleared integers: k from the valuations of a2, a4, a6, and v(delta),
-    v(c4) from ``std_quantities(curve)``."""
+    """classify in Fractions, the reference for the one on the cleared
+    integers: delta and c4 from ``std_quantities(curve)``, c6 from its b
+    invariants, k from their valuations as :func:`_classified` states it."""
     require_odd_prime(p)
-    k = min(
-        _rat_vp(coeff, p) // i
-        for i, coeff in ((2, curve.a2), (4, curve.a4), (6, curve.a6))
-        if coeff != 0
-    )
     sq = std_quantities(curve)
+    c6 = -sq.b2**3 + 36 * sq.b2 * sq.b4 - 216 * sq.b6
+    assert sq.c4**3 - c6**2 == 1728 * sq.delta
+    k = min(
+        _rat_vp(inv, p) // i for i, inv in ((12, sq.delta), (4, sq.c4), (6, c6)) if inv != 0
+    )
+    if p == 3 and c6 != 0 and _rat_vp(c6, p) - 6 * k == 2:
+        k -= 1
     v_delta = _rat_vp(sq.delta, p) - 12 * k
     v_c4 = _rat_vp(sq.c4, p) - 4 * k if sq.c4 != 0 else None
     if v_delta == 0:
@@ -399,11 +357,9 @@ def test_classify_on_cleared_integers_matches_fraction_invariants(coeffs, u):
         curve = Curve(*coeffs)
     except ValueError:
         assume(False)
-    for model in (curve, curve.scale(u)):
+    for model in (curve, change_model(curve, u)[0]):
         for p in CLASSIFY_PRIMES:
-            want = _reference_classify(model, p)
-            assert classify(model, p) == want
-            assert p_minimal_model(model, p)[1] == want.scaling_exponent
+            assert classify(model, p) == _reference_classify(model, p)
 
 
 def _random_integral_coefficients(rng: random.Random, p: int) -> tuple[int, int, int]:
@@ -446,12 +402,98 @@ def test_classify_matches_sympy_discriminant_and_j():
         checked += 1
 
 
-@pytest.mark.xfail(
-    strict=True, reason="p_minimal_model only u-scales; this model needs x -> x - 1 first"
-)
 def test_classify_needs_translation_before_scaling():
     # after x -> x - 1 the curve is y^2 = x^3 + 5^4 x + 5^6, i.e. x^3 + x + 1 at u = 5
-    assert classify(Curve(3, 3 + 5**4, 1 + 5**4 + 5**6), 5).type == "good"
+    assert classify(Curve(3, 3 + 5**4, 1 + 5**4 + 5**6), 5) == ReductionReport(5, GOOD, 0, 0, 1)
+
+
+@pytest.mark.parametrize(("coeffs", "v_delta"), [
+    # y^2 = x^3 + 3^5 and its model at x -> x - 3: the valuations of c4, c6
+    # and delta allow u = 3, but v_3(c6) - 6 = 2, and by Kraus no 3-integral
+    # model has the invariants that u = 3 would give
+    ((0, 0, 243), 13),
+    ((-9, 27, 216), 13),
+    # y^2 = x^3 + 27: v_3(c6) = 6 allows u = 3, but v_3(delta) = 9 does not
+    ((0, 0, 27), 9),
+])
+def test_classify_at_3_keeps_kraus_and_delta(coeffs, v_delta):
+    assert classify(Curve(*coeffs), 3) == ReductionReport(3, ADDITIVE, v_delta, None, 0)
+    assert _searched_minimal_model(*coeffs, 3) == (ADDITIVE, v_delta, None, 0)
+
+
+def _searched_minimal_model(a2: int, a4: int, a6: int, p: int) -> tuple:
+    """(type, v_delta, v_c4, k) at an odd prime p of the integral model
+    y^2 = x^3 + a2 x^2 + a4 x + a6, found by search: k is the largest
+    exponent for which x = p^(2k) x' + r, y = p^(3k) y' gives an integral
+    model for some r in 0 .. p^(2k) - 1, and the valuations are those of
+    the invariants of that model, computed afresh.
+
+    At odd p completing the square brings every integral model to this
+    shape; a change from it to another integral model of the shape with
+    u = p^k, k >= 0, has integral r (4r^3 + b2 r^2 + 2 b4 r + b6 = u^6 b6'),
+    and r matters only mod u^2.  delta's integrality bounds k by v(delta)/12.
+    """
+
+    def c4_and_delta(a2, a4, a6):
+        b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+        return b2 * b2 - 24 * b4, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    for k in range(vp(c4_and_delta(a2, a4, a6)[1], p) // 12, -1, -1):
+        u2 = p ** (2 * k)
+        for r in range(u2):
+            n2, n4, n6 = a2 + 3 * r, (3 * r + 2 * a2) * r + a4, ((r + a2) * r + a4) * r + a6
+            if n2 % u2 == 0 and n4 % u2**2 == 0 and n6 % u2**3 == 0:
+                c4, delta = c4_and_delta(n2 // u2, n4 // u2**2, n6 // u2**3)
+                v_delta, v_c4 = vp(delta, p), vp(c4, p) if c4 else None
+                kind = GOOD if v_delta == 0 else MULTIPLICATIVE if v_c4 == 0 else ADDITIVE
+                return kind, v_delta, v_c4, k
+    raise AssertionError("k = 0, r = 0 keeps the integral model")
+
+
+@st.composite
+def _integral_models(draw):
+    """(p, model): an odd prime p <= 7 and an integral model, the image
+    under x = (x' + s)/p^(2j), y = y'/p^(3j) of a curve whose coefficients
+    are small integers times powers of p.  For s not divisible by p^(2j)
+    only a translation undoes it, as for the curve of
+    test_classify_needs_translation_before_scaling.  Half the curves are
+    y^2 = x^3 + b, whose c4 is 0; at p = 3 and v_3(b) = 5 they meet
+    Kraus's condition."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    if draw(st.booleans()):
+        coeffs = [0, 0, draw(st.integers(-20, 20)) * p ** draw(st.integers(0, 5))]
+    else:
+        coeffs = [draw(st.integers(-20, 20)) * p ** draw(st.integers(0, 3)) for _ in range(3)]
+    try:
+        base = Curve(*coeffs)
+    except ValueError:
+        assume(False)
+    j = draw(st.integers(0, 2))
+    s = draw(st.integers(-10**4, 10**4))
+    model = change_model(base, F(1, p**j), F(s, p ** (2 * j)))[0]
+    assert all(a.denominator == 1 for a in (model.a2, model.a4, model.a6))
+    return p, model
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _integral_models(),
+    st.sampled_from((1, -1)),
+    st.integers(-3, 3),
+    st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
+)
+def test_classify_is_the_same_on_every_model(case, sign, e, unit, r):
+    # classify on the model and on a copy moved by x = u^2 x' + r,
+    # y = u^3 y' with a random u = +-p^e unit and r, against the search
+    p, curve = case
+    kind, v_delta, v_c4, k = _searched_minimal_model(
+        curve.a2.numerator, curve.a4.numerator, curve.a6.numerator, p
+    )
+    u = sign * F(p) ** e * unit
+    assert classify(curve, p) == ReductionReport(p, kind, v_delta, v_c4, k)
+    moved = change_model(curve, u, r)[0]
+    assert classify(moved, p) == ReductionReport(p, kind, v_delta, v_c4, k - vp(u, p)), moved
 
 
 def test_report_json_shape():
@@ -471,10 +513,10 @@ def test_bad_primes_t3_candidates():
     assert report.candidates == (3, 5)  # odd primes of t(t^2+1) = 30
     assert report.additive == ()
     assert report.prop_applicable and report.prop_holds
-    classified = dict(report.entries)
-    assert set(classified) >= {3, 5}
-    for extra in set(classified) - {3, 5}:
-        assert classified[extra].v_delta > 0
+    v_delta = {row[0]: row[2] for row in report.rows}
+    assert set(v_delta) >= {3, 5}
+    for extra in set(v_delta) - {3, 5}:
+        assert v_delta[extra] > 0
 
 
 def test_bad_primes_t31_fixture():
@@ -650,7 +692,7 @@ def _sum_case(draw):
             lambda t: t not in (-1, 0, 1)))
         if kind == "scaled":
             u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
-            curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
+            curve, gen = change_model(curve_E(t), u, point=point_R(t))
         else:
             a, b, c = triple_from_multiple(t, 2).elements
             curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)

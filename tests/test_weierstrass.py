@@ -24,6 +24,7 @@ from dioph6.identities import (
 )
 from dioph6.sextuple_engine import induced_curve, point_Pprime
 from dioph6.weierstrass import Curve, INFINITY, Point
+from model_change import change_model
 
 REMARK_CURVE = Curve(0, 1512, 33588)
 GEN = Point(-11, 125)
@@ -59,7 +60,7 @@ _RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10*
 def _curve_and_point(draw):
     """A curve with non-integral coefficients and a point [k]G on it: G is
     P' on the induced curve of a family triple, or the image of the seed
-    under curve_E(t).scale(u)."""
+    on curve_E(t) moved by x = u^2 x' + r, y = u^3 y'."""
     t = draw(_PARAMS)
     k = draw(st.integers(min_value=-6, max_value=6))
     if draw(st.booleans()):
@@ -67,7 +68,8 @@ def _curve_and_point(draw):
         curve, gen = induced_curve(a, b, c), point_Pprime(a, b, c)
     else:
         u = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
-        curve, gen = curve_E(t).scale(u), curve_E(t).scale_point(point_R(t), u)
+        r = draw(st.fractions(min_value=-30, max_value=30, max_denominator=30))
+        curve, gen = change_model(curve_E(t), u, r, point_R(t))
     return curve, curve.mul(k, gen)
 
 
@@ -156,13 +158,14 @@ def test_unchecked_sums_match_add():
 def _two_points(kind, t, m_or_u, k1, k2):
     """(kind, curve, [[k1]G, [k2]G, ...]): on the "induced" curve of the
     family triple at (t, m), G is P' and the order-3 point S' comes after the
-    two multiples; on the "scaled" curve, curve_E(t).scale(u), G is the
-    image of the seed."""
+    two multiples; on the "scaled" curve, curve_E(t) with x = u^2 x',
+    y = u^3 y', G is the image of the seed."""
     if kind == "induced":
         a, b, c = triple_from_multiple(t, m_or_u).elements
         curve, gen, extra = induced_curve(a, b, c), point_Pprime(a, b, c), [point_Sprime(a, b, c)]
     else:
-        curve, gen, extra = curve_E(t).scale(m_or_u), curve_E(t).scale_point(point_R(t), m_or_u), []
+        curve, gen = change_model(curve_E(t), m_or_u, point=point_R(t))
+        extra = []
     return kind, curve, [curve.mul(k1, gen), curve.mul(k2, gen), *extra]
 
 
@@ -420,8 +423,8 @@ def test_std_quantities_of_derived_curves(t6_triple):
 
     t = F(6)
     curves = [
-        curve_E(2).scale(F(3, 5)),
-        REMARK_CURVE.scale(7),
+        change_model(curve_E(2), F(3, 5))[0],
+        change_model(REMARK_CURVE, 7, F(-2, 3))[0],
         induced_curve(*t6_triple.elements),
         curve_Epp(t, curve_E(t).mul(3, point_R(t)).x),
     ]
@@ -468,26 +471,23 @@ def test_cleared_discriminant_slot_gives_delta(coeffs):
     assert "_disc" not in repr(curve)
 
 
-def test_scale_identity_and_inverse():
-    e2 = curve_E(2)
-    assert e2.scale(1) == e2
-    assert e2.scale(F(3, 5)).scale(F(5, 3)) == e2
-    with pytest.raises(ValueError):
-        e2.scale(0)
-
-
 @settings(max_examples=25, deadline=None)
-@given(st.fractions(min_value=-20, max_value=20, max_denominator=10).filter(lambda u: u != 0))
-def test_scale_laws_and_point_transport(u):
+@given(
+    st.fractions(min_value=-20, max_value=20, max_denominator=10).filter(lambda u: u != 0),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10),
+)
+def test_change_model_moves_points_and_invariants(u, r):
+    # the tests' coordinate change: delta and c4 scale by u^-12 and u^-4
+    # whatever r is, and the point map commutes with the group law
     curve = curve_E(2)
     seed = point_R(2)
-    scaled = curve.scale(u)
-    sq, ssq = std_quantities(curve), std_quantities(scaled)
-    assert ssq.delta == sq.delta / u**12
-    assert ssq.c4 == sq.c4 / u**4
-    image = curve.scale_point(seed, u)
-    assert scaled.contains(image)
-    assert curve.scale_point(curve.mul(2, seed), u) == scaled.mul(2, image)
+    moved, image = change_model(curve, u, r, seed)
+    sq, msq = std_quantities(curve), std_quantities(moved)
+    assert msq.delta == sq.delta / u**12
+    assert msq.c4 == sq.c4 / u**4
+    assert moved.contains(image)
+    assert change_model(curve, u, r, curve.mul(2, seed))[1] == moved.mul(2, image)
+    assert change_model(curve, 1, 0) == (curve, INFINITY)
 
 
 # ---------------------------------------------------------------------------
