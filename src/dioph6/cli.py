@@ -67,6 +67,8 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
+    """The isogeny route refuses a cell whose text would cross the digit
+    limit after the group law, before the certificate and its ConsistencyError."""
     t = args.t
     if args.route == "closed-form":
         if args.m != 2 or args.n != 1:
@@ -78,7 +80,9 @@ def cmd_generate(args) -> int:
         record = engine.SextupleRecord(t, 2, 1, triple, point.d, point.e, point.f, point.report)
     else:
         triple = fam.triple_from_multiple(t, args.m)
-        record = engine.extend_to_sextuple(triple, args.n)
+        elements = engine._extension(triple, args.n)
+        engine._refuse_text_past_limit(elements)
+        record = engine._certified(triple, args.n, elements)
     _emit(record.to_json_dict(route=args.route), args.out)
     return EXIT_OK
 
@@ -100,7 +104,9 @@ def _read_elements(args) -> list[Fraction]:
 
 
 def cmd_verify(args) -> int:
+    """A tuple whose text would cross the digit limit is refused uncertified."""
     elements = _read_elements(args)
+    engine._refuse_text_past_limit(elements)
     report = engine.verify_tuple(elements)
     _emit(report.to_json_dict(elements), args.out)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED

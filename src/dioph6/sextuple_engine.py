@@ -26,7 +26,9 @@ reads and the JSON form writes: a passing row's square and root with
 digits, and a failing row's product + 1 with ``exactnum._format_coprime``,
 the text rule of every other rational.  A product + 1 past the
 interpreter's int/str digit limit refuses the JSON form, and a sextuple's,
-before any of its text is written (``exactnum._refuse_past_limit``).  The
+before any of its text is written (``exactnum._refuse_past_limit``);
+``generate`` refuses it after the group law and ``verify`` at once, both
+before the certificate (:func:`_refuse_text_past_limit`).  The
 :class:`PairWitness` objects are built from the rows on each read of
 ``VerificationReport.pair_results``.
 """
@@ -45,6 +47,7 @@ from .exactnum import (
     _coprime_sqrt,
     _format_coprime,
     _format_square,
+    _max_str_digits,
     _over_common_denominator,
     _refuse_past_limit,
     _Value,
@@ -229,9 +232,32 @@ def _gcd_times_square(n: int, c: int, s: int) -> int:
 def _row(ni: int, di: int, nj: int, dj: int, g1: int, g2: int, den_root: int | None = None):
     """(num, den, root_num, root_den) of ni/di * nj/dj + 1, given the cross
     gcds g1 = gcd(ni, dj) and g2 = gcd(nj, di)."""
-    den = (di // g2) * (dj // g1)
-    num = (ni // g1) * (nj // g2) + den
+    num, den = _product_plus_one(ni, di, nj, dj, g1, g2)
     return num, den, *(_coprime_sqrt(num, den, den_root) or (None, None))
+
+
+def _product_plus_one(ni: int, di: int, nj: int, dj: int, g1: int, g2: int) -> tuple[int, int]:
+    den = (di // g2) * (dj // g1)
+    return (ni // g1) * (nj // g2) + den, den
+
+
+def _refuse_text_past_limit(elements: Sequence[Rat]) -> None:
+    """Raise ``str()``'s own ValueError, before any row is certified, when a
+    certificate row of the elements has a part past the int/str digit limit,
+    as the report's JSON form would.  Row (i, j)'s parts have at most
+    B_i + B_j + 1 bits, B_i the bit length of element i's larger part, and a
+    row whose bound ``_refuse_past_limit`` would skip takes no gcd."""
+    limit = _max_str_digits()
+    bits = [max(q.numerator.bit_length(), q.denominator.bit_length()) for q in elements]
+    if not limit or (2 * max(bits) + 1) * 30103 // 100000 < limit:
+        return  # no row's bound reaches the limit
+    parts = [(q.numerator, q.denominator) for q in elements]
+    for j in reversed(range(len(parts))):  # a sextuple's largest elements first
+        for i in reversed(range(j)):
+            if (bits[i] + bits[j] + 1) * 30103 // 100000 >= limit:
+                (ni, di), (nj, dj) = parts[i], parts[j]
+                num, den = _product_plus_one(ni, di, nj, dj, gcd(ni, dj), gcd(nj, di))
+                _refuse_past_limit(max(abs(num), den))  # str() refuses -num alike
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +361,11 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
     offending point; a failed certificate on non-degenerate input raises
     :class:`ConsistencyError` since the construction guarantees it passes.
     """
+    return _certified(triple, n, _extension(triple, n))
+
+
+def _extension(triple: TripleABC, n: int) -> tuple[Rat, ...]:
+    """:func:`extend_to_sextuple`'s group law: the six elements, or a DegeneracyError."""
     if n < 1:
         raise DegeneracyError(
             f"n = {n} is degenerate: [1]P' has x = 0, which would make d = 0"
@@ -361,16 +392,21 @@ def extend_to_sextuple(triple: TripleABC, n: int) -> SextupleRecord:
             raise DegeneracyError(f"{name} is the point at infinity")
         if x == 0:
             raise DegeneracyError(f"{name} coincides with +-P' (x = 0)")
-    d, e, f = (x / abc for x in xs)
-    elements = (a, b, c, d, e, f)
-    report = verify_tuple(elements)
-    if not report.distinct:
+    elements = (a, b, c, *(x / abc for x in xs))
+    if len({(q.numerator, q.denominator) for q in elements}) < 6:  # no Fraction hashes
         raise DegeneracyError(
             f"extension of ({a}, {b}, {c}) with n = {n} repeats an element"
         )
+    return elements
+
+
+def _certified(triple: TripleABC, n: int, elements: tuple[Rat, ...]) -> SextupleRecord:
+    """:func:`extend_to_sextuple`'s certificate, on :func:`_extension`'s elements."""
+    report = verify_tuple(elements)
     if not report.all_pass:
+        a, b, c = triple.elements
         raise ConsistencyError(
             f"certificate failed for ({a}, {b}, {c}) extended with n = {n}: "
             f"pairs {report.failing_pairs}"
         )
-    return SextupleRecord(triple.t, triple.m, n, triple, d, e, f, report)
+    return SextupleRecord(triple.t, triple.m, n, triple, *elements[3:], report)

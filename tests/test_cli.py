@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,11 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dioph6 import cli, exactnum, paramfam, weierstrass
+from dioph6 import cli, exactnum, paramfam, sextuple_engine, weierstrass
 from dioph6.cli import build_parser, main
+from dioph6.family import triple_from_multiple
 from dioph6.paramfam import family_triple
 from dioph6.reduction_lab import ReductionReport, bad_primes_epp
-from dioph6.sextuple_engine import PairWitness, verify_tuple
+from dioph6.sextuple_engine import PairWitness, extend_to_sextuple, verify_tuple
 from dioph6.weierstrass import Point
 
 
@@ -888,3 +890,114 @@ def test_lowered_digit_limit_refuses_the_certificate():
         text=True,
     )
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.fixture
+def root_tests(monkeypatch):
+    """The calls of the package's one root test, as a list that grows."""
+    calls = []
+    root = exactnum._coprime_sqrt
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    for module in (exactnum, sextuple_engine):
+        monkeypatch.setattr(module, "_coprime_sqrt", counted)
+    return calls
+
+
+def _library_outcome(record):
+    """(exit code, stdout, stderr) that generate's library path gives from
+    extend_to_sextuple's record or the ValueError it raised: the record's
+    JSON form encoded, or the ValueError."""
+    try:
+        if isinstance(record, ValueError):
+            raise record
+        return 0, cli._ENCODER.encode(record.to_json_dict(route="isogeny")) + "\n", ""
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+
+
+def test_generate_refuses_what_the_library_refuses(capsys, root_tests):
+    """Over the cap grid, under the default limit and under 2000 digits,
+    generate answers or refuses as extend_to_sextuple's record does when it
+    is written; a refused cell takes no root test."""
+    limits = [sys.get_int_max_str_digits()] if hasattr(sys, "get_int_max_str_digits") else [0]
+    if limits[0]:
+        limits.append(2000)
+    refused = set()
+    try:
+        for t in ("6", "-9/8"):
+            for m in range(2, 9):
+                triple = triple_from_multiple(Fraction(t), m)
+                for n in range(1, 7):
+                    try:
+                        record = extend_to_sextuple(triple, n)
+                    except ValueError as exc:
+                        record = exc
+                    for limit in limits:
+                        if limit:
+                            sys.set_int_max_str_digits(limit)
+                        want = _library_outcome(record)
+                        del root_tests[:]
+                        got = run_cli(capsys, "generate", f"--t={t}", "--m", str(m), "--n", str(n))
+                        assert got == want, (t, m, n, limit)
+                        if got[0]:
+                            refused.add((t, m, n, limit))
+                            assert root_tests == [], (t, m, n, limit)
+    finally:
+        if limits[0]:
+            sys.set_int_max_str_digits(limits[0])
+    if limits[0] == 4300:  # the README's 7 refused cells at t = 6, and more under 2000
+        assert sum(t == "6" and limit == 4300 for t, _, _, limit in refused) == 7
+        assert sum(t == "6" and limit == 2000 for t, _, _, limit in refused) > 7
+
+
+def test_generate_repeated_element_is_reported_before_the_limit(capsys, monkeypatch, root_tests):
+    """A repeated element is the group-law half's DegeneracyError, so a
+    cell past the digit limit still names it; e = f is forced here."""
+    add_sub = weierstrass.Curve.add_sub_x_unchecked
+
+    def equal(curve, p, q):
+        plus, _ = add_sub(curve, p, q)
+        return plus, plus
+
+    monkeypatch.setattr(weierstrass.Curve, "add_sub_x_unchecked", equal)
+    a, b, c = triple_from_multiple(Fraction(6), 8).elements
+    message = f"extension of ({a}, {b}, {c}) with n = 5 repeats an element"
+    assert_bad_input(capsys, message, "generate", "--t", "6", "--m", "8", "--n", "5")
+    assert root_tests == []
+
+
+def _limit_message() -> str:
+    with pytest.raises(ValueError) as refusal:
+        str(10 ** sys.get_int_max_str_digits())
+    return str(refusal.value)
+
+
+def test_verify_past_the_limit_refuses_before_the_certificate(capsys, tmp_path, root_tests):
+    """The regular quadruple that the certify benchmark builds for 4,000
+    digits (its elements' parts have up to 571, 1,711, 2,282 and 3,422), and a
+    copy with its largest element moved by one: their elements are within
+    the digit limit, but certificate rows are not, and both refuse with the
+    interpreter's message, with no root test and no --out file."""
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no int/str digit limit in this interpreter")
+    rng = random.Random(4000)
+    lo, hi = 10**570, 10**571 - 1  # parts of k = round(4000 / 7) digits
+    a = Fraction(rng.randint(lo, hi), rng.randint(lo, hi))
+    r = 1 + Fraction(rng.randint(lo, hi), rng.randint(lo, hi))
+    b = (r * r - 1) / a
+    c = a + b + 2 * r
+    quadruple = [a, b, c, a + b + c + 2 * a * b * c + 2 * r * (a + r) * (b + r)]
+    assert 3300 < max(len(str(abs(x.numerator))) for x in quadruple) < 4300
+    assert verify_tuple(quadruple[:3]).all_pass
+    del root_tests[:]
+    bent = quadruple[:3] + [quadruple[3] + 1]
+    out = tmp_path / "out.json"
+    for elements in (quadruple, bent):
+        assert_bad_input(capsys, _limit_message(), "verify", "--", *map(str, elements))
+        assert_bad_input(capsys, _limit_message(), "verify", f"--out={out}", *map(str, elements))
+        assert not out.exists()
+    assert root_tests == []

@@ -84,6 +84,9 @@ KEPT = {
     "pipeline checks p once and takes valuations through exactnum._rat_vp",
     "exactnum.sqrt_exact": "the public exact root of a rational, and the tests' reference; "
     "both triples take their witnesses without it",
+    "sextuple_engine.extend_to_sextuple": "the public extension of a triple with its "
+    "certificate; generate runs its group-law and certificate halves with the digit-limit "
+    "check between them, so that it certifies no cell whose text it would refuse",
 }
 
 _PROBE = """

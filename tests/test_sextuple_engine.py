@@ -345,6 +345,41 @@ def test_square_past_the_limit_refuses_before_any_text(monkeypatch, build, args)
     assert written == []
 
 
+#: A positive integer of 250 to 340 digits, the size drawn first.
+_ROW_PART = st.integers(250, 340).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_ROW_PART, _ROW_PART, st.booleans()), min_size=2, max_size=5),
+    st.integers(1, 10**60),
+)
+# a failing row whose negative numerator alone crosses the limit
+@example([(10**320 + 1, 10**250, False), (10**320 + 3, 10**250, True)], 1)
+# x^2 + 1 of 641 digits for x = (2^1063 - 1)/(2^1063 - 3): its numerator
+# takes all B_i + B_j + 1 bits of its bound
+@example([(2**1063 - 1, 2**1063 - 3, False)] * 2, 1)
+def test_early_refusal_refuses_what_the_json_form_refuses(parts, g):
+    """Under a 640-digit limit, ``_refuse_text_past_limit`` raises exactly
+    when the report's JSON form does, with the same message; a common
+    factor g between one element's numerator and the next's denominator
+    makes rows cancel below their bit-length bound."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit in this interpreter")
+    elements = [
+        F(-n * g if neg else n * g, d) if k % 2 else F(n, d * g)
+        for k, (n, d, neg) in enumerate(parts)
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        early = _json_outcome(lambda: sextuple_engine._refuse_text_past_limit(elements))
+        late = _json_outcome(lambda: verify_tuple(elements).to_json_dict())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert early == (None if isinstance(late, dict) else late)
+
+
 def test_verify_tuple_reference_cases():
     # a zero, a repeat and the products + 1 that are 0 (x * y = -1)
     report = verify_tuple([2, "-1/2", 0, F(2)])
